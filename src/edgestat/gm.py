@@ -12,9 +12,23 @@ per-vertex capacities:
 The generator walks branches ``(t, q) = (|L|, #quadratic-only vertices)``
 with ``L`` pinned to the first ``t`` slots and the quadratic-only attachment
 columns emitted in non-decreasing mask order (every relabelling class
-contains such a representative, so nothing is missed).  Every candidate is
-re-checked with the literal substitution test and deduplicated by canonical
-key, so the emitted family is sound and isomorph-free by construction.
+contains such a representative, so nothing is missed).  A skeleton is one
+choice of attachment columns plus a graph on the quadratic-only vertices;
+each skeleton is completed by every edge set inside ``L``.
+
+Membership does not depend on the edges inside ``L``: pinning ``x_i = 1``
+leaves ``|(L - {i}) | N(i)|`` linear terms whatever they are, and the pinned
+form leaves the unit family exactly when ``i`` is in ``L`` or has a neighbour
+there.  So the literal substitution test runs once per skeleton, on its form
+without ``L``-``L`` edges, and decides for all its completions.  Completions
+are deduplicated by the integer canonical code of
+:func:`~edgestat.poly.canonical_code`, computed on plain ints, and
+:func:`~edgestat.poly.canonical_form` runs once per distinct class to build
+its key and representative.  The emitted family is therefore sound and
+isomorph-free by construction.
+
+Families are cached by ``m`` alone: a family is identical for every worker
+count.
 """
 
 from __future__ import annotations
@@ -22,9 +36,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InputError
-from .poly import CanonicalKey, GPolynomial, canonical_form, gm_membership
+from .poly import CanonicalKey, GPolynomial, canonical_code, canonical_form, gm_membership
 
 MAX_SUPPORTED_M = 6
 
@@ -112,25 +127,36 @@ def _bounded_degree_graphs(q: int, cap: int) -> list[tuple[tuple[int, int], ...]
     return out
 
 
-def _enumerate_branch(args: tuple[int, int, int]) -> dict[CanonicalKey, GPolynomial]:
-    m, t, q = args
-    s = t + q
+def _skeletons(m: int, t: int, q: int) -> Iterator[list[tuple[int, int]]]:
+    """Edge lists of the branch's skeletons: attachment columns plus a
+    bounded-degree graph on the quadratic-only vertices, no edge inside L."""
     cap_row = m - t
     cap_q = m - 1 - t
-    ll_pairs = [(a, b) for a in range(t) for b in range(a + 1, t)]
-    members: dict[CanonicalKey, GPolynomial] = {}
     qq_graphs = _bounded_degree_graphs(q, cap_q) if q else [()]
     for cols in _sorted_columns(t, q, cap_row) if q else [()]:
         base = [(r, t + ci) for ci, mask in enumerate(cols) for r in range(t) if mask >> r & 1]
         for qq in qq_graphs:
-            edges_fixed = base + [(t + a, t + b) for a, b in qq]
-            for ll_mask in range(1 << len(ll_pairs)):
-                edges = edges_fixed + [ll_pairs[i] for i in range(len(ll_pairs)) if ll_mask >> i & 1]
-                g = GPolynomial.from_sets(s, range(t), edges)
-                if not gm_membership(g, m):
-                    continue
-                key, rep = canonical_form(g)
-                members.setdefault(key, rep)
+            yield base + [(t + a, t + b) for a, b in qq]
+
+
+def _enumerate_branch(args: tuple[int, int, int]) -> dict[CanonicalKey, GPolynomial]:
+    m, t, q = args
+    s = t + q
+    lmask = (1 << t) - 1
+    ll_pairs = [(a, b) for a in range(t) for b in range(a + 1, t)]
+    ll_sets = [
+        [ll_pairs[i] for i in range(len(ll_pairs)) if ll_mask >> i & 1]
+        for ll_mask in range(1 << len(ll_pairs))
+    ]
+    members: dict[CanonicalKey, GPolynomial] = {}
+    for skeleton in _skeletons(m, t, q):
+        if not gm_membership(GPolynomial.from_sets(s, range(t), skeleton), m):
+            continue
+        for ll in ll_sets:
+            edges = skeleton + ll
+            if CanonicalKey(canonical_code(s, lmask, edges)) not in members:
+                key, rep = canonical_form(GPolynomial.from_sets(s, range(t), edges))
+                members[key] = rep
     return members
 
 
@@ -140,7 +166,7 @@ def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
         raise InputError(f"m must be in 1..{MAX_SUPPORTED_M}")
     if workers < 1:
         raise InputError("workers must be >= 1")
-    if workers == 1 and m in _CACHE:
+    if m in _CACHE:
         return _CACHE[m]
     start = time.perf_counter()
     branches = [(m, t, q) for t in range(1, m + 1) for q in range(t * (m - t) + 1)]
@@ -158,8 +184,7 @@ def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
     for g in members:
         per_s[g.num_vars] = per_s.get(g.num_vars, 0) + 1
     family = GmFamily(m, members, keys, dict(sorted(per_s.items())), time.perf_counter() - start)
-    if workers == 1:
-        _CACHE[m] = family
+    _CACHE[m] = family
     return family
 
 

@@ -19,7 +19,6 @@ enumeration engine is built on:
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -325,27 +324,128 @@ class CanonicalKey:
         return self.text
 
 
-def _refined_classes(s: int, L: frozenset[int], nbrs: list[set[int]]) -> list[list[int]]:
+def _refined_classes(s: int, lmask: int, adj: list[list[int]]) -> list[list[int]]:
     """Partition vertices by iterated colour refinement.
 
     The initial colour orders linear-flagged vertices first, then by degree;
     each round appends the sorted multiset of neighbour colours.  Colours are
     re-ranked each round by sorting the raw tuples, which keeps the whole
-    procedure label-invariant.
+    procedure label-invariant.  Classes come out in colour order, members in
+    increasing label order.
     """
-    color = {v: (0 if v in L else 1, len(nbrs[v])) for v in range(s)}
+    color = [(0 if lmask >> v & 1 else s) + len(adj[v]) for v in range(s)]
+    count = len(set(color))
     while True:
-        raw = {v: (color[v], tuple(sorted(color[u] for u in nbrs[v]))) for v in range(s)}
-        rank = {t: r for r, t in enumerate(sorted(set(raw.values())))}
-        new = {v: rank[raw[v]] for v in range(s)}
-        if len(set(new.values())) == len(set(color.values())):
-            color = new
+        raw = [(color[v], tuple(sorted([color[u] for u in adj[v]]))) for v in range(s)]
+        rank = {t: r for r, t in enumerate(sorted(set(raw)))}
+        if len(rank) == count:
             break
-        color = new
+        count = len(rank)
+        color = [rank[t] for t in raw]
     classes: dict[int, list[int]] = {}
     for v in range(s):
         classes.setdefault(color[v], []).append(v)
-    return [sorted(classes[c]) for c in sorted(classes)]
+    return [classes[c] for c in sorted(classes)]
+
+
+def canonical_code(num_vars: int, lmask: int, edges: Sequence[tuple[int, int]]) -> tuple:
+    """Canonical encoding ``(num_vars, sorted L, sorted E)`` of a unit form.
+
+    ``lmask`` has bit ``i`` set when ``x_i`` carries a linear term and
+    ``edges`` lists the quadratic pairs.  The result is the minimum encoding
+    over the relabellings that map each colour-refinement class onto its
+    fixed block of target labels, with the edge-free members of a class
+    parked at the back of its block (see :func:`canonical_form`).
+
+    The search places edge-touching members one target label at a time, in
+    increasing label order.  Edges are encoded as ``row * num_vars + col``
+    integers, so an encoding is a sorted list of ints.  Once labels up to
+    ``P`` are placed, every row whose vertex has no unplaced neighbour is
+    final, and the first row that still has one is known up to its columns
+    ``<= P``; its next entry is at least ``(row, P + 1)``.  A partial
+    placement whose known prefix, followed by that lower bound, already
+    exceeds the best encoding found is dropped with all its completions.
+    """
+    s = num_vars
+    adj: list[list[int]] = [[] for _ in range(s)]
+    nbr = [0] * s
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    classes = _refined_classes(s, lmask, adj)
+
+    lin: list[int] = []
+    groups: list[list[int]] = []  # edge-touching members of each class
+    slot_label: list[int] = []  # target label of each placement step
+    slot_group: list[int] = []  # class whose member takes that label
+    placements = 1
+    pos = 0
+    for cls in classes:
+        edged = [v for v in cls if adj[v]]
+        if lmask >> cls[0] & 1:
+            lin.extend(range(pos, pos + len(cls)))
+        if edged:
+            slot_label.extend(range(pos, pos + len(edged)))
+            slot_group.extend([len(groups)] * len(edged))
+            groups.append(edged)
+            placements *= math.factorial(len(edged))
+        pos += len(cls)
+    if placements > CANONICAL_PLACEMENT_CAP:
+        raise ResourceLimitError(
+            f"canonical search needs {placements} class-respecting placements",
+            needed=placements,
+            cap=CANONICAL_PLACEMENT_CAP,
+        )
+
+    # Swapping two twins (same neighbours apart from each other) is an
+    # automorphism, so of the free twins only the first need be tried.
+    twins = [0] * s
+    for group in groups:
+        for u in group:
+            for v in group:
+                if nbr[u] & ~(1 << v) == nbr[v] & ~(1 << u):
+                    twins[u] |= 1 << v
+    steps = len(slot_label)
+    at = [0] * steps  # vertex placed at each step
+    best: list[int] | None = None
+
+    def place(i: int, prefix: list[int], head: int, free: int) -> None:
+        """Place step ``i``; ``prefix`` is the determined encoding, ``head``
+        the first step whose row is still open and ``free`` the unplaced
+        edge-touching vertices."""
+        nonlocal best
+        if i == steps:
+            if best is None or prefix < best:
+                best = prefix
+            return
+        label = slot_label[i]
+        tried = 0
+        for v in groups[slot_group[i]]:
+            if not free >> v & 1 or twins[v] & tried:
+                continue
+            tried |= 1 << v
+            at[i] = v
+            rest = free & ~(1 << v)
+            enc = prefix.copy()
+            h = head
+            if h < i and nbr[at[h]] >> v & 1:
+                enc.append(slot_label[h] * s + label)
+            while h <= i and not nbr[at[h]] & rest:
+                h += 1
+                if h < i:
+                    row, mask = slot_label[h] * s, nbr[at[h]]
+                    enc += [row + slot_label[j] for j in range(h + 1, i + 1) if mask >> at[j] & 1]
+            if best is not None:
+                bound = enc + [slot_label[h] * s + label + 1] if h <= i else enc
+                if bound > best[: len(bound)]:
+                    continue
+            place(i + 1, enc, h, rest)
+
+    place(0, [], 0, sum(1 << v for group in groups for v in group))
+    edge_code = tuple(divmod(e, s) for e in best) if best else ()
+    return (s, tuple(lin), edge_code)
 
 
 def canonical_form(g: GPolynomial, max_vars: int = CANONICAL_VAR_CAP) -> tuple[CanonicalKey, GPolynomial]:
@@ -355,7 +455,8 @@ def canonical_form(g: GPolynomial, max_vars: int = CANONICAL_VAR_CAP) -> tuple[C
     the relabellings that map each colour-refinement class onto its fixed
     block of target labels.  Any relabelling between two forms must preserve
     the (label-invariant) refined colours, so two forms get equal keys
-    exactly when one is a relabelling of the other.
+    exactly when one is a relabelling of the other.  The representative is
+    the form the key spells out.
 
     Two reductions keep the search small.  Classes are wholly linear or
     wholly quadratic, and each occupies a fixed block of target labels, so
@@ -363,77 +464,21 @@ def canonical_form(g: GPolynomial, max_vars: int = CANONICAL_VAR_CAP) -> tuple[C
     class, members without quadratic neighbours never appear in the E part,
     and moving edge-touching members to the front of their block only lowers
     edge labels, so the minimum is attained with untouched members parked at
-    the back — only edge-touching members are permuted.  The number of
-    placements that remain is capped; highly symmetric inputs that
-    refinement cannot split (far outside the enumerated families) are
-    rejected rather than searched.
+    the back — only edge-touching members are permuted.  The search itself
+    runs on integers in :func:`canonical_code`, which drops a partial
+    placement as soon as its encoding prefix exceeds the best one found.
+    The cap still counts the placements an unpruned search would visit, so
+    highly symmetric inputs that refinement cannot split (far outside the
+    enumerated families) are rejected whatever pruning would have saved.
     """
     s = g.num_vars
     if s > max_vars:
         raise ResourceLimitError(
             f"canonical keys support at most {max_vars} variables", needed=s, cap=max_vars
         )
-    L = g.linear_indices
-    edges = sorted(g.edge_pairs)
-    nbrs: list[set[int]] = [set() for _ in range(s)]
-    for a, b in edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    classes = _refined_classes(s, L, nbrs)
-
-    perm = [0] * s
-    lin_targets: list[int] = []
-    movable: list[tuple[list[int], range]] = []
-    placements = 1
-    pos = 0
-    for cls in classes:
-        edged = [v for v in cls if nbrs[v]]
-        if cls[0] in L:
-            lin_targets.extend(range(pos, pos + len(cls)))
-        for off, v in enumerate(v for v in cls if not nbrs[v]):
-            perm[v] = pos + len(edged) + off
-        if edged:
-            movable.append((edged, range(pos, pos + len(edged))))
-            placements *= math.factorial(len(edged))
-        pos += len(cls)
-    if placements > CANONICAL_PLACEMENT_CAP:
-        raise ResourceLimitError(
-            f"canonical search needs {placements} class-respecting placements",
-            needed=placements,
-            cap=CANONICAL_PLACEMENT_CAP,
-        )
-    lin_enc = tuple(lin_targets)
-
-    best: tuple | None = None
-    best_perm: list[int] | None = None
-
-    def search(idx: int) -> None:
-        nonlocal best, best_perm
-        if idx == len(movable):
-            enc = (
-                s,
-                lin_enc,
-                tuple(
-                    sorted(
-                        (perm[a], perm[b]) if perm[a] < perm[b] else (perm[b], perm[a])
-                        for a, b in edges
-                    )
-                ),
-            )
-            if best is None or enc < best:
-                best = enc
-                best_perm = perm.copy()
-            return
-        members, targets = movable[idx]
-        for placement in itertools.permutations(targets):
-            for v, t in zip(members, placement):
-                perm[v] = t
-            search(idx + 1)
-
-    search(0)
-    assert best is not None and best_perm is not None
-    rep = GPolynomial(permute_variables(g.poly, best_perm))
-    return CanonicalKey(best), rep
+    lmask = sum(1 << i for i in g.poly.linear)
+    code = canonical_code(s, lmask, list(g.poly.quadratic))
+    return CanonicalKey(code), GPolynomial.from_sets(s, code[1], code[2])
 
 
 def canonical_key(g: GPolynomial, max_vars: int = CANONICAL_VAR_CAP) -> CanonicalKey:

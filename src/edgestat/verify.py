@@ -492,7 +492,11 @@ def antichain_expectation_check(
 
 def elo_max(coeffs: Sequence) -> tuple[Fraction, Fraction, bool]:
     """Largest point mass of a signed sum of nonzero terms vs the central
-    binomial bound C(n, floor(n/2)) / 2^n."""
+    binomial bound C(n, floor(n/2)) / 2^n.
+
+    The subset sums run on integers: scaling every coefficient by the LCM of
+    the denominators is a bijection on the sums, so the counts are unchanged.
+    """
     values = [Fraction(c) for c in coeffs]
     n = len(values)
     if n < 1:
@@ -501,9 +505,10 @@ def elo_max(coeffs: Sequence) -> tuple[Fraction, Fraction, bool]:
         raise InputError("at most 20 coefficients supported")
     if any(v == 0 for v in values):
         raise InputError("coefficients must be nonzero")
-    sums: dict[Fraction, int] = {Fraction(0): 1}
-    for a in values:
-        nxt: dict[Fraction, int] = {}
+    scale = math.lcm(*(v.denominator for v in values))
+    sums: dict[int, int] = {0: 1}
+    for a in (v.numerator * (scale // v.denominator) for v in values):
+        nxt: dict[int, int] = {}
         for s, cnt in sums.items():
             for t in (s + a, s - a):
                 nxt[t] = nxt.get(t, 0) + cnt
@@ -590,9 +595,8 @@ def suite_poisson_tv(max_n: int = 50, denominators: int = 50, max_j: int = 25) -
     violations = 0
     for n in range(1, max_n + 1):
         for j in range(1, max_j + 1):
-            try:
-                poisson_tv_check(n, Fraction(j, denominators))
-            except AssertionError:
+            _, ok = poisson_tv_check(n, Fraction(j, denominators))
+            if not ok:
                 violations += 1
     return violations
 

@@ -1,8 +1,8 @@
 """Shared generators and oracles for the test suite."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
-from edgestat.poly import MultilinearPoly
+from edgestat.poly import CanonicalKey, GPolynomial, MultilinearPoly, permute_variables
 
 
 def random_poly(rng, max_vars=8, coeff_range=(-4, 4)):
@@ -24,3 +24,64 @@ def eval_direct(f, assignment):
     total += sum(c for i, c in f.linear.items() if assignment[i])
     total += sum(c for (i, j), c in f.quadratic.items() if assignment[i] and assignment[j])
     return total
+
+
+def _refined_classes_oracle(s, L, nbrs):
+    """Colour refinement on dicts and tuple colours, as first written."""
+    color = {v: (0 if v in L else 1, len(nbrs[v])) for v in range(s)}
+    while True:
+        raw = {v: (color[v], tuple(sorted(color[u] for u in nbrs[v]))) for v in range(s)}
+        rank = {t: r for r, t in enumerate(sorted(set(raw.values())))}
+        new = {v: rank[raw[v]] for v in range(s)}
+        if len(set(new.values())) == len(set(color.values())):
+            color = new
+            break
+        color = new
+    classes = {}
+    for v in range(s):
+        classes.setdefault(color[v], []).append(v)
+    return [sorted(classes[c]) for c in sorted(classes)]
+
+
+def canonical_form_unpruned(g):
+    """Oracle for ``canonical_form``: try every class-respecting placement of
+    the edge-touching members and keep the least ``(s, L, E)`` encoding."""
+    s = g.num_vars
+    L = g.linear_indices
+    edges = sorted(g.edge_pairs)
+    nbrs = [set() for _ in range(s)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    perm = [0] * s
+    lin_targets = []
+    movable = []
+    pos = 0
+    for cls in _refined_classes_oracle(s, L, nbrs):
+        edged = [v for v in cls if nbrs[v]]
+        if cls[0] in L:
+            lin_targets.extend(range(pos, pos + len(cls)))
+        for off, v in enumerate(v for v in cls if not nbrs[v]):
+            perm[v] = pos + len(edged) + off
+        if edged:
+            movable.append((edged, range(pos, pos + len(edged))))
+        pos += len(cls)
+
+    best = None
+    best_perm = None
+
+    def search(idx):
+        nonlocal best, best_perm
+        if idx == len(movable):
+            enc = (s, tuple(lin_targets), tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges)))
+            if best is None or enc < best:
+                best, best_perm = enc, perm.copy()
+            return
+        members, targets = movable[idx]
+        for placement in permutations(targets):
+            for v, t in zip(members, placement):
+                perm[v] = t
+            search(idx + 1)
+
+    search(0)
+    return CanonicalKey(best), GPolynomial(permute_variables(g.poly, best_perm))

@@ -1,13 +1,17 @@
 """Exact distributions: Bernoulli and slice models, binomial maxima, TV bounds."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
 import mpmath
 import pytest
 
+import edgestat
 from edgestat.dist import (
     SliceSpec,
     ValueDist,
@@ -162,8 +166,23 @@ def test_poisson_pmf_matches_mpmath():
 
 def test_poisson_tv_bound_samples():
     for n, p in ((1, Fraction(1, 2)), (10, Fraction(1, 10)), (30, Fraction(2, 5))):
-        tv = poisson_tv_check(n, p)
+        tv, ok = poisson_tv_check(n, p)
+        assert ok
         assert 0 <= tv <= float(p) + 1e-12
+
+
+def test_poisson_tv_verdict_survives_optimize_flag():
+    # An impossible slack makes every sample fail; the count must not depend
+    # on whether asserts are compiled in.
+    src = os.path.dirname(os.path.dirname(edgestat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import edgestat.dist as d, edgestat.verify as v\n"
+        "d.TRANSCENDENTAL_SLACK = -10\n"
+        "print(v.suite_poisson_tv(3, 3, 3))\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "9"
 
 
 def test_slice_spec_validation():

@@ -1,17 +1,23 @@
 """Tests for the isomorph-free enumeration of the reduced families."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
+from edgestat import gm
 from edgestat.errors import InputError
 from edgestat.gm import (
     MAX_SUPPORTED_M,
+    _skeletons,
     enumerate_gm,
     max_structure_stats,
     var_bound,
 )
-from edgestat.poly import GPolynomial, canonical_form, gm_membership
+from edgestat.poly import GPolynomial, canonical_form, gm_membership, permute_variables
+
+from helpers import canonical_form_unpruned
 
 REFERENCE_COUNTS = {1: 1, 2: 4, 3: 16, 4: 99, 5: 1653}
 
@@ -21,6 +27,14 @@ REFERENCE_PER_S = {
     3: {1: 1, 2: 3, 3: 10, 4: 2},
     4: {1: 1, 2: 3, 3: 10, 4: 47, 5: 24, 6: 14},
     5: {1: 1, 2: 3, 3: 10, 4: 47, 5: 296, 6: 451, 7: 514, 8: 277, 9: 54},
+}
+
+
+#: sha256 of the newline-joined key texts, pinned so that a change to the
+#: canonical search cannot silently change the published keys.
+KEY_DIGESTS = {
+    4: "9c6f134e5671cfcf82336700399cc634db9587a89279da2e8296d8a1aedb9803",
+    5: "919e8aa7013d906c3fc1beec0a5ce2a2c12f97e0b42100511bbaaa0bfd21b321",
 }
 
 
@@ -74,21 +88,62 @@ def test_naive_completeness_oracle(m):
 
 
 def test_members_are_canonical_and_sound():
-    family = enumerate_gm(4)
-    assert family.keys == sorted(family.keys)
-    assert len(set(family.keys)) == family.count
-    for key, g in zip(family.keys, family.members):
-        assert gm_membership(g, 4)
-        key_again, rep = canonical_form(g)
-        assert key_again == key
-        assert rep.poly == g.poly
+    for m in (4, 5):
+        family = enumerate_gm(m)
+        assert family.keys == sorted(family.keys)
+        assert len(set(family.keys)) == family.count
+        for key, g in zip(family.keys, family.members):
+            assert gm_membership(g, m)
+            key_again, rep = canonical_form(g)
+            assert key_again == key
+            assert rep.poly == g.poly
 
 
-def test_worker_merge_is_order_independent():
+@pytest.mark.parametrize("m, digest", list(KEY_DIGESTS.items()))
+def test_key_digests_are_pinned(m, digest):
+    text = "\n".join(k.text for k in enumerate_gm(m).keys)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_canonical_form_matches_unpruned_oracle_on_relabelled_members():
+    rng = random.Random(110)
+    for g in enumerate_gm(4).members:
+        for _ in range(3):
+            perm = list(range(g.num_vars))
+            rng.shuffle(perm)
+            shuffled = GPolynomial(permute_variables(g.poly, perm))
+            key, rep = canonical_form(shuffled)
+            want_key, want_rep = canonical_form_unpruned(shuffled)
+            assert key == want_key
+            assert rep.poly == want_rep.poly
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_skeleton_membership_equals_literal_for_every_ll_mask(m):
+    # Every skeleton the generator emits at m is a member at m, so lower
+    # thresholds are checked too, where skeletons are also rejected.
+    for t in range(1, m + 1):
+        ll_pairs = list(itertools.combinations(range(t), 2))
+        for q in range(t * (m - t) + 1):
+            for skeleton in _skeletons(m, t, q):
+                for k in range(1, m + 1):
+                    skeleton_ok = gm_membership(GPolynomial.from_sets(t + q, range(t), skeleton), k)
+                    for ll_mask in range(1 << len(ll_pairs)):
+                        ll = [ll_pairs[i] for i in range(len(ll_pairs)) if ll_mask >> i & 1]
+                        g = GPolynomial.from_sets(t + q, range(t), skeleton + ll)
+                        assert gm_membership(g, k) == skeleton_ok
+
+
+def test_worker_merge_is_order_independent(monkeypatch):
     solo = enumerate_gm(3)
+    monkeypatch.setattr(gm, "_CACHE", {})
     multi = enumerate_gm(3, workers=2)
     assert multi.keys == solo.keys
     assert [g.poly for g in multi.members] == [g.poly for g in solo.members]
+
+
+def test_family_cache_serves_every_worker_count():
+    assert enumerate_gm(3, workers=2) is enumerate_gm(3)
 
 
 def test_structure_stats_hit_their_bounds():

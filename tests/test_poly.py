@@ -26,7 +26,7 @@ from edgestat.poly import (
     zero_poly,
 )
 
-from helpers import eval_direct, random_poly
+from helpers import canonical_form_unpruned, eval_direct, random_poly
 
 PRODUCT_TEXT = "x2+x3+x4+x5+x1*x2+x1*x3+x1*x4+x1*x5"
 
@@ -197,6 +197,26 @@ def test_canonical_form_is_permutation_invariant():
             assert canonical_key(shuffled) == key
         # the relabelled representative canonicalizes to itself
         assert canonical_key(rep) == key
+
+
+def random_unit_form(rng, max_vars=8):
+    """A random 0/1 quadratic form on 1..max_vars slots, every slot used."""
+    s = rng.randint(1, max_vars)
+    density = rng.random()
+    edges = {e for e in combinations(range(s), 2) if rng.random() < density}
+    covered = {v for e in edges for v in e}
+    linear = {i for i in range(s) if rng.random() < 0.5} | (set(range(s)) - covered)
+    return GPolynomial.from_sets(s, linear, edges)
+
+
+def test_canonical_form_matches_unpruned_oracle_on_random_forms():
+    rng = random.Random(109)
+    for _ in range(500):
+        g = random_unit_form(rng)
+        key, rep = canonical_form(g)
+        want_key, want_rep = canonical_form_unpruned(g)
+        assert key == want_key, format_poly(g.poly)
+        assert rep.poly == want_rep.poly
 
 
 def test_canonical_key_text_format():
