@@ -25,7 +25,6 @@ from .dist import (
     as_probability,
     as_rational,
     bernoulli_value_dist,
-    bernoulli_value_dist_conditioning,
     binmax,
     binmaxplus,
     format_rational,
@@ -49,7 +48,6 @@ from .poly import (
     evaluate,
     format_poly,
     gm_membership,
-    gm_membership_derived,
     parse_poly,
     permute_variables,
     poly_from_json,

@@ -217,24 +217,16 @@ def limit_probability(
     cross = sorted(family.cross)
     total = Fraction(0)
 
-    def edges_of(counts: list[int]) -> int:
-        full = counts + [k - sum(counts)]
+    def induced(counts: list[int]) -> int:
+        """Edges among the parts counted so far (cross pairs are sorted, i < j)."""
         e = sum(math.comb(c, 2) for c, q in zip(counts, family.clique) if q)
-        e += sum(full[i] * full[j] for i, j in cross)
-        return e
-
-    def partial_edges(counts: list[int]) -> int:
-        e = sum(math.comb(c, 2) for c, q in zip(counts, family.clique) if q)
-        e += sum(
-            counts[i] * counts[j] for i, j in cross if i < len(counts) and j < len(counts)
-        )
-        return e
+        return e + sum(counts[i] * counts[j] for i, j in cross if j < len(counts))
 
     def walk(i: int, counts: list[int]) -> None:
         nonlocal total
         used = sum(counts)
         if i == t:
-            if edges_of(counts) != ell:
+            if induced(counts + [k - used]) != ell:
                 return
             rem = k
             term = Fraction(1)
@@ -246,7 +238,7 @@ def limit_probability(
             return
         for c in range(min(ranges[i] - 1, k - used) + 1):
             counts.append(c)
-            if partial_edges(counts) <= ell:
+            if induced(counts) <= ell:
                 walk(i + 1, counts)
             counts.pop()
 

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import mpmath
 
 from .errors import InputError, ResourceLimitError
-from .poly import DEFAULT_ASSIGNMENT_CAP, MultilinearPoly, substitute, value_weight_counts
+from .poly import DEFAULT_ASSIGNMENT_CAP, MultilinearPoly, value_weight_counts
 
 Rational = Fraction
 
@@ -135,29 +135,6 @@ def bernoulli_value_dist(
     return ValueDist(probs)
 
 
-def bernoulli_value_dist_conditioning(f: MultilinearPoly, p) -> ValueDist:
-    """Same law, computed by conditioning on one variable at a time.
-
-    Independent of the assignment-enumeration route; used to cross-check it.
-    """
-    p = as_probability(p)
-    q = 1 - p
-
-    def law(g: MultilinearPoly) -> dict[int, Fraction]:
-        if g.num_vars == 0:
-            return {g.constant: Fraction(1)}
-        low = law(substitute(g, 0, 0))
-        high = law(substitute(g, 0, 1))
-        out: dict[int, Fraction] = {}
-        for v, pr in low.items():
-            out[v] = out.get(v, Fraction(0)) + q * pr
-        for v, pr in high.items():
-            out[v] = out.get(v, Fraction(0)) + p * pr
-        return out
-
-    return ValueDist(law(f))
-
-
 def point_probability(
     f: MultilinearPoly, p, ell: int, cap: int = DEFAULT_ASSIGNMENT_CAP
 ) -> Fraction:
@@ -174,26 +151,12 @@ def _binomial_pmf(m: int, p: Fraction, k: int) -> Fraction:
     return math.comb(m, k) * p**k * (1 - p) ** (m - k)
 
 
-def _binmax_scan(m: int, p: Fraction, lo: int) -> Fraction:
-    if lo > m:
-        return Fraction(0)
-    return max(_binomial_pmf(m, p, k) for k in range(lo, m + 1))
-
-
 def binmax(m: int, p) -> Fraction:
-    """Largest point mass of Binomial(m, p)."""
+    """Largest point mass of Binomial(m, p), attained at the mode floor((m+1)p)."""
     if m < 0:
         raise InputError("m must be >= 0")
     p = as_probability(p)
-    value = _binmax_scan(m, p, 0)
-    if p < 1:
-        mode = math.floor((m + 1) * p)
-        assert _binomial_pmf(m, p, mode) == value, "binomial mode identity violated"
-    else:
-        assert value == 1
-    if m >= 1:
-        assert value <= _binmax_scan(m - 1, p, 0), "binmax must be non-increasing in m"
-    return value
+    return _binomial_pmf(m, p, min(math.floor((m + 1) * p), m))
 
 
 def binmaxplus(m: int, p) -> Fraction:
@@ -201,9 +164,7 @@ def binmaxplus(m: int, p) -> Fraction:
     if m < 0:
         raise InputError("m must be >= 0")
     p = as_probability(p)
-    if m == 0:
-        return Fraction(0)
-    return _binmax_scan(m, p, 1)
+    return max((_binomial_pmf(m, p, k) for k in range(1, m + 1)), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,18 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import InputError
-from .poly import CanonicalKey, GPolynomial, canonical_code, canonical_form, gm_membership
+from .poly import (
+    CanonicalKey,
+    GPolynomial,
+    canonical_code,
+    canonical_form,
+    gm_membership,
+    value_weight_counts,
+)
 
 MAX_SUPPORTED_M = 6
 
@@ -55,7 +63,11 @@ def var_bound(m: int) -> int:
 
 @dataclass
 class GmFamily:
-    """Complete family at threshold ``m``, one canonical representative per class."""
+    """Complete family at threshold ``m``, one canonical representative per class.
+
+    ``keys`` are sorted and ``members[i]`` represents ``keys[i]``; ``profiles``
+    are computed on first use and live as long as the cached family.
+    """
 
     m: int
     members: list[GPolynomial]
@@ -66,6 +78,11 @@ class GmFamily:
     @property
     def count(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def profiles(self) -> list[dict[int, dict[int, int]]]:
+        """``value_weight_counts`` of every member, in member order."""
+        return [value_weight_counts(g.poly) for g in self.members]
 
 
 @dataclass

@@ -279,29 +279,6 @@ def gm_membership(g: GPolynomial | MultilinearPoly, m: int) -> bool:
     return True
 
 
-def gm_membership_derived(g: GPolynomial | MultilinearPoly, m: int) -> bool:
-    """Neighbourhood-based membership predicate, equivalent to the literal one.
-
-    With ``L`` the linear support and ``N(i)`` the quadratic neighbours of
-    ``i``: every slot must satisfy ``i in L or N(i) & L != {}`` and
-    ``|(L | N(i)) - {i}| <= m - 1``.
-    """
-    if m < 1:
-        raise InputError("m must be >= 1")
-    f = _as_unit_poly(g)
-    L = set(f.linear)
-    nbrs: dict[int, set[int]] = {i: set() for i in range(f.num_vars)}
-    for a, b in f.quadratic:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    for i in range(f.num_vars):
-        if i not in L and not (nbrs[i] & L):
-            return False
-        if len((L | nbrs[i]) - {i}) > m - 1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Canonical keys
 # ---------------------------------------------------------------------------

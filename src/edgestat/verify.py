@@ -1,9 +1,10 @@
 """Certificate computations: reduction bounds, named inequality batteries,
 and the supporting finite oracles.
 
-Every verdict is decided in exact rational arithmetic.  Floats appear in two
-places only: the throwaway pre-scan inside :func:`optimize_p` (every winner
-is re-confirmed exactly before being reported) and the 50-digit transcendental
+Every verdict is decided in exact rational arithmetic.  The reduction bounds
+and :func:`optimize_p` compare family point masses as integer numerators over
+a common power of the denominator of p, on value rows pruned once per family.
+Floats appear only in decimal annotations and on the 50-digit transcendental
 sides of the antichain-expectation and Poisson comparisons, which carry a
 one-sided 1e-12 slack.
 """
@@ -16,10 +17,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import le, mul
 from typing import Iterable, Mapping, Sequence
 
 import mpmath
-import numpy as np
 
 from .dist import (
     SliceSpec,
@@ -56,20 +57,10 @@ TABLE_REFERENCE: dict[int, tuple[int, Fraction, Fraction]] = {
 #: |computed bound - reference| tolerance for "matches to 4 decimal places".
 TABLE_TOLERANCE = Fraction(1, 20000)
 
-_PROFILE_CACHE: dict[CanonicalKey, dict[int, dict[int, int]]] = {}
-
 
 def default_grid() -> list[Fraction]:
     """Multiples of 1/300 strictly inside (0, 1)."""
     return [Fraction(i, 300) for i in range(1, 300)]
-
-
-def _profile(key: CanonicalKey, g: GPolynomial) -> dict[int, dict[int, int]]:
-    prof = _PROFILE_CACHE.get(key)
-    if prof is None:
-        prof = value_weight_counts(g.poly)
-        _PROFILE_CACHE[key] = prof
-    return prof
 
 
 @dataclass
@@ -87,6 +78,72 @@ class ReductionBound:
     witness_poly: GPolynomial | None
 
 
+#: One family value: (width n, counts by weight 0..n, key, value, member).
+ValueRow = tuple[int, tuple[int, ...], CanonicalKey, int, GPolynomial]
+
+
+def _value_rows(family: GmFamily, ell_min: int) -> list[ValueRow]:
+    """Rows of the member values ``>= ell_min`` that can be the family maximum.
+
+    A row's mass at p is sum_w counts[w] p^w (1-p)^(n-w).  Of equal
+    ``(n, counts)`` only the smallest ``(key, value)`` is kept.  A row that
+    another of the same width dominates componentwise is strictly lighter for
+    every p in (0, 1) and is dropped.  Rows are visited by descending total
+    count, and domination is transitive, so every dropped row is dominated by
+    a row already kept.
+    """
+    first: dict[tuple[int, tuple[int, ...]], ValueRow] = {}
+    for key, g, profile in zip(family.keys, family.members, family.profiles):
+        n = g.num_vars
+        for value, per_w in sorted(profile.items()):
+            if value >= ell_min:
+                counts = tuple(per_w.get(w, 0) for w in range(n + 1))
+                # keys are sorted, so the first row seen has the smallest (key, value)
+                first.setdefault((n, counts), (n, counts, key, value, g))
+    kept: dict[int, list[tuple[int, ...]]] = {}
+    rows: list[ValueRow] = []
+    for row in sorted(first.values(), key=lambda r: -sum(r[1])):
+        n, counts = row[0], row[1]
+        frontier = kept.setdefault(n, [])
+        if not any(all(map(le, counts, other)) for other in frontier):
+            frontier.append(counts)
+            rows.append(row)
+    return rows
+
+
+def _family_max(
+    rows: Sequence[ValueRow], p: Fraction, max_n: int
+) -> tuple[Fraction, CanonicalKey | None, int | None, GPolynomial | None]:
+    """Largest row mass at p, ties to the smallest ``(key, value)``; mass 0
+    and no witness when there are no rows.
+
+    With p = a/b a row's mass times b^max_n is the integer
+    sum_w counts[w] a^w (b-a)^(n-w) b^(max_n-n), so rows compare as integers.
+    """
+    a, b = p.numerator, p.denominator
+    scale = [
+        [a**w * (b - a) ** (n - w) * b ** (max_n - n) for w in range(n + 1)] for n in range(max_n + 1)
+    ]
+    best: tuple[int, CanonicalKey, int, GPolynomial] | None = None
+    for n, counts, key, value, g in rows:
+        num = sum(map(mul, counts, scale[n]))
+        if best is None or num > best[0] or (num == best[0] and (key, value) < (best[1], best[2])):
+            best = (num, key, value, g)
+    if best is None:
+        return Fraction(0), None, None, None
+    return Fraction(best[0], b**max_n), best[1], best[2], best[3]
+
+
+def _family_for(m: int, ell_min: int, family: GmFamily | None, workers: int) -> GmFamily:
+    if ell_min < 1:
+        raise InputError("ell_min must be >= 1")
+    if family is None:
+        return enumerate_gm(m, workers)
+    if family.m != m:
+        raise InputError(f"family was enumerated for m={family.m}, not m={m}")
+    return family
+
+
 def reduction_bound(
     m: int, p, ell_min: int, family: GmFamily | None = None, workers: int = 1
 ) -> ReductionBound:
@@ -100,33 +157,13 @@ def reduction_bound(
     p = as_probability(p)
     if not 0 < p < 1:
         raise InputError("p must lie strictly between 0 and 1")
-    if ell_min < 1:
-        raise InputError("ell_min must be >= 1")
-    if family is None:
-        family = enumerate_gm(m, workers)
-    elif family.m != m:
-        raise InputError(f"family was enumerated for m={family.m}, not m={m}")
+    family = _family_for(m, ell_min, family, workers)
     binmax_part = binmax(m, p)
-    max_n = var_bound(m)
-    p_pows = [Fraction(1)]
-    q_pows = [Fraction(1)]
-    for _ in range(max_n):
-        p_pows.append(p_pows[-1] * p)
-        q_pows.append(q_pows[-1] * (1 - p))
-    best: tuple[Fraction, CanonicalKey, int, GPolynomial] | None = None
-    for key, g in zip(family.keys, family.members):
-        n = g.num_vars
-        for value, per_w in _profile(key, g).items():
-            if value < ell_min:
-                continue
-            pr = sum((cnt * p_pows[w] * q_pows[n - w] for w, cnt in per_w.items()), Fraction(0))
-            if best is None or pr > best[0] or (pr == best[0] and (key, value) < (best[1], best[2])):
-                best = (pr, key, value, g)
-    gm_part = best[0] if best else Fraction(0)
+    gm_part, key, value, g = _family_max(_value_rows(family, ell_min), p, var_bound(m))
     bound = max(binmax_part, gm_part)
-    if best is not None and best[0] == bound:
-        return ReductionBound(m, p, ell_min, bound, binmax_part, gm_part, best[1], best[2], best[3])
-    return ReductionBound(m, p, ell_min, bound, binmax_part, gm_part, None, None, None)
+    if gm_part < bound:
+        key = value = g = None
+    return ReductionBound(m, p, ell_min, bound, binmax_part, gm_part, key, value, g)
 
 
 def optimize_p(
@@ -138,52 +175,21 @@ def optimize_p(
 ) -> tuple[Fraction, Fraction]:
     """Grid point minimizing the reduction bound, with its exact bound.
 
-    A float scan locates the near-minimal grid points; each of those is then
-    re-evaluated in exact arithmetic and exact ties are broken toward the
-    larger p (the reference table's m=2 row has two exact minima, at 1/3 and
-    2/3, and is quoted at the larger one).
+    Every grid point is evaluated exactly, on the value rows built once for
+    the family.  Exact ties are broken toward the larger p (the reference
+    table's m=2 row has two exact minima, at 1/3 and 2/3, and is quoted at
+    the larger one).
     """
-    if family is None:
-        family = enumerate_gm(m, workers)
+    family = _family_for(m, ell_min, family, workers)
     if grid is None:
         grid = default_grid()
     grid = sorted({as_probability(p) for p in grid})
     if not grid or grid[0] <= 0 or grid[-1] >= 1:
         raise InputError("grid must be non-empty with entries strictly inside (0, 1)")
-
-    rows_by_n: dict[int, list[list[int]]] = {}
-    for key, g in zip(family.keys, family.members):
-        n = g.num_vars
-        for value, per_w in _profile(key, g).items():
-            if value < ell_min:
-                continue
-            vec = [0] * (n + 1)
-            for w, cnt in per_w.items():
-                vec[w] = cnt
-            rows_by_n.setdefault(n, []).append(vec)
-    mats = {n: np.asarray(rows, dtype=float) for n, rows in rows_by_n.items()}
-    weight_vectors = {n: np.arange(n + 1) for n in mats}
-
-    scan: list[float] = []
-    for p in grid:
-        pf = float(p)
-        qf = 1.0 - pf
-        best_here = max(math.comb(m, k) * pf**k * qf ** (m - k) for k in range(m + 1))
-        for n, mat in mats.items():
-            w = weight_vectors[n]
-            powers = pf**w * qf ** (n - w)
-            best_here = max(best_here, float((mat @ powers).max()))
-        scan.append(best_here)
-
-    floor_val = min(scan)
-    candidates = [p for p, v in zip(grid, scan) if v <= floor_val + 1e-9]
-    best: tuple[Fraction, Fraction] | None = None
-    for p in candidates:
-        bound = reduction_bound(m, p, ell_min, family).bound
-        if best is None or bound < best[1] or (bound == best[1] and p > best[0]):
-            best = (p, bound)
-    assert best is not None
-    return best
+    rows = _value_rows(family, ell_min)
+    max_n = var_bound(m)
+    bounds = [(p, max(binmax(m, p), _family_max(rows, p, max_n)[0])) for p in grid]
+    return min(bounds, key=lambda pb: (pb[1], -pb[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -677,14 +683,14 @@ def suite_reduction_spot(seed: int, count: int, families: Mapping[int, GmFamily]
     violations = 0
     for _ in range(count):
         g = _random_unit_form(rng)
-        dist = bernoulli_value_dist(g.poly, ps[rng.randint(0, 1)])
-        positive = [v for v in dist.support() if v >= 1]
+        laws = [bernoulli_value_dist(g.poly, p) for p in ps]
+        positive = [v for v in laws[rng.randint(0, 1)].support() if v >= 1]
         if not positive:
             continue
         ell = rng.choice(positive)
         for m in ms:
-            for p in ps:
-                if point_probability(g.poly, p, ell) > bounds[(m, p)]:
+            for p, law in zip(ps, laws):
+                if law.prob(ell) > bounds[(m, p)]:
                     violations += 1
     return violations
 

@@ -1,8 +1,18 @@
 """Shared generators and oracles for the test suite."""
 
+import math
+from fractions import Fraction
 from itertools import combinations, permutations
 
-from edgestat.poly import CanonicalKey, GPolynomial, MultilinearPoly, permute_variables
+from edgestat.dist import ValueDist, as_probability
+from edgestat.poly import (
+    CanonicalKey,
+    GPolynomial,
+    MultilinearPoly,
+    permute_variables,
+    substitute,
+    value_weight_counts,
+)
 
 
 def random_poly(rng, max_vars=8, coeff_range=(-4, 4)):
@@ -85,3 +95,81 @@ def canonical_form_unpruned(g):
 
     search(0)
     return CanonicalKey(best), GPolynomial(permute_variables(g.poly, best_perm))
+
+
+def bernoulli_value_dist_conditioning(f, p):
+    """Oracle for ``bernoulli_value_dist``: the law computed by conditioning
+    on one variable at a time instead of enumerating assignments."""
+    p = as_probability(p)
+    q = 1 - p
+
+    def law(g):
+        if g.num_vars == 0:
+            return {g.constant: Fraction(1)}
+        low = law(substitute(g, 0, 0))
+        high = law(substitute(g, 0, 1))
+        out = {}
+        for v, pr in low.items():
+            out[v] = out.get(v, Fraction(0)) + q * pr
+        for v, pr in high.items():
+            out[v] = out.get(v, Fraction(0)) + p * pr
+        return out
+
+    return ValueDist(law(f))
+
+
+def gm_membership_derived(g, m):
+    """Oracle for ``gm_membership``: the neighbourhood predicate.
+
+    With ``L`` the linear support and ``N(i)`` the quadratic neighbours of
+    ``i``: every slot must satisfy ``i in L or N(i) & L != {}`` and
+    ``|(L | N(i)) - {i}| <= m - 1``.
+    """
+    f = g.poly
+    L = set(f.linear)
+    nbrs = {i: set() for i in range(f.num_vars)}
+    for a, b in f.quadratic:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for i in range(f.num_vars):
+        if i not in L and not (nbrs[i] & L):
+            return False
+        if len((L | nbrs[i]) - {i}) > m - 1:
+            return False
+    return True
+
+
+def binmax_oracle(m, p):
+    """Largest Binomial(m, p) point mass by scanning every value."""
+    return max(math.comb(m, k) * p**k * (1 - p) ** (m - k) for k in range(m + 1))
+
+
+def member_profiles(family):
+    """``value_weight_counts`` of every member, computed apart from the family."""
+    return [value_weight_counts(g.poly) for g in family.members]
+
+
+def reduction_bound_unpruned(family, profiles, p, ell_min):
+    """Oracle for ``reduction_bound``: a Fraction loop over every value of
+    every member, with no pruning.
+
+    Returns ``(bound, gm_part, witness_key, witness_ell)``; family ties go to
+    the smallest ``(key, value)``.
+    """
+    max_n = max(g.num_vars for g in family.members)
+    p_pows = [p**w for w in range(max_n + 1)]
+    q_pows = [(1 - p) ** w for w in range(max_n + 1)]
+    best = None
+    for key, g, profile in zip(family.keys, family.members, profiles):
+        n = g.num_vars
+        for value, per_w in profile.items():
+            if value < ell_min:
+                continue
+            pr = sum((cnt * p_pows[w] * q_pows[n - w] for w, cnt in per_w.items()), Fraction(0))
+            if best is None or pr > best[0] or (pr == best[0] and (key, value) < (best[1], best[2])):
+                best = (pr, key, value)
+    gm_part = best[0] if best else Fraction(0)
+    bound = max(binmax_oracle(family.m, p), gm_part)
+    if best is not None and best[0] == bound:
+        return bound, gm_part, best[1], best[2]
+    return bound, gm_part, None, None

@@ -5,10 +5,14 @@ stdout/stderr, and written artifacts are all asserted against real behaviour.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import edgestat
 from edgestat.cli import main
 from edgestat.report import report_from_json, reverify
 
@@ -259,3 +263,11 @@ def test_reproduce_respects_subset_cap(capsys):
     assert main(["reproduce", "--subset-cap", "100"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "cap" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(edgestat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, edgestat.cli\nprint('numpy' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -18,7 +18,6 @@ from edgestat.dist import (
     as_probability,
     as_rational,
     bernoulli_value_dist,
-    bernoulli_value_dist_conditioning,
     binmax,
     binmaxplus,
     format_rational,
@@ -32,7 +31,7 @@ from edgestat.dist import (
 )
 from edgestat.errors import InputError, ResourceLimitError
 from edgestat.poly import MultilinearPoly, parse_poly, permute_variables
-from helpers import eval_direct, random_poly
+from helpers import bernoulli_value_dist_conditioning, binmax_oracle, eval_direct, random_poly
 
 
 def test_rational_parsing_is_exact():
@@ -113,16 +112,18 @@ def test_assignment_cap():
         bernoulli_value_dist(f, Fraction(1, 2), cap=2**20)
 
 
-def binmax_oracle(m, p):
-    return max(math.comb(m, k) * p**k * (1 - p) ** (m - k) for k in range(m + 1))
-
-
 def test_binmax_against_scan():
     rng = random.Random(203)
     for _ in range(200):
         m = rng.randint(0, 40)
         p = Fraction(rng.randint(0, 100), 100)
         assert binmax(m, p) == binmax_oracle(m, p)
+    # At p = j/(m+1) the mode formula sits on a boundary: for 0 < j <= m the
+    # values j-1 and j tie, j = 0 is p = 0 and j = m+1 is p = 1.
+    for m in range(41):
+        for j in range(m + 2):
+            p = Fraction(j, m + 1)
+            assert binmax(m, p) == binmax_oracle(m, p), (m, p)
 
 
 def test_binmax_frozen_values():

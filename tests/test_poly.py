@@ -16,7 +16,6 @@ from edgestat.poly import (
     evaluate,
     format_poly,
     gm_membership,
-    gm_membership_derived,
     parse_poly,
     permute_variables,
     poly_from_json,
@@ -26,7 +25,7 @@ from edgestat.poly import (
     zero_poly,
 )
 
-from helpers import canonical_form_unpruned, eval_direct, random_poly
+from helpers import canonical_form_unpruned, eval_direct, gm_membership_derived, random_poly
 
 PRODUCT_TEXT = "x2+x3+x4+x5+x1*x2+x1*x3+x1*x4+x1*x5"
 

@@ -17,6 +17,7 @@ from edgestat.verify import (
     antichain_expectation_check,
     blym_check,
     check_better34_inequalities,
+    default_grid,
     elo_max,
     large_linear_part_check,
     optimize_p,
@@ -34,6 +35,8 @@ from edgestat.verify import (
     verify_star_search,
     verify_table,
 )
+
+from helpers import member_profiles, reduction_bound_unpruned
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +136,31 @@ def test_optimize_p_tie_breaks_to_larger_p():
     assert reduction_bound(2, Fraction(2, 3), 2).bound == Fraction(4, 9)
     p_star, bound = optimize_p(2, grid=[Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
     assert (p_star, bound) == (Fraction(2, 3), Fraction(4, 9))
+
+
+def test_reduction_bound_equals_unpruned_oracle():
+    # The pruned integer path against a Fraction loop over every value row.
+    spots = {m: default_grid()[::7] + [Fraction(97, 250)] for m in (2, 3, 4)}
+    spots[5] = [Fraction(1, 300), Fraction(1, 3), Fraction(1, 2), Fraction(97, 250), Fraction(299, 300)]
+    for m, ps in spots.items():
+        family = enumerate_gm(m)
+        profiles = member_profiles(family)
+        for ell_min in (1, 2):
+            for p in ps:
+                rb = reduction_bound(m, p, ell_min, family)
+                got = (rb.bound, rb.gm_part, rb.witness_key, rb.witness_ell)
+                assert got == reduction_bound_unpruned(family, profiles, p, ell_min), (m, p, ell_min)
+
+
+def test_optimize_p_equals_unpruned_argmin():
+    grid = default_grid()
+    for m in (2, 3, 4):
+        family = enumerate_gm(m)
+        profiles = member_profiles(family)
+        bounds = {p: reduction_bound_unpruned(family, profiles, p, 2)[0] for p in grid}
+        least = min(bounds.values())
+        p_star = max(p for p, bound in bounds.items() if bound == least)
+        assert optimize_p(m, family=family) == (p_star, least)
 
 
 def test_optimize_p_grid_validation():
