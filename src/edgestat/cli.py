@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .constructions import (
     bipartite_family,
@@ -33,7 +34,7 @@ from .dist import (
 )
 from .errors import InputError, ResourceLimitError
 from .gm import enumerate_gm, max_structure_stats
-from .poly import DEFAULT_ASSIGNMENT_CAP, MultilinearPoly, format_poly, parse_poly
+from .poly import DEFAULT_ASSIGNMENT_CAP, format_poly, parse_poly
 from .report import VerificationReport
 from .verify import (
     check_better34_inequalities,
@@ -44,8 +45,6 @@ from .verify import (
     verify_star_search,
     verify_table,
 )
-
-VERIFY_TARGETS = ("prop033", "prop027", "table", "better34", "lemmas")
 
 
 @dataclass
@@ -86,6 +85,11 @@ def _print_report(report: VerificationReport) -> None:
         print(f"  {c.name}: {c.lhs} {c.op} {c.rhs} -> {mark}")
 
 
+def _print_status(report: VerificationReport) -> None:
+    status = "PASS" if report.passed else "FAIL"
+    print(f"[{status}] {report.name:<18} ({report.wall_time:.2f}s)")
+
+
 def _reports_json(reports: list[VerificationReport]) -> str:
     payload = {"passed": all(r.passed for r in reports), "reports": [r.to_json() for r in reports]}
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -124,39 +128,50 @@ def _cmd_enumerate(args, config: RunConfig) -> int:
     return 0
 
 
-def _run_verify_target(target: str, config: RunConfig) -> tuple[list[VerificationReport], list[dict]]:
-    reports: list[VerificationReport] = []
-    table_rows: list[dict] = []
-    if target in ("prop033", "all"):
-        reports.append(verify_prop_033(config.workers))
-    if target in ("prop027", "all"):
-        reports.append(verify_prop_027())
-    if target in ("table", "all"):
-        report, table_rows = verify_table(config.workers)
-        reports.append(report)
-    if target in ("better34", "all"):
-        reports.append(check_better34_inequalities())
-    if target in ("lemmas", "all"):
-        reports.append(verify_lemmas())
-    return reports, table_rows
-
-
-def _cmd_verify(args, config: RunConfig) -> int:
-    reports, table_rows = _run_verify_target(args.target, config)
-    for report in reports:
-        _print_report(report)
-    if config.csv_path and table_rows:
+def _run_table(config: RunConfig) -> VerificationReport:
+    """The table certificate; with ``--csv`` it also writes the table rows."""
+    report, rows = verify_table(config.workers)
+    if config.csv_path:
         lines = ["m,count,p_star,bound_exact,bound_decimal"]
         lines += [
             f"{r['m']},{r['count']},{r['p_star']},{r['bound_exact']},{r['bound_decimal']}"
-            for r in table_rows
+            for r in rows
         ]
         _write_text(config.csv_path, "\n".join(lines) + "\n")
+    return report
+
+
+#: Every certificate, in the order ``reproduce`` and ``verify all`` run them.
+CERTIFICATES: dict[str, Callable[[RunConfig], VerificationReport]] = {
+    "counts": lambda config: verify_counts(config.workers),
+    "prop033": lambda config: verify_prop_033(config.workers),
+    "table": _run_table,
+    "prop027": lambda config: verify_prop_027(),
+    "better34": lambda config: check_better34_inequalities(),
+    "star_search": lambda config: verify_star_search(cap=config.assignment_cap),
+    "goodman": lambda config: verify_goodman(config.subset_cap),
+    "poisson_emergence": lambda config: verify_poisson_emergence(),
+    "lemmas": lambda config: verify_lemmas(),
+}
+
+
+def _run_certificates(
+    names: Iterable[str], config: RunConfig, show: Callable[[VerificationReport], None]
+) -> list[VerificationReport]:
+    """Run the named certificates in order, showing each report as it lands."""
+    reports = []
+    for name in names:
+        reports.append(CERTIFICATES[name](config))
+        show(reports[-1])
+    return reports
+
+
+def _cmd_verify(args, config: RunConfig) -> int:
+    names = CERTIFICATES if args.target == "all" else (args.target,)
+    reports = _run_certificates(names, config, _print_report)
     if config.json_path:
-        if len(reports) == 1:
-            _write_text(config.json_path, reports[0].to_json_str() + "\n")
-        else:
-            _write_text(config.json_path, _reports_json(reports) + "\n")
+        text = _reports_json(reports) if args.target == "all" else reports[0].to_json_str()
+        _write_text(config.json_path, text + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -172,7 +187,7 @@ def _cmd_dist(args, config: RunConfig) -> int:
             spec = SliceSpec(int(n_text), int(k_text))
         except ValueError as exc:
             raise InputError(f"--slice expects N,K with integers, got {args.slice!r}") from exc
-        dist = _slice_dist(f, spec, config.subset_cap)
+        dist = slice_value_dist(f, spec, config.subset_cap)
     if args.ell is not None:
         print(format_rational(dist.prob(args.ell)))
     else:
@@ -182,14 +197,6 @@ def _cmd_dist(args, config: RunConfig) -> int:
     if config.json_path:
         _write_text(config.json_path, json.dumps(dist.to_json(), indent=2, sort_keys=True) + "\n")
     return 0
-
-
-def _slice_dist(f, spec: SliceSpec, cap: int):
-    if f.num_vars > spec.n:
-        raise InputError(f"polynomial uses {f.num_vars} variables but the slice has n={spec.n}")
-    if f.num_vars < spec.n:
-        f = MultilinearPoly(spec.n, f.constant, dict(f.linear), dict(f.quadratic))
-    return slice_value_dist(f, spec, cap)
 
 
 def _cmd_construct(args, config: RunConfig) -> int:
@@ -240,23 +247,7 @@ def _cmd_construct(args, config: RunConfig) -> int:
 
 
 def _cmd_reproduce(args, config: RunConfig) -> int:
-    steps = (
-        ("counts", lambda: verify_counts(config.workers)),
-        ("prop033", lambda: verify_prop_033(config.workers)),
-        ("table", lambda: verify_table(config.workers)[0]),
-        ("prop027", verify_prop_027),
-        ("better34", check_better34_inequalities),
-        ("star_search", lambda: verify_star_search(cap=config.assignment_cap)),
-        ("goodman", lambda: verify_goodman(config.subset_cap)),
-        ("poisson_emergence", verify_poisson_emergence),
-        ("lemmas", verify_lemmas),
-    )
-    reports = []
-    for name, runner in steps:
-        report = runner()
-        reports.append(report)
-        status = "PASS" if report.passed else "FAIL"
-        print(f"[{status}] {name:<18} ({report.wall_time:.2f}s)")
+    reports = _run_certificates(CERTIFICATES, config, _print_status)
     passed = all(r.passed for r in reports)
     print(f"{'all certificates pass' if passed else 'CERTIFICATE FAILURE'}")
     if config.json_path:
@@ -286,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_enum)
 
     p_verify = sub.add_parser("verify", help="run a named certificate")
-    p_verify.add_argument("target", choices=VERIFY_TARGETS + ("all",))
+    p_verify.add_argument("target", choices=tuple(CERTIFICATES) + ("all",))
     add_common(p_verify)
 
     p_dist = sub.add_parser("dist", help="exact value distribution of a polynomial")

@@ -1,9 +1,9 @@
 """Exact value distributions and binomial/Poisson helpers.
 
-Probabilities are `fractions.Fraction` throughout (`Rational` below is an
-alias).  The only floating point in this module sits inside the Poisson
-comparison, where the transcendental `e**lambda` is evaluated with mpmath at
-50 decimal digits and compared with a one-sided 1e-12 slack.
+Probabilities are `fractions.Fraction` throughout.  The only floating point
+in this module sits inside the Poisson comparison, where the transcendental
+`e**lambda` is evaluated with mpmath at 50 decimal digits and compared with a
+one-sided 1e-12 slack.
 
 Two sampling models are covered:
 
@@ -24,8 +24,6 @@ import mpmath
 
 from .errors import InputError, ResourceLimitError
 from .poly import DEFAULT_ASSIGNMENT_CAP, MultilinearPoly, value_weight_counts
-
-Rational = Fraction
 
 #: Hard ceiling on C(n, k) for slice enumeration.
 DEFAULT_SUBSET_CAP = 10**7
@@ -227,47 +225,44 @@ class SliceSpec:
 def slice_value_dist(
     f: MultilinearPoly, spec: SliceSpec, cap: int = DEFAULT_SUBSET_CAP
 ) -> ValueDist:
-    """Exact law of ``f`` on the indicator vector of a uniform k-subset."""
-    if f.num_vars != spec.n:
-        raise InputError(f"polynomial has {f.num_vars} variables, slice needs {spec.n}")
-    total = math.comb(spec.n, spec.k)
+    """Exact law of ``f`` on the indicator vector of a uniform k-subset.
+
+    ``f`` reads the first ``f.num_vars`` of the n slots, so it may be
+    narrower than the slice.  Each slot keeps one (coefficient, mask of lower
+    neighbours) pair per distinct quadratic coefficient, and the value of the
+    first k-1 chosen slots is shared by every choice of the last one.
+    """
+    n, k = spec.n, spec.k
+    if f.num_vars > n:
+        raise InputError(f"polynomial uses {f.num_vars} variables but the slice has n={n}")
+    total = math.comb(n, k)
     if total > cap:
         raise ResourceLimitError(
             f"slice enumeration needs {total} subsets, cap is {cap}",
             needed=total,
             cap=cap,
         )
-    lin = [f.linear.get(i, 0) for i in range(f.num_vars)]
-    quad_coeffs = set(f.quadratic.values())
+    if k == 0:
+        return ValueDist({f.constant: Fraction(1)})
+    below: list[dict[int, int]] = [{} for _ in range(n)]
+    for (a, b), c in f.quadratic.items():
+        below[b][c] = below[b].get(c, 0) | 1 << a
+    slots = [(f.linear.get(i, 0), tuple(below[i].items())) for i in range(n)]
     counts: dict[int, int] = {}
-    if len(quad_coeffs) <= 1:
-        # Uniform quadratic coefficient: count co-selected neighbours by popcount.
-        c0 = quad_coeffs.pop() if quad_coeffs else 0
-        adj = [0] * f.num_vars
-        for a, b in f.quadratic:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        for combo in combinations(range(spec.n), spec.k):
-            mask = 0
-            value = f.constant
-            for i in combo:
-                value += lin[i] + c0 * (adj[i] & mask).bit_count()
-                mask |= 1 << i
-            counts[value] = counts.get(value, 0) + 1
-    else:
-        below: list[list[tuple[int, int]]] = [[] for _ in range(f.num_vars)]
-        for (a, b), c in f.quadratic.items():
-            below[b].append((a, c))
-        for combo in combinations(range(spec.n), spec.k):
-            mask = 0
-            value = f.constant
-            for i in combo:
-                value += lin[i]
-                for j, c in below[i]:
-                    if mask >> j & 1:
-                        value += c
-                mask |= 1 << i
-            counts[value] = counts.get(value, 0) + 1
+    for head in combinations(range(n), k - 1):
+        mask = 0
+        value = f.constant
+        for i in head:
+            lin, pairs = slots[i]
+            value += lin
+            for c, nbrs in pairs:
+                value += c * (nbrs & mask).bit_count()
+            mask |= 1 << i
+        for lin, pairs in slots[head[-1] + 1 if head else 0:]:
+            v = value + lin
+            for c, nbrs in pairs:
+                v += c * (nbrs & mask).bit_count()
+            counts[v] = counts.get(v, 0) + 1
     return ValueDist({v: Fraction(c, total) for v, c in counts.items()})
 
 
@@ -284,10 +279,7 @@ def product_slice_tv(f: MultilinearPoly, spec: SliceSpec,
         raise InputError("k must be >= 1")
     if 2 * spec.k > spec.n:
         raise InputError(f"need k <= n/2, got n={spec.n} k={spec.k}")
-    if s > spec.n:
-        raise InputError(f"statistic uses {s} coordinates but the ground set has {spec.n}")
-    embedded = MultilinearPoly(spec.n, f.constant, dict(f.linear), dict(f.quadratic))
-    slice_law = slice_value_dist(embedded, spec, cap)
+    slice_law = slice_value_dist(f, spec, cap)
     product_law = bernoulli_value_dist(f, Fraction(spec.k, spec.n))
     tv = tv_distance(slice_law, product_law)
     bound = max(Fraction(s, spec.n), Fraction(3, spec.k))

@@ -14,12 +14,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dist import TRANSCENDENTAL_SLACK, format_rational, parse_rational
+from .dist import format_rational, parse_rational
 from .errors import InputError
 
-#: check operators: exact rational comparisons, string equality, and the
-#: one-sided float comparison used when one side is transcendental.
-_OPS = ("<", "<=", "==", "==s", "<=~")
+#: check operators: exact rational comparisons and string equality.
+_OPS = ("<", "<=", "==", "==s")
 
 
 @dataclass
@@ -37,8 +36,6 @@ class CheckRecord:
 def _apply_op(lhs: str, op: str, rhs: str) -> bool:
     if op == "==s":
         return lhs == rhs
-    if op == "<=~":
-        return float(lhs) <= float(rhs) + TRANSCENDENTAL_SLACK
     a, b = parse_rational(lhs), parse_rational(rhs)
     if op == "<":
         return a < b
@@ -55,8 +52,6 @@ def check(name: str, lhs, op: str, rhs) -> CheckRecord:
         raise InputError(f"unknown check operator {op!r}")
     if op == "==s":
         lhs_s, rhs_s = str(lhs), str(rhs)
-    elif op == "<=~":
-        lhs_s, rhs_s = repr(float(lhs)), repr(float(rhs))
     else:
         lhs_s, rhs_s = format_rational(Fraction(lhs)), format_rational(Fraction(rhs))
     return CheckRecord(name, lhs_s, op, rhs_s, _apply_op(lhs_s, op, rhs_s))

@@ -24,6 +24,7 @@ import mpmath
 
 from .dist import (
     SliceSpec,
+    _binomial_pmf,
     as_probability,
     bernoulli_value_dist,
     binmax,
@@ -36,6 +37,7 @@ from .dist import (
 from .errors import InputError
 from .gm import GmFamily, enumerate_gm, var_bound
 from .poly import (
+    DEFAULT_ASSIGNMENT_CAP,
     CanonicalKey,
     GPolynomial,
     MultilinearPoly,
@@ -306,14 +308,10 @@ def verify_table(workers: int = 1, grid: Sequence[Fraction] | None = None) -> tu
 
 
 def _two_layer_max(s: int, p: Fraction) -> Fraction:
-    """max over nonempty pairs {l1, l2} of positive values of P[Bin(s,p) in pair]."""
-    pmf = [math.comb(s, k) * p**k * (1 - p) ** (s - k) for k in range(s + 1)]
-    best = Fraction(0)
-    for l1 in range(1, s + 1):
-        for l2 in range(l1, s + 1):
-            mass = pmf[l1] + (pmf[l2] if l2 != l1 else 0)
-            best = max(best, mass)
-    return best
+    """max over nonempty pairs {l1, l2} of positive values of P[Bin(s,p) in pair]:
+    the two largest positive masses (the only one when s = 1)."""
+    masses = sorted((_binomial_pmf(s, p, k) for k in range(1, s + 1)), reverse=True)
+    return sum(masses[:2], Fraction(0))
 
 
 def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
@@ -330,6 +328,9 @@ def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
     target = Fraction(29, 40)
     two_layer_cap = Fraction(713, 1000)
     bp2 = binmaxplus(2, p)
+    bm2 = binmax(2, p)
+    two_layer_s3 = _two_layer_max(3, p)
+    two_layer_tail = 2 * binmax(4, p)
     belt = max(binmaxplus(mm, p) for mm in range(0, 65))
     combined = (1 - b) * (1 - p) + b * (1 - p * p)
     multipartite = 1 - (1 - b) ** 2
@@ -337,25 +338,25 @@ def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
         check("binmaxplus_m0", binmaxplus(0, p), "<", b),
         check("binmaxplus_m1", binmaxplus(1, p), "<", b),
         check("binmaxplus_m2", bp2, "<", b),
-        check("binmaxplus_m2_equals_binmax", bp2, "==", binmax(2, p)),
+        check("binmaxplus_m2_equals_binmax", bp2, "==", bm2),
         check("binmaxplus_scan_m_le_64", belt, "<", b),
         check("combined_bound", combined, "<", target),
         check("multipartite_bound", multipartite, "<", target),
         check("two_layer_s1", _two_layer_max(1, p), "<", two_layer_cap),
         check("two_layer_s2", _two_layer_max(2, p), "<", two_layer_cap),
-        check("two_layer_s3", _two_layer_max(3, p), "<", two_layer_cap),
-        check("two_layer_tail", 2 * binmax(4, p), "<", two_layer_cap),
+        check("two_layer_s3", two_layer_s3, "<", two_layer_cap),
+        check("two_layer_tail", two_layer_tail, "<", two_layer_cap),
     ]
     return VerificationReport(
         name="better34",
         inputs={"p": format_rational(p)},
         exact_values={
-            "binmax2": binmax(2, p),
+            "binmax2": bm2,
             "binmaxplus_scan_max": belt,
             "combined": combined,
             "multipartite": multipartite,
-            "two_layer_s3": _two_layer_max(3, p),
-            "two_layer_tail": 2 * binmax(4, p),
+            "two_layer_s3": two_layer_s3,
+            "two_layer_tail": two_layer_tail,
         },
         threshold=target,
         checks=checks,
@@ -380,7 +381,7 @@ def star_zero_probability_search(
     max_vars: int = 5,
     ell_values: Iterable[int] = (-2, -1, 1, 2),
     p=Fraction(97, 250),
-    cap: int | None = None,
+    cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> tuple[Fraction, StarWitness]:
     """Exhaustive max of P[f = 0] over f = ell(1 - sum x_i) + edge terms.
 
@@ -392,6 +393,8 @@ def star_zero_probability_search(
         raise InputError("max_vars must be in 1..5")
     p = as_probability(p)
     ells = sorted(set(int(e) for e in ell_values))
+    if not ells:
+        raise InputError("need at least one ell value")
     if any(e == 0 or abs(e) > 4 for e in ells):
         raise InputError("ell values must be nonzero with |ell| <= 4")
     best: tuple[Fraction, StarWitness] | None = None
@@ -401,10 +404,9 @@ def star_zero_probability_search(
             for mask in range(1 << len(pairs)):
                 edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
                 f = MultilinearPoly(s, ell, {i: -ell for i in range(s)}, {e: 1 for e in edges})
-                pr = point_probability(f, p, 0) if cap is None else point_probability(f, p, 0, cap)
+                pr = point_probability(f, p, 0, cap)
                 if best is None or pr > best[0]:
                     best = (pr, StarWitness(ell, s, edges, pr))
-    assert best is not None
     return best
 
 
@@ -412,7 +414,7 @@ def verify_star_search(
     max_vars: int = 5,
     ell_values: Iterable[int] = (-2, -1, 1, 2),
     p=Fraction(97, 250),
-    cap: int | None = None,
+    cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> VerificationReport:
     start = time.perf_counter()
     target = Fraction(29, 40)

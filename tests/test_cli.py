@@ -4,6 +4,7 @@ Everything runs in-process through ``edgestat.cli.main`` so exit codes,
 stdout/stderr, and written artifacts are all asserted against real behaviour.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import edgestat
-from edgestat.cli import main
+from edgestat.cli import CERTIFICATES, build_parser, main
 from edgestat.report import report_from_json, reverify
 
 
@@ -188,6 +189,66 @@ def test_verify_table_csv(tmp_path, capsys):
     assert lines[4] == "5,1653,1/3,80/243,0.3292181070"
 
 
+def test_verify_choices_are_the_registry():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    target = next(a for a in sub.choices["verify"]._actions if a.dest == "target")
+    assert tuple(target.choices) == tuple(CERTIFICATES) + ("all",)
+
+
+def test_registry_order_is_the_golden_report_order():
+    golden = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden", "reproduce.json")
+    with open(golden, encoding="utf-8") as fh:
+        assert list(CERTIFICATES) == [r["name"] for r in json.load(fh)]
+
+
+@pytest.mark.parametrize("target", ["goodman", "poisson_emergence", "star_search"])
+def test_verify_runs_reproduce_only_certificates(target, tmp_path, capsys):
+    path = tmp_path / f"{target}.json"
+    assert main(["verify", target, "--json", str(path)]) == 0
+    assert f"[PASS] {target}" in capsys.readouterr().out
+    payload = json.loads(path.read_text())
+    assert payload["name"] == target
+    assert reverify(payload)
+
+
+#: Certificates cheap enough to rerun in fresh interpreters.
+_QUICK_CERTIFICATES = ("prop027", "better34", "star_search", "goodman", "poisson_emergence")
+
+
+def test_verify_json_survives_optimize_flag_and_hash_seed(tmp_path, capsys):
+    # Two fresh interpreters under -O, one per hash seed, run while the
+    # in-process reference runs.
+    src = os.path.dirname(os.path.dirname(edgestat.__file__))
+    code = (
+        "import sys\n"
+        "from edgestat.cli import main\n"
+        "codes = [main(['verify', name, '--json', f'{sys.argv[1]}/{name}.json']) for name in sys.argv[2:]]\n"
+        "sys.exit(max(codes))\n"
+    )
+    runs = {}
+    for seed in ("0", "1"):
+        out_dir = tmp_path / f"seed{seed}"
+        out_dir.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        runs[out_dir] = subprocess.Popen(
+            [sys.executable, "-O", "-c", code, str(out_dir), *_QUICK_CERTIFICATES],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+    want = {}
+    for name in _QUICK_CERTIFICATES:
+        path = tmp_path / f"{name}.json"
+        assert main(["verify", name, "--json", str(path)]) == 0
+        want[name] = _strip_wall_time(json.loads(path.read_text()))
+    capsys.readouterr()
+    for out_dir, proc in runs.items():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        for name in _QUICK_CERTIFICATES:
+            got = json.loads((out_dir / f"{name}.json").read_text())
+            assert _strip_wall_time(got) == want[name], (out_dir.name, name)
+
+
 def test_verify_rejects_unknown_target(capsys):
     assert main(["verify", "prop999"]) == 2
     assert "invalid choice" in capsys.readouterr().err
@@ -251,12 +312,16 @@ def test_zero_workers_rejected(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_reproduce_all_certificates(capsys):
-    assert main(["reproduce"]) == 0
+def test_reproduce_all_certificates(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    assert main(["reproduce", "--csv", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 9
     assert "CERTIFICATE FAILURE" not in out
     assert "all certificates pass" in out
+    lines = path.read_text().splitlines()
+    assert lines[0] == "m,count,p_star,bound_exact,bound_decimal"
+    assert lines[4] == "5,1653,1/3,80/243,0.3292181070"
 
 
 def test_reproduce_respects_subset_cap(capsys):

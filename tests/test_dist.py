@@ -198,22 +198,44 @@ def test_slice_spec_validation():
         SliceSpec(5, -1)
 
 
+def _slice_brute_force(f, n, k):
+    table = {}
+    for chosen in combinations(range(n), k):
+        v = eval_direct(f, [1 if i in chosen else 0 for i in range(n)])
+        table[v] = table.get(v, 0) + 1
+    return {v: Fraction(c, math.comb(n, k)) for v, c in sorted(table.items())}
+
+
 def test_slice_dist_matches_brute_force():
     rng = random.Random(204)
     for _ in range(30):
         f = random_poly(rng, max_vars=8)
         n = f.num_vars
         k = rng.randint(0, n)
-        dist = slice_value_dist(f, SliceSpec(n, k))
-        table = {}
-        for chosen in combinations(range(n), k):
-            assignment = tuple(1 if i in chosen else 0 for i in range(n))
-            v = eval_direct(f, assignment)
-            table[v] = table.get(v, 0) + 1
-        total = math.comb(n, k)
-        assert dist.probs == {
-            v: Fraction(c, total) for v, c in sorted(table.items())
-        }
+        assert slice_value_dist(f, SliceSpec(n, k)).probs == _slice_brute_force(f, n, k)
+    # One uniform quadratic coefficient gives one (coefficient, neighbour
+    # mask) pair per slot; cover the k = 0 and k = n ends of the subset loop.
+    rng = random.Random(207)
+    for _ in range(40):
+        n = rng.randint(0, 8)
+        c = rng.choice((1, 2, -3))
+        quad = {pair: c for pair in combinations(range(n), 2) if rng.random() < 0.5}
+        f = MultilinearPoly(n, rng.randint(-2, 2), {i: rng.randint(-2, 2) for i in range(n)}, quad)
+        for k in sorted({0, n, rng.randint(0, n)}):
+            assert slice_value_dist(f, SliceSpec(n, k)).probs == _slice_brute_force(f, n, k)
+
+
+def test_slice_dist_narrow_statistic_equals_padded():
+    rng = random.Random(208)
+    for _ in range(30):
+        f = random_poly(rng, max_vars=6)
+        n = f.num_vars + rng.randint(1, 3)
+        k = rng.randint(0, n)
+        padded = MultilinearPoly(n, f.constant, dict(f.linear), dict(f.quadratic))
+        assert slice_value_dist(f, SliceSpec(n, k)) == slice_value_dist(padded, SliceSpec(n, k))
+        assert slice_value_dist(f, SliceSpec(n, k)).probs == _slice_brute_force(padded, n, k)
+    with pytest.raises(InputError):
+        slice_value_dist(parse_poly("x1*x5"), SliceSpec(3, 2))
 
 
 def test_slice_dist_permutation_invariant():

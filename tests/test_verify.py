@@ -49,7 +49,8 @@ def test_check_operators():
     assert not check("a", Fraction(1, 2), "<", Fraction(1, 3)).ok
     assert check("a", Fraction(2, 4), "==", Fraction(1, 2)).ok
     assert check("a", "n1|L1|E", "==s", "n1|L1|E").ok
-    assert check("a", 0.5, "<=~", 0.5).ok
+    with pytest.raises(InputError):
+        check("a", 0.5, "<=~", 0.5)
     with pytest.raises(InputError):
         check("a", Fraction(1), "!=", Fraction(2))
 
@@ -267,6 +268,8 @@ def test_star_search_input_validation():
         star_zero_probability_search(ell_values=(0,))
     with pytest.raises(InputError):
         star_zero_probability_search(ell_values=(5,))
+    with pytest.raises(InputError):
+        star_zero_probability_search(ell_values=[])
 
 
 # ---------------------------------------------------------------------------
