@@ -1,9 +1,12 @@
 """Exact value distributions and binomial/Poisson helpers.
 
-Probabilities are `fractions.Fraction` throughout.  The only floating point
-in this module sits inside the Poisson comparison, where the transcendental
-`e**lambda` is evaluated with mpmath at 50 decimal digits and compared with a
-one-sided 1e-12 slack.
+Probabilities are `fractions.Fraction` at the API boundary and integers
+inside.  With p = a/b, a product-model mass is an integer numerator
+sum_w c_w a^w (b-a)^(n-w) over b^n, and a k-slice mass is a subset count over
+C(n, k); :meth:`ValueDist.from_numerators` checks such numerators on ints.
+The only floating point sits inside the Poisson comparison, where
+`e**lambda` is evaluated with mpmath at 50 decimal digits and compared with
+a one-sided 1e-12 slack.
 
 Two sampling models are covered:
 
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import mpmath
 
@@ -65,16 +68,19 @@ class ValueDist:
     probs: dict[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        cleaned: dict[int, Fraction] = {}
-        for v, pr in self.probs.items():
-            pr = Fraction(pr)
-            if pr < 0:
-                raise InputError(f"negative probability at value {v}")
-            if pr:
-                cleaned[int(v)] = pr
-        if sum(cleaned.values(), Fraction(0)) != 1:
-            raise InputError("probabilities must sum to exactly 1")
-        self.probs = dict(sorted(cleaned.items()))
+        probs = {int(v): Fraction(pr) for v, pr in self.probs.items()}
+        den = math.lcm(*(pr.denominator for pr in probs.values()))
+        _check_numerators({v: pr.numerator * (den // pr.denominator) for v, pr in probs.items()}, den)
+        self.probs = {v: pr for v, pr in sorted(probs.items()) if pr}
+
+    @classmethod
+    def from_numerators(cls, numerators: Mapping[int, int], denominator: int) -> "ValueDist":
+        """The law ``value -> numerator / denominator``, checked on ints
+        instead of by summing Fractions as the constructor does."""
+        _check_numerators(numerators, denominator)
+        law = cls.__new__(cls)
+        law.probs = {v: Fraction(c, denominator) for v, c in sorted(numerators.items()) if c}
+        return law
 
     def support(self) -> list[int]:
         return list(self.probs)
@@ -97,6 +103,14 @@ class ValueDist:
         return cls(probs)
 
 
+def _check_numerators(numerators: Mapping[int, int], denominator: int) -> None:
+    for v, c in numerators.items():
+        if c < 0:
+            raise InputError(f"negative probability at value {v}")
+    if sum(numerators.values()) != denominator:
+        raise InputError("probabilities must sum to exactly 1")
+
+
 def tv_distance(d1: ValueDist, d2: ValueDist) -> Fraction:
     values = set(d1.probs) | set(d2.probs)
     return sum((abs(d1.prob(v) - d2.prob(v)) for v in values), Fraction(0)) / 2
@@ -107,37 +121,37 @@ def tv_distance(d1: ValueDist, d2: ValueDist) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _power_tables(p: Fraction, n: int) -> tuple[list[Fraction], list[Fraction]]:
-    q = 1 - p
-    p_pows = [Fraction(1)]
-    q_pows = [Fraction(1)]
-    for _ in range(n):
-        p_pows.append(p_pows[-1] * p)
-        q_pows.append(q_pows[-1] * q)
-    return p_pows, q_pows
+def weight_scale(p: Fraction, n: int) -> list[int]:
+    """``[a^w (b-a)^(n-w) for w = 0..n]`` with p = a/b: the probability of one
+    assignment of weight w out of n Bernoulli(p) bits, times b^n."""
+    a, c = p.numerator, p.denominator - p.numerator
+    return [a**w * c ** (n - w) for w in range(n + 1)]
+
+
+def _product_numerators(f: MultilinearPoly, p: Fraction, cap: int) -> tuple[dict[int, int], int]:
+    """Numerators of the product-model law of ``f`` over b^num_vars."""
+    scale = weight_scale(p, f.num_vars)
+    numerators = {
+        value: sum(count * scale[w] for w, count in per_weight.items())
+        for value, per_weight in value_weight_counts(f, cap).items()
+    }
+    return numerators, p.denominator**f.num_vars
 
 
 def bernoulli_value_dist(
     f: MultilinearPoly, p, cap: int = DEFAULT_ASSIGNMENT_CAP
 ) -> ValueDist:
     """Exact law of ``f`` when every variable is an independent Bernoulli(p)."""
-    p = as_probability(p)
-    counts = value_weight_counts(f, cap)
-    p_pows, q_pows = _power_tables(p, f.num_vars)
-    probs: dict[int, Fraction] = {}
-    for value, per_weight in counts.items():
-        total = Fraction(0)
-        for weight, count in per_weight.items():
-            total += count * p_pows[weight] * q_pows[f.num_vars - weight]
-        probs[value] = total
-    return ValueDist(probs)
+    return ValueDist.from_numerators(*_product_numerators(f, as_probability(p), cap))
 
 
 def point_probability(
     f: MultilinearPoly, p, ell: int, cap: int = DEFAULT_ASSIGNMENT_CAP
 ) -> Fraction:
     """P[f = ell] under the product model; 0 when ell is not achievable."""
-    return bernoulli_value_dist(f, p, cap).prob(ell)
+    numerators, denominator = _product_numerators(f, as_probability(p), cap)
+    _check_numerators(numerators, denominator)
+    return Fraction(numerators.get(ell, 0), denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -145,24 +159,24 @@ def point_probability(
 # ---------------------------------------------------------------------------
 
 
-def _binomial_pmf(m: int, p: Fraction, k: int) -> Fraction:
-    return math.comb(m, k) * p**k * (1 - p) ** (m - k)
+def binomial_numerators(m: int, p: Fraction) -> list[int]:
+    """P[Binomial(m, p) = k] times b^m for k = 0..m, with p = a/b."""
+    if m < 0:
+        raise InputError("m must be >= 0")
+    return [math.comb(m, k) * s for k, s in enumerate(weight_scale(p, m))]
 
 
 def binmax(m: int, p) -> Fraction:
     """Largest point mass of Binomial(m, p), attained at the mode floor((m+1)p)."""
-    if m < 0:
-        raise InputError("m must be >= 0")
     p = as_probability(p)
-    return _binomial_pmf(m, p, min(math.floor((m + 1) * p), m))
+    mode = min(math.floor((m + 1) * p), m)
+    return Fraction(binomial_numerators(m, p)[mode], p.denominator**m)
 
 
 def binmaxplus(m: int, p) -> Fraction:
     """Largest point mass of Binomial(m, p) over the strictly positive values."""
-    if m < 0:
-        raise InputError("m must be >= 0")
     p = as_probability(p)
-    return max((_binomial_pmf(m, p, k) for k in range(1, m + 1)), default=Fraction(0))
+    return Fraction(max(binomial_numerators(m, p)[1:], default=0), p.denominator**m)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +199,9 @@ def poisson_tv_check(n: int, p) -> tuple[float, bool]:
     """Total-variation distance between Binomial(n, p) and Poisson(np).
 
     Returns the distance (50-digit evaluation, rounded to float) and whether
-    it meets the bound ``tv <= p`` with the one-sided 1e-12 slack.
+    it meets the bound ``tv <= p`` with the one-sided 1e-12 slack.  The
+    binomial masses are integer numerators over b^n; the Poisson masses
+    start at exp(-np) and step by poi(m + 1) = poi(m) * np / (m + 1).
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -193,13 +209,14 @@ def poisson_tv_check(n: int, p) -> tuple[float, bool]:
     lam = p * n
     with mpmath.workdps(50):
         lamf = mpmath.mpf(lam.numerator) / lam.denominator
+        denominator = mpmath.mpf(p.denominator**n)
+        poi = mpmath.exp(-lamf)
         acc = mpmath.mpf(0)
         poi_partial = mpmath.mpf(0)
-        for m in range(n + 1):
-            binom = _binomial_pmf(n, p, m)
-            poi = mpmath.exp(-lamf) * lamf**m / mpmath.factorial(m)
+        for m, numerator in enumerate(binomial_numerators(n, p)):
             poi_partial += poi
-            acc += abs(mpmath.mpf(binom.numerator) / binom.denominator - poi)
+            acc += abs(numerator / denominator - poi)
+            poi = poi * lamf / (m + 1)
         acc += 1 - poi_partial  # Poisson tail mass beyond n
         tv = float(acc / 2)
     return tv, tv <= float(p) + TRANSCENDENTAL_SLACK
@@ -243,7 +260,7 @@ def slice_value_dist(
             cap=cap,
         )
     if k == 0:
-        return ValueDist({f.constant: Fraction(1)})
+        return ValueDist.from_numerators({f.constant: 1}, 1)
     below: list[dict[int, int]] = [{} for _ in range(n)]
     for (a, b), c in f.quadratic.items():
         below[b][c] = below[b].get(c, 0) | 1 << a
@@ -263,7 +280,7 @@ def slice_value_dist(
             for c, nbrs in pairs:
                 v += c * (nbrs & mask).bit_count()
             counts[v] = counts.get(v, 0) + 1
-    return ValueDist({v: Fraction(c, total) for v, c in counts.items()})
+    return ValueDist.from_numerators(counts, total)
 
 
 def product_slice_tv(f: MultilinearPoly, spec: SliceSpec,

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, ResourceLimitError
 
@@ -147,37 +147,16 @@ def permute_variables(f: MultilinearPoly, perm: Sequence[int]) -> MultilinearPol
     return MultilinearPoly(f.num_vars, f.constant, linear, quadratic)
 
 
-def iter_assignment_values(f: MultilinearPoly) -> Iterator[tuple[int, int]]:
-    """Yield ``(value, weight)`` over all 2**num_vars assignments.
-
-    Weight is the number of ones.  Order is the DFS order of setting each
-    variable to 0 before 1; callers that aggregate into counts are order
-    independent.
-    """
-    n = f.num_vars
-    lin = [f.linear.get(v, 0) for v in range(n)]
-    below: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (a, b), c in f.quadratic.items():
-        below[b].append((a, c))
-
-    def rec(v: int, value: int, weight: int, mask: int) -> Iterator[tuple[int, int]]:
-        if v == n:
-            yield value, weight
-            return
-        yield from rec(v + 1, value, weight, mask)
-        gain = lin[v]
-        for j, c in below[v]:
-            if mask >> j & 1:
-                gain += c
-        yield from rec(v + 1, value + gain, weight + 1, mask | (1 << v))
-
-    return rec(0, f.constant, 0, 0)
-
-
 def value_weight_counts(
     f: MultilinearPoly, cap: int = DEFAULT_ASSIGNMENT_CAP
 ) -> dict[int, dict[int, int]]:
-    """Exact table ``value -> {weight -> count}`` over all assignments."""
+    """Exact table ``value -> {weight -> count}`` over all assignments.
+
+    Weight is the number of ones.  Variables are set one at a time; the state
+    is ``(value, weight, frontier) -> count``, where the frontier holds the set
+    bits a later variable still reads, and a bit leaves it once its last
+    quadratic partner is placed, so assignments that agree on all three merge.
+    """
     total = 1 << f.num_vars
     if total > cap:
         raise ResourceLimitError(
@@ -185,10 +164,32 @@ def value_weight_counts(
             needed=total,
             cap=cap,
         )
+    n = f.num_vars
+    below: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    last = list(range(n))  # last variable that reads each bit
+    for (a, b), c in f.quadratic.items():
+        below[b].append((a, c))
+        last[a] = max(last[a], b)
+    states: dict[tuple[int, int, int], int] = {(f.constant, 0, 0): 1}
+    for v in range(n):
+        keep = ~sum(1 << j for j in range(v + 1) if last[j] == v)
+        bit = 1 << v & keep
+        lin = f.linear.get(v, 0)
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (value, weight, mask), count in states.items():
+            key = (value, weight, mask & keep)
+            nxt[key] = nxt.get(key, 0) + count
+            gain = lin
+            for j, c in below[v]:
+                if mask >> j & 1:
+                    gain += c
+            key = (value + gain, weight + 1, (mask & keep) | bit)
+            nxt[key] = nxt.get(key, 0) + count
+        states = nxt
     counts: dict[int, dict[int, int]] = {}
-    for value, weight in iter_assignment_values(f):
+    for (value, weight, _), count in states.items():
         per = counts.setdefault(value, {})
-        per[weight] = per.get(weight, 0) + 1
+        per[weight] = per.get(weight, 0) + count
     return counts
 
 

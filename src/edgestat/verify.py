@@ -24,15 +24,16 @@ import mpmath
 
 from .dist import (
     SliceSpec,
-    _binomial_pmf,
     as_probability,
     bernoulli_value_dist,
     binmax,
     binmaxplus,
+    binomial_numerators,
     format_rational,
     point_probability,
     poisson_tv_check,
     product_slice_tv,
+    weight_scale,
 )
 from .errors import InputError
 from .gm import GmFamily, enumerate_gm, var_bound
@@ -122,10 +123,8 @@ def _family_max(
     With p = a/b a row's mass times b^max_n is the integer
     sum_w counts[w] a^w (b-a)^(n-w) b^(max_n-n), so rows compare as integers.
     """
-    a, b = p.numerator, p.denominator
-    scale = [
-        [a**w * (b - a) ** (n - w) * b ** (max_n - n) for w in range(n + 1)] for n in range(max_n + 1)
-    ]
+    b = p.denominator
+    scale = [[s * b ** (max_n - n) for s in weight_scale(p, n)] for n in range(max_n + 1)]
     best: tuple[int, CanonicalKey, int, GPolynomial] | None = None
     for n, counts, key, value, g in rows:
         num = sum(map(mul, counts, scale[n]))
@@ -134,6 +133,11 @@ def _family_max(
     if best is None:
         return Fraction(0), None, None, None
     return Fraction(best[0], b**max_n), best[1], best[2], best[3]
+
+
+def _bound_at(m: int, p: Fraction, rows: Sequence[ValueRow]) -> Fraction:
+    """The reduction bound max(binmax(m, p), family part) on pruned rows."""
+    return max(binmax(m, p), _family_max(rows, p, var_bound(m))[0])
 
 
 def _family_for(m: int, ell_min: int, family: GmFamily | None, workers: int) -> GmFamily:
@@ -189,8 +193,7 @@ def optimize_p(
     if not grid or grid[0] <= 0 or grid[-1] >= 1:
         raise InputError("grid must be non-empty with entries strictly inside (0, 1)")
     rows = _value_rows(family, ell_min)
-    max_n = var_bound(m)
-    bounds = [(p, max(binmax(m, p), _family_max(rows, p, max_n)[0])) for p in grid]
+    bounds = [(p, _bound_at(m, p, rows)) for p in grid]
     return min(bounds, key=lambda pb: (pb[1], -pb[0]))
 
 
@@ -310,8 +313,8 @@ def verify_table(workers: int = 1, grid: Sequence[Fraction] | None = None) -> tu
 def _two_layer_max(s: int, p: Fraction) -> Fraction:
     """max over nonempty pairs {l1, l2} of positive values of P[Bin(s,p) in pair]:
     the two largest positive masses (the only one when s = 1)."""
-    masses = sorted((_binomial_pmf(s, p, k) for k in range(1, s + 1)), reverse=True)
-    return sum(masses[:2], Fraction(0))
+    numerators = sorted(binomial_numerators(s, p)[1:], reverse=True)
+    return Fraction(sum(numerators[:2]), p.denominator**s)
 
 
 def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
@@ -562,9 +565,7 @@ def suite_blym(seed: int, count: int, max_n: int = 12) -> int:
     violations = 0
     for _ in range(count):
         n = rng.randint(1, max_n)
-        _, ok = blym_check(n, _random_antichain(rng, n))
-        if not ok:
-            violations += 1
+        violations += not blym_check(n, _random_antichain(rng, n))[1]
     return violations
 
 
@@ -576,9 +577,7 @@ def suite_antichain_expectation(seed: int, count: int, max_n: int = 12) -> int:
         sets = _random_antichain(rng, n)
         phi = {a: Fraction(rng.randint(0, 8), 8) for a in sets}
         p = Fraction(rng.randint(1, 99), 100)
-        _, _, ok = antichain_expectation_check(n, phi, p)
-        if not ok:
-            violations += 1
+        violations += not antichain_expectation_check(n, phi, p)[2]
     return violations
 
 
@@ -593,20 +592,16 @@ def suite_elo(seed: int, count: int, max_n: int = 12) -> int:
             while num == 0:
                 num = rng.randint(-9, 9)
             coeffs.append(Fraction(num, rng.randint(1, 9)))
-        _, _, ok = elo_max(coeffs)
-        if not ok:
-            violations += 1
+        violations += not elo_max(coeffs)[2]
     return violations
 
 
 def suite_poisson_tv(max_n: int = 50, denominators: int = 50, max_j: int = 25) -> int:
-    violations = 0
-    for n in range(1, max_n + 1):
-        for j in range(1, max_j + 1):
-            _, ok = poisson_tv_check(n, Fraction(j, denominators))
-            if not ok:
-                violations += 1
-    return violations
+    return sum(
+        not poisson_tv_check(n, Fraction(j, denominators))[1]
+        for n in range(1, max_n + 1)
+        for j in range(1, max_j + 1)
+    )
 
 
 def suite_product_slice(seed: int, count: int) -> int:
@@ -617,19 +612,13 @@ def suite_product_slice(seed: int, count: int) -> int:
         k = rng.randint(1, n // 2)
         s = rng.randint(1, min(n, 6))
         f = _random_int_poly(rng, s, -3, 3)
-        _, _, ok = product_slice_tv(f, SliceSpec(n, k))
-        if not ok:
-            violations += 1
+        violations += not product_slice_tv(f, SliceSpec(n, k))[2]
     return violations
 
 
 def _random_int_poly(rng: random.Random, n: int, lo: int, hi: int) -> MultilinearPoly:
     lin = {i: rng.randint(lo, hi) for i in range(n)}
-    quad = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < 0.4:
-                quad[(a, b)] = rng.randint(lo, hi)
+    quad = {(a, b): rng.randint(lo, hi) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4}
     return MultilinearPoly(n, rng.randint(lo, hi), lin, quad)
 
 
@@ -640,30 +629,19 @@ def suite_large_linear_part(seed: int, count: int, max_n: int = 10) -> int:
         n = rng.randint(1, max_n)
         lin_support = rng.sample(range(n), rng.randint(1, n))
         lin = {i: rng.randint(1, 3) for i in lin_support}
-        quad = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                if rng.random() < 0.3:
-                    quad[(a, b)] = rng.randint(0, 2)
+        quad = {(a, b): rng.randint(0, 2) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3}
         f = MultilinearPoly(n, rng.randint(0, 3), lin, quad)
         m = rng.randint(1, len(lin))
         p = Fraction(rng.randint(1, 99), 100)
-        values = sorted(value_weight_counts(f))
-        ell = rng.choice(values)
-        _, _, ok = large_linear_part_check(f, m, p, ell)
-        if not ok:
-            violations += 1
+        ell = rng.choice(sorted(value_weight_counts(f)))
+        violations += not large_linear_part_check(f, m, p, ell)[2]
     return violations
 
 
 def _random_unit_form(rng: random.Random, max_vars: int = 8) -> GPolynomial:
     s = rng.randint(1, max_vars)
     linear = {i for i in range(s) if rng.random() < 0.5}
-    edges = set()
-    for a in range(s):
-        for b in range(a + 1, s):
-            if rng.random() < 0.35:
-                edges.add((a, b))
+    edges = {(a, b) for a in range(s) for b in range(a + 1, s) if rng.random() < 0.35}
     used = set(linear)
     for a, b in edges:
         used.add(a)
@@ -675,25 +653,20 @@ def _random_unit_form(rng: random.Random, max_vars: int = 8) -> GPolynomial:
 def suite_reduction_spot(seed: int, count: int, families: Mapping[int, GmFamily] | None = None) -> int:
     """Random members of the unrestricted 0/1 family against reduction bounds."""
     rng = random.Random(seed)
-    ms = (2, 3, 4, 5)
     ps = (Fraction(1, 3), Fraction(1, 2))
     bounds = {}
-    for m in ms:
-        family = families.get(m) if families else None
+    for m in (2, 3, 4, 5):
+        rows = _value_rows(_family_for(m, 1, families.get(m) if families else None, 1), 1)
         for p in ps:
-            bounds[(m, p)] = reduction_bound(m, p, 1, family).bound
+            bounds[(m, p)] = _bound_at(m, p, rows)
     violations = 0
     for _ in range(count):
         g = _random_unit_form(rng)
-        laws = [bernoulli_value_dist(g.poly, p) for p in ps]
-        positive = [v for v in laws[rng.randint(0, 1)].support() if v >= 1]
-        if not positive:
-            continue
-        ell = rng.choice(positive)
-        for m in ms:
-            for p, law in zip(ps, laws):
-                if law.prob(ell) > bounds[(m, p)]:
-                    violations += 1
+        laws = {p: bernoulli_value_dist(g.poly, p) for p in ps}
+        positive = [v for v in laws[ps[rng.randint(0, 1)]].support() if v >= 1]
+        if positive:
+            ell = rng.choice(positive)
+            violations += sum(laws[p].prob(ell) > bound for (m, p), bound in bounds.items())
     return violations
 
 

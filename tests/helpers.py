@@ -4,7 +4,9 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from edgestat.dist import ValueDist, as_probability
+import mpmath
+
+from edgestat.dist import TRANSCENDENTAL_SLACK, ValueDist, as_probability
 from edgestat.poly import (
     CanonicalKey,
     GPolynomial,
@@ -116,6 +118,25 @@ def bernoulli_value_dist_conditioning(f, p):
         return out
 
     return ValueDist(law(f))
+
+
+def poisson_tv_check_per_term(n, p):
+    """Oracle for ``poisson_tv_check``: each binomial mass as a reduced
+    Fraction and each Poisson mass from exp(-lambda) lambda^m / m!."""
+    p = as_probability(p)
+    lam = p * n
+    with mpmath.workdps(50):
+        lamf = mpmath.mpf(lam.numerator) / lam.denominator
+        acc = mpmath.mpf(0)
+        poi_partial = mpmath.mpf(0)
+        for m in range(n + 1):
+            binom = math.comb(n, m) * p**m * (1 - p) ** (n - m)
+            poi = mpmath.exp(-lamf) * lamf**m / mpmath.factorial(m)
+            poi_partial += poi
+            acc += abs(mpmath.mpf(binom.numerator) / binom.denominator - poi)
+        acc += 1 - poi_partial
+        tv = float(acc / 2)
+    return tv, tv <= float(p) + TRANSCENDENTAL_SLACK
 
 
 def gm_membership_derived(g, m):

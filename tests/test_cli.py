@@ -213,7 +213,7 @@ def test_verify_runs_reproduce_only_certificates(target, tmp_path, capsys):
 
 
 #: Certificates cheap enough to rerun in fresh interpreters.
-_QUICK_CERTIFICATES = ("prop027", "better34", "star_search", "goodman", "poisson_emergence")
+_QUICK_CERTIFICATES = ("prop027", "better34", "star_search", "goodman", "poisson_emergence", "lemmas")
 
 
 def test_verify_json_survives_optimize_flag_and_hash_seed(tmp_path, capsys):

@@ -31,7 +31,13 @@ from edgestat.dist import (
 )
 from edgestat.errors import InputError, ResourceLimitError
 from edgestat.poly import MultilinearPoly, parse_poly, permute_variables
-from helpers import bernoulli_value_dist_conditioning, binmax_oracle, eval_direct, random_poly
+from helpers import (
+    bernoulli_value_dist_conditioning,
+    binmax_oracle,
+    eval_direct,
+    poisson_tv_check_per_term,
+    random_poly,
+)
 
 
 def test_rational_parsing_is_exact():
@@ -56,6 +62,17 @@ def test_value_dist_validation():
     with pytest.raises(InputError):
         ValueDist({0: Fraction(-1, 2), 1: Fraction(3, 2)})
     assert ValueDist.from_json(d.to_json()) == d
+
+
+def test_value_dist_from_numerators():
+    assert ValueDist.from_numerators({3: 1, 0: 3, 7: 0}, 4) == ValueDist({0: Fraction(3, 4), 3: Fraction(1, 4)})
+    assert ValueDist.from_numerators({5: 6}, 6).probs == {5: Fraction(1)}
+    with pytest.raises(InputError):
+        ValueDist.from_numerators({0: -1, 1: 5}, 4)
+    with pytest.raises(InputError):
+        ValueDist.from_numerators({0: 1, 1: 2}, 4)
+    with pytest.raises(InputError):
+        ValueDist.from_numerators({0: 3, 1: 2}, 4)
 
 
 def test_tv_distance():
@@ -170,6 +187,17 @@ def test_poisson_tv_bound_samples():
         tv, ok = poisson_tv_check(n, p)
         assert ok
         assert 0 <= tv <= float(p) + 1e-12
+
+
+def test_poisson_tv_matches_per_term_oracle():
+    # The whole grid of the poisson_tv lemma suite.
+    for n in range(1, 51):
+        for j in range(1, 26):
+            p = Fraction(j, 50)
+            tv, ok = poisson_tv_check(n, p)
+            want_tv, want_ok = poisson_tv_check_per_term(n, p)
+            assert ok == want_ok, (n, p)
+            assert abs(tv - want_tv) <= 1e-15, (n, p)
 
 
 def test_poisson_tv_verdict_survives_optimize_flag():

@@ -100,16 +100,42 @@ def test_permute_variables_preserves_values():
             assert evaluate(f, assignment) == evaluate(g, tuple(moved))
 
 
+def _brute_force_table(f):
+    table = {}
+    for assignment in product((0, 1), repeat=f.num_vars):
+        v, w = eval_direct(f, assignment), sum(assignment)
+        table.setdefault(v, {}).setdefault(w, 0)
+        table[v][w] += 1
+    return table
+
+
 def test_value_weight_counts_matches_brute_force():
     rng = random.Random(104)
     for _ in range(40):
         f = random_poly(rng, max_vars=7)
-        table = {}
-        for assignment in product((0, 1), repeat=f.num_vars):
-            v, w = eval_direct(f, assignment), sum(assignment)
-            table.setdefault(v, {}).setdefault(w, 0)
-            table[v][w] += 1
-        assert value_weight_counts(f) == table
+        assert value_weight_counts(f) == _brute_force_table(f)
+
+
+#: Quadratic supports on n slots that move the frontier in different ways.
+_FRONTIER_SHAPES = {
+    "path": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "star_first": lambda n: [(0, j) for j in range(1, n)],
+    "star_last": lambda n: [(i, n - 1) for i in range(n - 1)],
+    "complete": lambda n: list(combinations(range(n), 2)),
+    "isolated_middle": lambda n: [e for e in combinations(range(n), 2) if n // 2 not in e],
+    "first_read_by_last": lambda n: ([(0, n - 1)] if n > 1 else []) + [(i, i + 1) for i in range(1, n - 2)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_FRONTIER_SHAPES))
+def test_value_weight_counts_frontier_shapes(shape):
+    rng = random.Random(shape)
+    for n in range(0, 11):
+        for _ in range(2):
+            linear = {i: rng.randint(-4, 4) for i in range(n)}
+            quadratic = {e: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for e in _FRONTIER_SHAPES[shape](n)}
+            f = MultilinearPoly(n, rng.randint(-4, 4), linear, quadratic)
+            assert value_weight_counts(f) == _brute_force_table(f), (shape, n)
 
 
 def test_value_weight_counts_respects_cap():
