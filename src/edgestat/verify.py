@@ -93,8 +93,11 @@ def _value_rows(family: GmFamily, ell_min: int) -> list[ValueRow]:
     another of the same width dominates componentwise is strictly lighter for
     every p in (0, 1) and is dropped.  Rows are visited by descending total
     count, and domination is transitive, so every dropped row is dominated by
-    a row already kept.
+    a row already kept.  The rows are built once per ``(family, ell_min)`` and
+    kept on the family.
     """
+    if ell_min in family.value_rows:
+        return family.value_rows[ell_min]
     first: dict[tuple[int, tuple[int, ...]], ValueRow] = {}
     for key, g, profile in zip(family.keys, family.members, family.profiles):
         n = g.num_vars
@@ -111,6 +114,7 @@ def _value_rows(family: GmFamily, ell_min: int) -> list[ValueRow]:
         if not any(all(map(le, counts, other)) for other in frontier):
             frontier.append(counts)
             rows.append(row)
+    family.value_rows[ell_min] = rows
     return rows
 
 
@@ -421,10 +425,11 @@ def verify_star_search(
 ) -> VerificationReport:
     start = time.perf_counter()
     target = Fraction(29, 40)
-    best, witness = star_zero_probability_search(max_vars, ell_values, p, cap)
+    ells = sorted({int(e) for e in ell_values})
+    best, witness = star_zero_probability_search(max_vars, ells, p, cap)
     return VerificationReport(
         name="star_search",
-        inputs={"max_vars": max_vars, "ell_values": sorted(set(int(e) for e in ell_values)), "p": format_rational(as_probability(p))},
+        inputs={"max_vars": max_vars, "ell_values": ells, "p": format_rational(as_probability(p))},
         exact_values={"max_zero_probability": best},
         threshold=target,
         witness={

@@ -212,8 +212,10 @@ def test_verify_runs_reproduce_only_certificates(target, tmp_path, capsys):
     assert reverify(payload)
 
 
-#: Certificates cheap enough to rerun in fresh interpreters.
-_QUICK_CERTIFICATES = ("prop027", "better34", "star_search", "goodman", "poisson_emergence", "lemmas")
+#: Certificates cheap enough to rerun in fresh interpreters (all nine today).
+_QUICK_CERTIFICATES = (
+    "counts", "prop033", "table", "prop027", "better34", "star_search", "goodman", "poisson_emergence", "lemmas",
+)
 
 
 def test_verify_json_survives_optimize_flag_and_hash_seed(tmp_path, capsys):

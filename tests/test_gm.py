@@ -134,6 +134,29 @@ def test_skeleton_membership_equals_literal_for_every_ll_mask(m):
                         assert gm_membership(g, k) == skeleton_ok
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_skeleton_capacities_equal_literal_membership(m):
+    # The generator runs no membership test: its capacities at m must accept
+    # exactly the skeletons, generated under the looser capacities of m + 1,
+    # that the literal test accepts at m.
+    for t in range(1, m + 1):
+        for q in range(t * (m + 1 - t) + 1):
+            emitted = {tuple(sk) for sk in _skeletons(m, t, q)}
+            accepted = {
+                tuple(sk)
+                for sk in _skeletons(m + 1, t, q)
+                if gm_membership(GPolynomial.from_sets(t + q, range(t), sk), m)
+            }
+            assert emitted == accepted, (m, t, q)
+
+
+def test_every_m5_skeleton_is_a_member():
+    for t in range(1, 6):
+        for q in range(t * (5 - t) + 1):
+            for sk in _skeletons(5, t, q):
+                assert gm_membership(GPolynomial.from_sets(t + q, range(t), sk), 5), (t, q, sk)
+
+
 def test_worker_merge_is_order_independent(monkeypatch):
     solo = enumerate_gm(3)
     monkeypatch.setattr(gm, "_CACHE", {})

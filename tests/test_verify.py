@@ -9,11 +9,12 @@ import pytest
 
 from edgestat.dist import bernoulli_value_dist, binmax
 from edgestat.errors import InputError
-from edgestat.gm import enumerate_gm
+from edgestat.gm import GmFamily, enumerate_gm
 from edgestat.poly import parse_poly
 from edgestat.report import check, report_from_json, reverify
 from edgestat.verify import (
     LEMMA_SUITES,
+    _value_rows,
     antichain_expectation_check,
     blym_check,
     check_better34_inequalities,
@@ -164,6 +165,16 @@ def test_optimize_p_equals_unpruned_argmin():
         assert optimize_p(m, family=family) == (p_star, least)
 
 
+def test_value_rows_are_built_once_per_family_and_ell_min():
+    family = enumerate_gm(4)
+    for ell_min in (1, 2):
+        rows = _value_rows(family, ell_min)
+        assert _value_rows(family, ell_min) is rows
+        fresh = GmFamily(family.m, family.members, family.keys, family.per_s_counts)
+        assert _value_rows(fresh, ell_min) == rows
+    assert _value_rows(family, 1) != _value_rows(family, 2)
+
+
 def test_optimize_p_grid_validation():
     with pytest.raises(InputError):
         optimize_p(2, grid=[])
@@ -259,6 +270,12 @@ def test_verify_star_search_report():
     assert report.exact_values["max_zero_probability"] == Fraction(707307219, 976562500)
     assert report.threshold == Fraction(29, 40)
     assert report.witness["edges"] == [[1, 3], [1, 4], [2, 3], [2, 4]]
+
+
+def test_verify_star_search_records_iterator_ell_values():
+    report = verify_star_search(max_vars=2, ell_values=iter([1, -1, 1]))
+    assert report.inputs["ell_values"] == [-1, 1]
+    assert report.exact_values["max_zero_probability"] == star_zero_probability_search(2, (-1, 1))[0]
 
 
 def test_star_search_input_validation():
