@@ -27,10 +27,10 @@ from .dist import (
     bernoulli_value_dist,
     binmax,
     binmaxplus,
+    exp_enclosure,
     format_rational,
     parse_rational,
     point_probability,
-    poisson_pmf,
     poisson_tv_check,
     product_slice_tv,
     slice_value_dist,

@@ -4,9 +4,9 @@ Probabilities are `fractions.Fraction` at the API boundary and integers
 inside.  With p = a/b, a product-model mass is an integer numerator
 sum_w c_w a^w (b-a)^(n-w) over b^n, and a k-slice mass is a subset count over
 C(n, k); :meth:`ValueDist.from_numerators` checks such numerators on ints.
-The only floating point sits inside the Poisson comparison, where
-`e**lambda` is evaluated with mpmath at 50 decimal digits and compared with
-a one-sided 1e-12 slack.
+The one transcendental, e**x at a rational x >= 0, is enclosed between two
+integers over 2**EXP_BITS by :func:`exp_enclosure`; the Poisson comparison
+decides on the outer end of that enclosure, so no verdict rests on a float.
 
 Two sampling models are covered:
 
@@ -23,16 +23,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-import mpmath
-
 from .errors import InputError, ResourceLimitError
 from .poly import DEFAULT_ASSIGNMENT_CAP, MultilinearPoly, value_weight_counts
 
 #: Hard ceiling on C(n, k) for slice enumeration.
 DEFAULT_SUBSET_CAP = 10**7
 
-#: One-sided slack applied when an exact rational meets a 50-digit float.
-TRANSCENDENTAL_SLACK = 1e-12
+#: Fixed-point bits of :func:`exp_enclosure`.
+EXP_BITS = 160
 
 
 def as_rational(value) -> Fraction:
@@ -184,42 +182,46 @@ def binmaxplus(m: int, p) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def poisson_pmf(lam, m: int) -> float:
-    """P[Poisson(lam) = m], evaluated at 50 decimal digits and rounded to float."""
-    if m < 0:
-        raise InputError("m must be >= 0")
-    with mpmath.workdps(50):
-        lamf = mpmath.mpf(lam.numerator) / lam.denominator if isinstance(lam, Fraction) else mpmath.mpf(lam)
-        if lamf < 0:
-            raise InputError("lambda must be >= 0")
-        return float(mpmath.exp(-lamf) * lamf**m / mpmath.factorial(m))
+def exp_enclosure(x) -> tuple[int, int]:
+    """Integers lo <= e**x * 2**EXP_BITS <= hi for a rational x >= 0: Taylor
+    terms x^j / j! summed in fixed point, rounded down for lo and up for hi.
+    Once x/(j+1) <= 1/2 later terms at most halve, so the tail is <= term j."""
+    x = as_rational(x)
+    if x < 0:
+        raise InputError("x must be >= 0")
+    a, b = x.numerator, x.denominator
+    lo = hi = term_lo = term_hi = 1 << EXP_BITS
+    j = 0
+    while term_lo or 2 * a > b * (j + 1):
+        j += 1
+        term_lo = term_lo * a // (b * j)
+        term_hi = -(-term_hi * a // (b * j))
+        lo += term_lo
+        hi += term_hi
+    return lo, hi + term_hi
 
 
 def poisson_tv_check(n: int, p) -> tuple[float, bool]:
-    """Total-variation distance between Binomial(n, p) and Poisson(np).
-
-    Returns the distance (50-digit evaluation, rounded to float) and whether
-    it meets the bound ``tv <= p`` with the one-sided 1e-12 slack.  The
-    binomial masses are integer numerators over b^n; the Poisson masses
-    start at exp(-np) and step by poi(m + 1) = poi(m) * np / (m + 1).
+    """An upper bound on d_TV(Binomial(n, p), Poisson(np)), rounded to float,
+    and whether it meets ``tv <= p``.  Masses are integers over
+    D = b^n 2^EXP_BITS; the Poisson ones are enclosures stepped by np/(m + 1)
+    and rounded outward, and each |binomial - Poisson| takes the farther end.
     """
     if n < 1:
         raise InputError("n must be >= 1")
     p = as_probability(p)
     lam = p * n
-    with mpmath.workdps(50):
-        lamf = mpmath.mpf(lam.numerator) / lam.denominator
-        denominator = mpmath.mpf(p.denominator**n)
-        poi = mpmath.exp(-lamf)
-        acc = mpmath.mpf(0)
-        poi_partial = mpmath.mpf(0)
-        for m, numerator in enumerate(binomial_numerators(n, p)):
-            poi_partial += poi
-            acc += abs(numerator / denominator - poi)
-            poi = poi * lamf / (m + 1)
-        acc += 1 - poi_partial  # Poisson tail mass beyond n
-        tv = float(acc / 2)
-    return tv, tv <= float(p) + TRANSCENDENTAL_SLACK
+    denominator = p.denominator**n << EXP_BITS
+    e_lo, e_hi = exp_enclosure(lam)
+    poi_lo = (denominator << EXP_BITS) // e_hi
+    poi_hi = -(-(denominator << EXP_BITS) // e_lo)
+    twice_tv = denominator  # the Poisson tail beyond n is at most D minus the lower partial sum
+    for m, numerator in enumerate(binomial_numerators(n, p), 1):
+        binom = numerator << EXP_BITS
+        twice_tv += max(binom - poi_lo, poi_hi - binom) - poi_lo
+        poi_lo = poi_lo * lam.numerator // (lam.denominator * m)
+        poi_hi = -(-poi_hi * lam.numerator // (lam.denominator * m))
+    return float(Fraction(twice_tv, 2 * denominator)), twice_tv * p.denominator <= 2 * p.numerator * denominator
 
 
 # ---------------------------------------------------------------------------

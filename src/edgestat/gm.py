@@ -188,7 +188,7 @@ def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
         for branch in branches:
             merged.update(_enumerate_branch(branch))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(branches))) as pool:
             for part in pool.map(_enumerate_branch, branches):
                 merged.update(part)
     keys = sorted(merged)

@@ -4,9 +4,9 @@ and the supporting finite oracles.
 Every verdict is decided in exact rational arithmetic.  The reduction bounds
 and :func:`optimize_p` compare family point masses as integer numerators over
 a common power of the denominator of p, on value rows pruned once per family.
-Floats appear only in decimal annotations and on the 50-digit transcendental
-sides of the antichain-expectation and Poisson comparisons, which carry a
-one-sided 1e-12 slack.
+Floats appear only in decimal annotations.  Where a side is transcendental
+(antichain expectation, Poisson TV), e^x is enclosed in integers by
+:func:`dist.exp_enclosure` and a check passes only if the whole enclosure clears its bound.
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ from itertools import combinations
 from operator import le, mul
 from typing import Iterable, Mapping, Sequence
 
-import mpmath
-
 from .dist import (
+    EXP_BITS,
     SliceSpec,
     as_probability,
     bernoulli_value_dist,
     binmax,
     binmaxplus,
     binomial_numerators,
+    exp_enclosure,
     format_rational,
     point_probability,
     poisson_tv_check,
@@ -476,8 +476,8 @@ def antichain_expectation_check(
     the induced witness indicator against the pointwise stationary bound
     max_A |A|^|A| / (e^|A| |A|!) * phi(A), plus p.
 
-    The left side is exact; the right side is evaluated at 50 digits and the
-    comparison carries the one-sided 1e-12 slack.
+    The left side is exact; it must be at most the lower end of the right
+    side's enclosure (from the upper end of e^|A|'s), returned as a float.
     """
     if not 0 <= ground_size <= 20:
         raise InputError("ground_size must be in 0..20")
@@ -494,16 +494,12 @@ def antichain_expectation_check(
         (w * p ** len(a) * (1 - p) ** (ground_size - len(a)) for a, w in support),
         Fraction(0),
     )
-    with mpmath.workdps(50):
-        rhs_core = mpmath.mpf(0)
-        for a, w in support:
-            m = len(a)
-            ratio = mpmath.mpf(m) ** m / (mpmath.e**m * mpmath.factorial(m))
-            rhs_core = max(rhs_core, ratio * mpmath.mpf(w.numerator) / w.denominator)
-        rhs = rhs_core + mpmath.mpf(p.numerator) / p.denominator
-        lhs_f = mpmath.mpf(lhs.numerator) / lhs.denominator
-        ok = bool(lhs_f <= rhs + mpmath.mpf("1e-12"))
-        return lhs, float(rhs), ok
+    rhs = p + max(
+        (w * Fraction(len(a) ** len(a) << EXP_BITS, exp_enclosure(len(a))[1] * math.factorial(len(a)))
+         for a, w in support),
+        default=0,
+    )
+    return lhs, float(rhs), lhs <= rhs
 
 
 def elo_max(coeffs: Sequence) -> tuple[Fraction, Fraction, bool]:

@@ -287,6 +287,12 @@ def test_construct_bipartite_requires_a(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_bipartite_rejects_oversized_a(capsys):
+    code = main(["construct", "--family", "bipartite", "--a", "20000", "--k", "30000", "--ell", "1"])
+    assert code == 2
+    assert "a <= 10**4" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # workers / env / caps
 # ---------------------------------------------------------------------------
@@ -335,6 +341,6 @@ def test_reproduce_respects_subset_cap(capsys):
 def test_cli_import_does_not_load_numpy():
     src = os.path.dirname(os.path.dirname(edgestat.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, edgestat.cli\nprint('numpy' in sys.modules)\n"
+    code = "import sys, edgestat.cli\nprint('numpy' in sys.modules, 'mpmath' in sys.modules)\n"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from edgestat.constructions import (
@@ -268,8 +269,12 @@ def test_poisson_reference_values():
     assert poisson_reference(0) == 1.0
     assert poisson_reference(1) == pytest.approx(1 / math.e, abs=1e-15)
     assert poisson_reference(2) == pytest.approx(2 / math.e**2, abs=1e-15)
-    with pytest.raises(InputError):
-        poisson_reference(-1)
+    with mpmath.workdps(50):
+        for a in range(201):
+            assert poisson_reference(a) == float(mpmath.mpf(a) ** a / (mpmath.e**a * mpmath.factorial(a))), a
+    for a in (-1, 10**4 + 1):
+        with pytest.raises(InputError):
+            poisson_reference(a)
 
 
 def test_goodman_certificate():

@@ -13,6 +13,7 @@ import pytest
 
 import edgestat
 from edgestat.dist import (
+    EXP_BITS,
     SliceSpec,
     ValueDist,
     as_probability,
@@ -20,10 +21,10 @@ from edgestat.dist import (
     bernoulli_value_dist,
     binmax,
     binmaxplus,
+    exp_enclosure,
     format_rational,
     parse_rational,
     point_probability,
-    poisson_pmf,
     poisson_tv_check,
     product_slice_tv,
     slice_value_dist,
@@ -171,15 +172,19 @@ def test_binmaxplus():
         assert binmaxplus(m, lo) == binmax(m, lo)
 
 
-def test_poisson_pmf_matches_mpmath():
-    with mpmath.workdps(50):
-        for lam, m in ((Fraction(1, 2), 0), (Fraction(3, 2), 2), (Fraction(5), 7)):
-            want = float(
-                mpmath.e ** (-mpmath.mpf(lam.numerator) / lam.denominator)
-                * (mpmath.mpf(lam.numerator) / lam.denominator) ** m
-                / mpmath.factorial(m)
-            )
-            assert abs(poisson_pmf(lam, m) - want) < 1e-15
+def test_exp_enclosure_brackets_mpmath():
+    # Every lambda = n j / 50 of the poisson_tv grid and x = 0..199.  mpmath
+    # works 80 digits past the integer part of e^x 2^EXP_BITS (< 10^(x + 49)).
+    xs = {Fraction(n * j, 50) for n in range(1, 51) for j in range(1, 26)} | {Fraction(x) for x in range(200)}
+    for x in sorted(xs):
+        lo, hi = exp_enclosure(x)
+        with mpmath.workdps(80 + math.ceil(x) + 49):
+            scaled = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator) * 2**EXP_BITS
+            assert lo <= scaled <= hi, x
+        assert (hi - lo) << 100 <= lo, x
+    assert exp_enclosure(0) == (2**EXP_BITS, 2**EXP_BITS)
+    with pytest.raises(InputError):
+        exp_enclosure(Fraction(-1, 3))
 
 
 def test_poisson_tv_bound_samples():
@@ -201,17 +206,19 @@ def test_poisson_tv_matches_per_term_oracle():
 
 
 def test_poisson_tv_verdict_survives_optimize_flag():
-    # An impossible slack makes every sample fail; the count must not depend
-    # on whether asserts are compiled in.
+    # Enclosing e^(np + 10) in place of e^(np) makes every sample fail; the
+    # count must not depend on whether asserts are compiled in.
     src = os.path.dirname(os.path.dirname(edgestat.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import edgestat.dist as d, edgestat.verify as v\n"
-        "d.TRANSCENDENTAL_SLACK = -10\n"
-        "print(v.suite_poisson_tv(3, 3, 3))\n"
+        "real = d.exp_enclosure\n"
+        "d.exp_enclosure = lambda x: real(x + 10)\n"
+        "print(v.suite_poisson_tv(3, 4, 3))\n"
     )
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "9"
+    for flags in (["-O"], []):
+        out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "9"
 
 
 def test_slice_spec_validation():

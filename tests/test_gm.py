@@ -165,6 +165,28 @@ def test_worker_merge_is_order_independent(monkeypatch):
     assert [g.poly for g in multi.members] == [g.poly for g in solo.members]
 
 
+def test_pool_has_at_most_one_worker_per_branch(monkeypatch):
+    # A recording stand-in for the pool: no process starts.
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(gm, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(gm, "_CACHE", {})
+    assert len(enumerate_gm(3, workers=1000).members) == REFERENCE_COUNTS[3]
+    assert asked == [7]
+
+
 def test_family_cache_serves_every_worker_count():
     assert enumerate_gm(3, workers=2) is enumerate_gm(3)
 
