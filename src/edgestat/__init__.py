@@ -42,19 +42,15 @@ from .poly import (
     CanonicalKey,
     GPolynomial,
     MultilinearPoly,
-    achievable_values,
     canonical_form,
     canonical_key,
-    evaluate,
     format_poly,
     gm_membership,
     parse_poly,
-    permute_variables,
     poly_from_json,
     poly_to_json,
     substitute,
     value_weight_counts,
-    zero_poly,
 )
 from .report import CheckRecord, VerificationReport, check, report_from_json, reverify
 from .verify import (

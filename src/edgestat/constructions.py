@@ -50,11 +50,6 @@ class HostGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def complement(self) -> "HostGraph":
-        missing = frozenset(pair for pair in combinations(range(self.n), 2) if pair not in self.edges)
-        tag = f"complement({self.family_tag})" if self.family_tag else "complement"
-        return HostGraph(self.n, missing, tag)
-
 
 @dataclass(frozen=True)
 class PartFamily:

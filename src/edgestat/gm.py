@@ -10,11 +10,28 @@ per-vertex capacities:
 * edges inside ``L`` are unconstrained, and ``|L| <= m``.
 
 The generator walks branches ``(t, q) = (|L|, #quadratic-only vertices)``
-with ``L`` pinned to the first ``t`` slots and the quadratic-only attachment
-columns emitted in non-decreasing mask order (every relabelling class
-contains such a representative, so nothing is missed).  A skeleton is one
-choice of attachment columns plus a graph on the quadratic-only vertices;
-each skeleton is completed by every edge set inside ``L``.
+with ``L`` pinned to the first ``t`` slots.  A completion is a sequence
+``cols`` of attachment columns (the mask of each quadratic-only vertex's
+``L`` neighbours), a graph QQ on the quadratic-only vertices and an edge set
+LL inside ``L``; a skeleton is a completion without LL.  The generator emits
+only completions that pass three order cuts, and every class keeps one:
+
+* Label ``L`` so that LL degrees do not increase.  Any labelling of ``L``
+  works at this point, because nothing else has been fixed yet.
+* Label the quadratic-only vertices in order of their columns, so ``cols``
+  does not decrease; only such sequences are generated.
+* With ``cols`` now fixed, quadratic-only vertices inside one run of equal
+  columns are still interchangeable: permuting them keeps every column,
+  every ``L`` edge and LL.  Give each quadratic-only vertex the signature
+  (QQ degree, sorted run indices of its QQ neighbours).  Such a permutation
+  carries each signature to the vertex's image, so sorting every run by
+  non-increasing signature gives a copy whose signatures do not increase
+  along each run.
+
+Relabelling never changes the capacities below, so that copy is one of the
+generated completions.  Two completions that pass the cuts can still be
+relabellings of each other, so the canonical search still decides the
+classes.
 
 The capacities are the membership test, so the generator emits members only.
 With ``t = |L|``, pinning a quadratic-only vertex ``x_i = 1`` leaves
@@ -28,7 +45,7 @@ quadratic-only neighbours per ``L`` vertex (the row cap) and at most
 ``m - 1 - t`` per quadratic-only vertex.  The literal substitution test
 :func:`~edgestat.poly.gm_membership` is kept as a test oracle for this.
 
-Every completion gets one integer canonical search,
+Every completion that passes the cuts gets one integer canonical search,
 :func:`~edgestat.poly.canonical_code`; the distinct codes are the classes,
 and each class's key and representative are read off its code.  The emitted
 family is therefore sound and isomorph-free by construction.
@@ -69,7 +86,8 @@ class GmFamily:
     ``keys`` are sorted and ``members[i]`` represents ``keys[i]``; ``profiles``
     and ``value_rows`` (the pruned rows of
     :func:`edgestat.verify._value_rows`, by ``ell_min``) are computed on first
-    use and live as long as the cached family.
+    use and live as long as the cached family.  ``searches`` is the number of
+    canonical searches the generator ran, the same for every worker count.
     """
 
     m: int
@@ -77,6 +95,7 @@ class GmFamily:
     keys: list[CanonicalKey]
     per_s_counts: dict[int, int]
     wall_time: float = 0.0
+    searches: int = 0
     value_rows: dict[int, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -160,17 +179,44 @@ def _skeletons(m: int, t: int, q: int) -> Iterator[list[tuple[int, int]]]:
             yield base + [(t + a, t + b) for a, b in qq]
 
 
-def _enumerate_branch(args: tuple[int, int, int]) -> dict[CanonicalKey, GPolynomial]:
+def _enumerate_branch(args: tuple[int, int, int]) -> tuple[dict[CanonicalKey, GPolynomial], int]:
+    """Classes of one ``(t, q)`` branch and the number of canonical searches run.
+
+    Only the LL sets and, per column sequence, the QQ graphs that pass the
+    order cuts of the module docstring are completed.
+    """
     m, t, q = args
     s = t + q
     lmask = (1 << t) - 1
     ll_pairs = [(a, b) for a in range(t) for b in range(a + 1, t)]
-    ll_sets = [
-        [ll_pairs[i] for i in range(len(ll_pairs)) if ll_mask >> i & 1]
-        for ll_mask in range(1 << len(ll_pairs))
-    ]
-    codes = {canonical_code(s, lmask, skeleton + ll) for skeleton in _skeletons(m, t, q) for ll in ll_sets}
-    return {CanonicalKey(code): GPolynomial.from_sets(s, code[1], code[2]) for code in codes}
+    ll_sets = []
+    for ll_mask in range(1 << len(ll_pairs)):
+        ll = [ll_pairs[i] for i in range(len(ll_pairs)) if ll_mask >> i & 1]
+        deg = [sum(r in pair for pair in ll) for r in range(t)]
+        if all(deg[r] >= deg[r + 1] for r in range(t - 1)):
+            ll_sets.append(ll)
+    qq_graphs = _bounded_degree_graphs(q, m - 1 - t) if q else [()]
+    codes = set()
+    searches = 0
+    for cols in _sorted_columns(t, q, m - t) if q else [()]:
+        run = [0] * q  # run of equal columns that each quadratic-only vertex is in
+        for ci in range(1, q):
+            run[ci] = run[ci - 1] + (cols[ci] != cols[ci - 1])
+        qq_cut = []
+        for qq in qq_graphs:
+            nbr_runs: list[list[int]] = [[] for _ in range(q)]
+            for a, b in qq:
+                nbr_runs[a].append(run[b])
+                nbr_runs[b].append(run[a])
+            sig = [(len(r), sorted(r)) for r in nbr_runs]
+            if all(run[a] != run[a + 1] or sig[a] >= sig[a + 1] for a in range(q - 1)):
+                qq_cut.append(qq)
+        searches += len(qq_cut) * len(ll_sets)
+        base = [(r, t + ci) for ci, mask in enumerate(cols) for r in range(t) if mask >> r & 1]
+        for qq in qq_cut:
+            skeleton = base + [(t + a, t + b) for a, b in qq]
+            codes.update(canonical_code(s, lmask, skeleton + ll) for ll in ll_sets)
+    return {CanonicalKey(code): GPolynomial.from_sets(s, code[1], code[2]) for code in codes}, searches
 
 
 def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
@@ -183,20 +229,22 @@ def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
         return _CACHE[m]
     start = time.perf_counter()
     branches = [(m, t, q) for t in range(1, m + 1) for q in range(t * (m - t) + 1)]
-    merged: dict[CanonicalKey, GPolynomial] = {}
     if workers == 1:
-        for branch in branches:
-            merged.update(_enumerate_branch(branch))
+        parts = [_enumerate_branch(branch) for branch in branches]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(branches))) as pool:
-            for part in pool.map(_enumerate_branch, branches):
-                merged.update(part)
+            parts = list(pool.map(_enumerate_branch, branches))
+    merged: dict[CanonicalKey, GPolynomial] = {}
+    searches = 0
+    for classes, n in parts:
+        merged.update(classes)
+        searches += n
     keys = sorted(merged)
     members = [merged[k] for k in keys]
     per_s: dict[int, int] = {}
     for g in members:
         per_s[g.num_vars] = per_s.get(g.num_vars, 0) + 1
-    family = GmFamily(m, members, keys, dict(sorted(per_s.items())), time.perf_counter() - start)
+    family = GmFamily(m, members, keys, dict(sorted(per_s.items())), time.perf_counter() - start, searches)
     _CACHE[m] = family
     return family
 

@@ -7,8 +7,8 @@ with ``i < j`` for quadratic terms.  All coefficients are integers and zero
 coefficients are never stored, so structural equality of the dataclass is
 semantic equality of polynomials.
 
-Besides evaluation and 0/1-substitution this module owns the two notions the
-enumeration engine is built on:
+Besides 0/1-substitution and exact value/weight tables this module owns the
+two notions the enumeration engine is built on:
 
 * membership of a 0/1 quadratic form in the reduced family ``G(m)`` — the
   forms for which substituting 1 into any single variable both leaves the
@@ -84,30 +84,6 @@ class MultilinearPoly:
             used.add(j)
         return used
 
-    def is_zero(self) -> bool:
-        return not self.constant and not self.linear and not self.quadratic
-
-
-def zero_poly(num_vars: int = 0) -> MultilinearPoly:
-    return MultilinearPoly(num_vars)
-
-
-def evaluate(f: MultilinearPoly, assignment: Sequence[int]) -> int:
-    """Value of ``f`` at a 0/1 assignment (one bit per variable slot)."""
-    if len(assignment) != f.num_vars:
-        raise InputError(f"assignment length {len(assignment)} != num_vars {f.num_vars}")
-    for b in assignment:
-        if b not in (0, 1):
-            raise InputError("assignment entries must be 0 or 1")
-    value = f.constant
-    for i, c in f.linear.items():
-        if assignment[i]:
-            value += c
-    for (i, j), c in f.quadratic.items():
-        if assignment[i] and assignment[j]:
-            value += c
-    return value
-
 
 def substitute(f: MultilinearPoly, i: int, bit: int) -> MultilinearPoly:
     """Pin ``x_i = bit`` and drop slot ``i``; higher slots shift down by one."""
@@ -136,15 +112,6 @@ def substitute(f: MultilinearPoly, i: int, bit: int) -> MultilinearPoly:
         else:
             quadratic[(shift(a), shift(b))] = c
     return MultilinearPoly(f.num_vars - 1, constant, linear, quadratic)
-
-
-def permute_variables(f: MultilinearPoly, perm: Sequence[int]) -> MultilinearPoly:
-    """Relabel variables: old slot ``v`` becomes ``perm[v]``."""
-    if sorted(perm) != list(range(f.num_vars)):
-        raise InputError("perm must be a permutation of range(num_vars)")
-    linear = {perm[v]: c for v, c in f.linear.items()}
-    quadratic = {(perm[a], perm[b]): c for (a, b), c in f.quadratic.items()}
-    return MultilinearPoly(f.num_vars, f.constant, linear, quadratic)
 
 
 def value_weight_counts(
@@ -191,11 +158,6 @@ def value_weight_counts(
         per = counts.setdefault(value, {})
         per[weight] = per.get(weight, 0) + count
     return counts
-
-
-def achievable_values(f: MultilinearPoly, cap: int = DEFAULT_ASSIGNMENT_CAP) -> list[int]:
-    """Sorted list of values ``f`` attains on {0,1}^num_vars."""
-    return sorted(value_weight_counts(f, cap))
 
 
 # ---------------------------------------------------------------------------

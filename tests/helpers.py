@@ -6,15 +6,64 @@ from itertools import combinations, permutations
 
 import mpmath
 
+from edgestat.constructions import HostGraph
 from edgestat.dist import ValueDist, as_probability
+from edgestat.errors import InputError
+from edgestat.gm import _skeletons
 from edgestat.poly import (
     CanonicalKey,
     GPolynomial,
     MultilinearPoly,
-    permute_variables,
+    canonical_code,
     substitute,
     value_weight_counts,
 )
+
+
+def evaluate(f, assignment):
+    """Value of ``f`` at a 0/1 assignment (one bit per variable slot)."""
+    if len(assignment) != f.num_vars:
+        raise InputError(f"assignment length {len(assignment)} != num_vars {f.num_vars}")
+    for b in assignment:
+        if b not in (0, 1):
+            raise InputError("assignment entries must be 0 or 1")
+    value = f.constant
+    for i, c in f.linear.items():
+        if assignment[i]:
+            value += c
+    for (i, j), c in f.quadratic.items():
+        if assignment[i] and assignment[j]:
+            value += c
+    return value
+
+
+def permute_variables(f, perm):
+    """Relabel variables: old slot ``v`` becomes ``perm[v]``."""
+    if sorted(perm) != list(range(f.num_vars)):
+        raise InputError("perm must be a permutation of range(num_vars)")
+    linear = {perm[v]: c for v, c in f.linear.items()}
+    quadratic = {(perm[a], perm[b]): c for (a, b), c in f.quadratic.items()}
+    return MultilinearPoly(f.num_vars, f.constant, linear, quadratic)
+
+
+def achievable_values(f):
+    """Sorted list of values ``f`` attains on {0,1}^num_vars."""
+    return sorted(value_weight_counts(f))
+
+
+def zero_poly(num_vars=0):
+    return MultilinearPoly(num_vars)
+
+
+def is_zero(f):
+    return not f.constant and not f.linear and not f.quadratic
+
+
+def complement(host):
+    """The host graph on the same vertices with exactly the missing edges."""
+    missing = frozenset(pair for pair in combinations(range(host.n), 2) if pair not in host.edges)
+    tag = f"complement({host.family_tag})" if host.family_tag else "complement"
+    return HostGraph(host.n, missing, tag)
 
 
 def random_poly(rng, max_vars=8, coeff_range=(-4, 4)):
@@ -195,3 +244,15 @@ def reduction_bound_unpruned(family, profiles, p, ell_min):
     if best is not None and best[0] == bound:
         return bound, gm_part, best[1], best[2]
     return bound, gm_part, None, None
+
+
+def uncut_codes(m, t, q):
+    """Oracle for the generator's order cuts: the canonical codes of every
+    skeleton of branch ``(t, q)`` completed by every edge set inside ``L``."""
+    ll_pairs = list(combinations(range(t), 2))
+    ll_sets = [
+        [ll_pairs[i] for i in range(len(ll_pairs)) if ll_mask >> i & 1]
+        for ll_mask in range(1 << len(ll_pairs))
+    ]
+    lmask = (1 << t) - 1
+    return {canonical_code(t + q, lmask, skeleton + ll) for skeleton in _skeletons(m, t, q) for ll in ll_sets}

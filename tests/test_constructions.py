@@ -26,6 +26,8 @@ from edgestat.constructions import (
 )
 from edgestat.errors import InputError, ResourceLimitError
 
+from helpers import complement
+
 
 # ---------------------------------------------------------------------------
 # Graphs and families
@@ -109,8 +111,8 @@ def test_build_host_rejects_empty_part():
 
 def test_complement_duality():
     host = build_host(clique_union_family((3, 3), 6), 12)
-    comp = host.complement()
-    assert comp.complement().edges == host.edges
+    comp = complement(host)
+    assert complement(comp).edges == host.edges
     k = 4
     dist = edge_count_dist(host, k)
     dual = edge_count_dist(comp, k)

@@ -31,11 +31,12 @@ from edgestat.dist import (
     tv_distance,
 )
 from edgestat.errors import InputError, ResourceLimitError
-from edgestat.poly import MultilinearPoly, parse_poly, permute_variables
+from edgestat.poly import MultilinearPoly, parse_poly
 from helpers import (
     bernoulli_value_dist_conditioning,
     binmax_oracle,
     eval_direct,
+    permute_variables,
     poisson_tv_check_per_term,
     random_poly,
 )

@@ -10,14 +10,15 @@ from edgestat import gm
 from edgestat.errors import InputError
 from edgestat.gm import (
     MAX_SUPPORTED_M,
+    _enumerate_branch,
     _skeletons,
     enumerate_gm,
     max_structure_stats,
     var_bound,
 )
-from edgestat.poly import GPolynomial, canonical_form, gm_membership, permute_variables
+from edgestat.poly import GPolynomial, canonical_form, gm_membership
 
-from helpers import canonical_form_unpruned
+from helpers import canonical_form_unpruned, permute_variables, uncut_codes
 
 REFERENCE_COUNTS = {1: 1, 2: 4, 3: 16, 4: 99, 5: 1653}
 
@@ -29,6 +30,10 @@ REFERENCE_PER_S = {
     5: {1: 1, 2: 3, 3: 10, 4: 47, 5: 296, 6: 451, 7: 514, 8: 277, 9: 54},
 }
 
+
+#: Canonical searches the generator runs per m; completing every skeleton
+#: with every LL set, without the order cuts, runs 15,594 at m = 5.
+REFERENCE_SEARCHES = {1: 1, 2: 4, 3: 18, 4: 150, 5: 4026}
 
 #: sha256 of the newline-joined key texts, pinned so that a change to the
 #: canonical search cannot silently change the published keys.
@@ -148,6 +153,26 @@ def test_skeleton_capacities_equal_literal_membership(m):
                 if gm_membership(GPolynomial.from_sets(t + q, range(t), sk), m)
             }
             assert emitted == accepted, (m, t, q)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_order_cuts_keep_every_class_of_every_branch(m):
+    for t in range(1, m + 1):
+        for q in range(t * (m - t) + 1):
+            classes, _ = _enumerate_branch((m, t, q))
+            assert {key.code for key in classes} == uncut_codes(m, t, q), (m, t, q)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_search_counts_are_pinned(m):
+    assert enumerate_gm(m).searches == REFERENCE_SEARCHES[m]
+
+
+def test_search_count_is_the_same_for_every_worker_count(monkeypatch):
+    monkeypatch.setattr(gm, "_CACHE", {})
+    solo = enumerate_gm(4)
+    monkeypatch.setattr(gm, "_CACHE", {})
+    assert enumerate_gm(4, workers=2).searches == solo.searches == REFERENCE_SEARCHES[4]
 
 
 def test_every_m5_skeleton_is_a_member():
