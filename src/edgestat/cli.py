@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+import time
 from typing import Callable, Iterable
 
 from .constructions import (
@@ -47,29 +47,19 @@ from .verify import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Resolved flags shared across subcommands."""
-
-    workers: int = 1
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP
-    subset_cap: int = DEFAULT_SUBSET_CAP
-    json_path: str | None = None
-    csv_path: str | None = None
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
-        if self.assignment_cap < 1 or self.subset_cap < 1:
-            raise InputError("caps must be positive")
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("EDGESTAT_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"EDGESTAT_WORKERS must be an integer, got {raw!r}")
+def _check_flags(args: argparse.Namespace) -> None:
+    """Resolve the worker default and reject non-positive counts before any work runs."""
+    flags = vars(args)
+    if flags.get("workers", 1) is None:
+        raw = os.environ.get("EDGESTAT_WORKERS", "1")
+        try:
+            args.workers = int(raw)
+        except ValueError:
+            raise InputError(f"EDGESTAT_WORKERS must be an integer, got {raw!r}")
+    if flags.get("workers", 1) < 1:
+        raise InputError("workers must be >= 1")
+    if flags.get("assignment_cap", 1) < 1 or flags.get("subset_cap", 1) < 1:
+        raise InputError("caps must be positive")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -95,8 +85,8 @@ def _reports_json(reports: list[VerificationReport]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _cmd_enumerate(args, config: RunConfig) -> int:
-    family = enumerate_gm(args.m, config.workers)
+def _cmd_enumerate(args) -> int:
+    family = enumerate_gm(args.m, args.workers)
     stats = max_structure_stats(family)
     print("m,count,max_vars,wall_time")
     print(f"{family.m},{family.count},{stats.max_num_vars},{family.wall_time:.2f}")
@@ -104,13 +94,13 @@ def _cmd_enumerate(args, config: RunConfig) -> int:
         print("s,count")
         for s in sorted(family.per_s_counts):
             print(f"{s},{family.per_s_counts[s]}")
-    if config.csv_path:
+    if args.csv_path:
         _write_text(
-            config.csv_path,
+            args.csv_path,
             "m,count,max_vars,wall_time\n"
             f"{family.m},{family.count},{stats.max_num_vars},{family.wall_time:.2f}\n",
         )
-    if config.json_path:
+    if args.json_path:
         lines = []
         for key, g in zip(family.keys, family.members):
             lines.append(
@@ -124,82 +114,87 @@ def _cmd_enumerate(args, config: RunConfig) -> int:
                     sort_keys=True,
                 )
             )
-        _write_text(config.json_path, "\n".join(lines) + "\n")
+        _write_text(args.json_path, "\n".join(lines) + "\n")
     return 0
 
 
-def _run_table(config: RunConfig) -> VerificationReport:
+def _run_table(args) -> VerificationReport:
     """The table certificate; with ``--csv`` it also writes the table rows."""
-    report, rows = verify_table(config.workers)
-    if config.csv_path:
+    report, rows = verify_table(args.workers)
+    if args.csv_path:
         lines = ["m,count,p_star,bound_exact,bound_decimal"]
         lines += [
             f"{r['m']},{r['count']},{r['p_star']},{r['bound_exact']},{r['bound_decimal']}"
             for r in rows
         ]
-        _write_text(config.csv_path, "\n".join(lines) + "\n")
+        _write_text(args.csv_path, "\n".join(lines) + "\n")
     return report
 
 
 #: Every certificate, in the order ``reproduce`` and ``verify all`` run them.
-CERTIFICATES: dict[str, Callable[[RunConfig], VerificationReport]] = {
-    "counts": lambda config: verify_counts(config.workers),
-    "prop033": lambda config: verify_prop_033(config.workers),
+CERTIFICATES: dict[str, Callable[[argparse.Namespace], VerificationReport]] = {
+    "counts": lambda args: verify_counts(args.workers),
+    "prop033": lambda args: verify_prop_033(args.workers),
     "table": _run_table,
-    "prop027": lambda config: verify_prop_027(),
-    "better34": lambda config: check_better34_inequalities(),
-    "star_search": lambda config: verify_star_search(cap=config.assignment_cap),
-    "goodman": lambda config: verify_goodman(config.subset_cap),
-    "poisson_emergence": lambda config: verify_poisson_emergence(),
-    "lemmas": lambda config: verify_lemmas(),
+    "prop027": lambda args: verify_prop_027(),
+    "better34": lambda args: check_better34_inequalities(),
+    "star_search": lambda args: verify_star_search(cap=args.assignment_cap),
+    "goodman": lambda args: verify_goodman(args.subset_cap),
+    "poisson_emergence": lambda args: verify_poisson_emergence(),
+    "lemmas": lambda args: verify_lemmas(),
 }
 
 
 def _run_certificates(
-    names: Iterable[str], config: RunConfig, show: Callable[[VerificationReport], None]
+    names: Iterable[str], args: argparse.Namespace, show: Callable[[VerificationReport], None]
 ) -> list[VerificationReport]:
-    """Run the named certificates in order, showing each report as it lands."""
+    """Run the named certificates in order, timing each and showing its report as it lands."""
     reports = []
     for name in names:
-        reports.append(CERTIFICATES[name](config))
-        show(reports[-1])
+        start = time.perf_counter()
+        report = CERTIFICATES[name](args)
+        report.wall_time = time.perf_counter() - start
+        show(report)
+        reports.append(report)
     return reports
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
+    if args.csv_path and args.target not in ("table", "all"):
+        raise InputError(f"--csv writes the table rows; verify {args.target} has none")
     names = CERTIFICATES if args.target == "all" else (args.target,)
-    reports = _run_certificates(names, config, _print_report)
-    if config.json_path:
+    reports = _run_certificates(names, args, _print_report)
+    if args.json_path:
         text = _reports_json(reports) if args.target == "all" else reports[0].to_json_str()
-        _write_text(config.json_path, text + "\n")
+        _write_text(args.json_path, text + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_dist(args, config: RunConfig) -> int:
+def _cmd_dist(args) -> int:
     f = parse_poly(args.poly)
     if (args.p is None) == (args.slice is None):
         raise InputError("exactly one of --p and --slice is required")
     if args.p is not None:
-        dist = bernoulli_value_dist(f, parse_rational(args.p), config.assignment_cap)
+        dist = bernoulli_value_dist(f, parse_rational(args.p), args.assignment_cap)
     else:
         try:
             n_text, k_text = args.slice.split(",")
             spec = SliceSpec(int(n_text), int(k_text))
         except ValueError as exc:
             raise InputError(f"--slice expects N,K with integers, got {args.slice!r}") from exc
-        dist = slice_value_dist(f, spec, config.subset_cap)
+        dist = slice_value_dist(f, spec, args.subset_cap)
     if args.ell is not None:
         print(format_rational(dist.prob(args.ell)))
     else:
         print("value,probability")
         for v in dist.support():
             print(f"{v},{format_rational(dist.prob(v))}")
-    if config.json_path:
-        _write_text(config.json_path, json.dumps(dist.to_json(), indent=2, sort_keys=True) + "\n")
+    if args.json_path:
+        _write_text(args.json_path, json.dumps(dist.to_json(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def _cmd_construct(args, config: RunConfig) -> int:
+def _cmd_construct(args) -> int:
     k, ell = args.k, args.ell
     if args.family in ("bipartite", "bipartite-plus-clique"):
         if args.a is None:
@@ -213,7 +208,7 @@ def _cmd_construct(args, config: RunConfig) -> int:
         print(f"decomposition: ell={ell} = " + " + ".join(f"C({m},2)" for m in pieces))
         print(f"limit: {format_rational(prob)} = {float(prob):.10f}")
         print(f"reference: (prod m_i)^(-1/2) = {product**-0.5:.10f}")
-        if config.json_path:
+        if args.json_path:
             payload = {
                 "family": "cliques",
                 "k": k,
@@ -223,7 +218,7 @@ def _cmd_construct(args, config: RunConfig) -> int:
                 "limit": format_rational(prob),
                 "reference": product**-0.5,
             }
-            _write_text(config.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            _write_text(args.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown family {args.family!r}")
@@ -232,7 +227,7 @@ def _cmd_construct(args, config: RunConfig) -> int:
     payload = {"family": family.tag, "k": k, "ell": ell}
     if args.n is not None:
         host = build_host(family, args.n)
-        finite = edge_count_dist(host, k, config.subset_cap).prob(ell)
+        finite = edge_count_dist(host, k, args.subset_cap).prob(ell)
         print(f"finite n={args.n}: {format_rational(finite)} = {float(finite):.10f}")
         payload["finite_n"] = args.n
         payload["finite"] = format_rational(finite)
@@ -241,17 +236,17 @@ def _cmd_construct(args, config: RunConfig) -> int:
     print(f"reference: {reference_label} = {reference:.10f}")
     payload["limit"] = format_rational(prob)
     payload["reference"] = reference
-    if config.json_path:
-        _write_text(config.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if args.json_path:
+        _write_text(args.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def _cmd_reproduce(args, config: RunConfig) -> int:
-    reports = _run_certificates(CERTIFICATES, config, _print_status)
+def _cmd_reproduce(args) -> int:
+    reports = _run_certificates(CERTIFICATES, args, _print_status)
     passed = all(r.passed for r in reports)
     print(f"{'all certificates pass' if passed else 'CERTIFICATE FAILURE'}")
-    if config.json_path:
-        _write_text(config.json_path, _reports_json(reports) + "\n")
+    if args.json_path:
+        _write_text(args.json_path, _reports_json(reports) + "\n")
     return 0 if passed else 1
 
 
@@ -262,30 +257,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", dest="json_path", metavar="PATH", help="write JSON output here")
-        p.add_argument("--csv", dest="csv_path", metavar="PATH", help="write CSV output here")
-        p.add_argument("--workers", type=int, default=None, help="worker process count")
-        p.add_argument("--assignment-cap", type=int, default=DEFAULT_ASSIGNMENT_CAP,
-                       help="max full assignments to enumerate")
-        p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP,
-                       help="max k-subsets to enumerate")
+    flags = {
+        "--json": {"dest": "json_path", "metavar": "PATH", "help": "write JSON output here"},
+        "--csv": {"dest": "csv_path", "metavar": "PATH", "help": "write CSV output here"},
+        "--workers": {"type": int, "default": None, "help": "worker process count"},
+        "--assignment-cap": {"type": int, "default": DEFAULT_ASSIGNMENT_CAP,
+                             "help": "max full assignments to enumerate"},
+        "--subset-cap": {"type": int, "default": DEFAULT_SUBSET_CAP, "help": "max k-subsets to enumerate"},
+    }
+
+    def add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p_enum = sub.add_parser("enumerate", help="enumerate a reduced polynomial family")
     p_enum.add_argument("--m", type=int, required=True, help="family threshold")
     p_enum.add_argument("--per-s", action="store_true", help="also print counts by variable count")
-    add_common(p_enum)
+    add_flags(p_enum, "--json", "--csv", "--workers")
 
     p_verify = sub.add_parser("verify", help="run a named certificate")
     p_verify.add_argument("target", choices=tuple(CERTIFICATES) + ("all",))
-    add_common(p_verify)
+    add_flags(p_verify, *flags)
 
     p_dist = sub.add_parser("dist", help="exact value distribution of a polynomial")
     p_dist.add_argument("--poly", required=True, help='expression such as "x1+x2+x1*x2"')
     p_dist.add_argument("--p", help="Bernoulli parameter (rational or decimal string)")
     p_dist.add_argument("--slice", help="uniform k-subset model as N,K")
     p_dist.add_argument("--ell", type=int, default=None, help="print only the mass at this value")
-    add_common(p_dist)
+    add_flags(p_dist, "--json", "--assignment-cap", "--subset-cap")
 
     p_con = sub.add_parser("construct", help="host-graph family probabilities")
     p_con.add_argument("--family", required=True, choices=("bipartite", "cliques", "bipartite-plus-clique"))
@@ -293,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--k", type=int, required=True, help="subset size")
     p_con.add_argument("--ell", type=int, required=True, help="induced edge count")
     p_con.add_argument("--n", type=int, default=None, help="also evaluate a concrete n-vertex host")
-    add_common(p_con)
+    add_flags(p_con, "--json", "--subset-cap")
 
     p_rep = sub.add_parser("reproduce", help="run every certificate in order")
-    add_common(p_rep)
+    add_flags(p_rep, *flags)
 
     return parser
 
@@ -308,13 +307,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = RunConfig(
-            workers=args.workers if args.workers is not None else _default_workers(),
-            assignment_cap=args.assignment_cap,
-            subset_cap=args.subset_cap,
-            json_path=args.json_path,
-            csv_path=args.csv_path,
-        )
+        _check_flags(args)
         handler = {
             "enumerate": _cmd_enumerate,
             "verify": _cmd_verify,
@@ -322,7 +315,7 @@ def main(argv=None) -> int:
             "construct": _cmd_construct,
             "reproduce": _cmd_reproduce,
         }[args.command]
-        return handler(args, config)
+        return handler(args)
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

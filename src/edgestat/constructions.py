@@ -11,7 +11,6 @@ part counts converge to a multinomial draw with the part fractions.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -307,7 +306,6 @@ def poisson_reference(a: int) -> float:
 def verify_goodman(subset_cap: int = 10**7) -> VerificationReport:
     """Two disjoint half cliques: exact values at n = 12, 24, 48 and the
     exact 3/4 limit for one induced edge among three chosen vertices."""
-    start = time.perf_counter()
     family = clique_union_family((3, 3), 6)
     scan = monotonicity_scan(family, 3, 1, (12, 24, 48), subset_cap)
     by_n = dict(scan.values)
@@ -329,14 +327,12 @@ def verify_goodman(subset_cap: int = 10**7) -> VerificationReport:
             "limit": scan.limit,
         },
         checks=checks,
-        wall_time=time.perf_counter() - start,
     )
 
 
 def verify_poisson_emergence() -> VerificationReport:
     """Complete bipartite families at k = 200 against the a^a/(e^a a!)
     constants: a = 1 within 0.01 of 1/e, a = 2 within 0.02 of 2/e^2."""
-    start = time.perf_counter()
     k = 200
     checks = []
     exact = {}
@@ -352,5 +348,4 @@ def verify_poisson_emergence() -> VerificationReport:
         inputs={"k": k, "a_values": [1, 2], "reference": "a^a/(e^a a!)"},
         exact_values=exact,
         checks=checks,
-        wall_time=time.perf_counter() - start,
     )

@@ -60,7 +60,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 from .errors import InputError
 from .poly import CanonicalKey, GPolynomial, canonical_code, value_weight_counts
@@ -167,18 +166,6 @@ def _bounded_degree_graphs(q: int, cap: int) -> list[tuple[tuple[int, int], ...]
     return out
 
 
-def _skeletons(m: int, t: int, q: int) -> Iterator[list[tuple[int, int]]]:
-    """Edge lists of the branch's skeletons: attachment columns plus a
-    bounded-degree graph on the quadratic-only vertices, no edge inside L."""
-    cap_row = m - t
-    cap_q = m - 1 - t
-    qq_graphs = _bounded_degree_graphs(q, cap_q) if q else [()]
-    for cols in _sorted_columns(t, q, cap_row) if q else [()]:
-        base = [(r, t + ci) for ci, mask in enumerate(cols) for r in range(t) if mask >> r & 1]
-        for qq in qq_graphs:
-            yield base + [(t + a, t + b) for a, b in qq]
-
-
 def _enumerate_branch(args: tuple[int, int, int]) -> tuple[dict[CanonicalKey, GPolynomial], int]:
     """Classes of one ``(t, q)`` branch and the number of canonical searches run.
 
@@ -195,10 +182,10 @@ def _enumerate_branch(args: tuple[int, int, int]) -> tuple[dict[CanonicalKey, GP
         deg = [sum(r in pair for pair in ll) for r in range(t)]
         if all(deg[r] >= deg[r + 1] for r in range(t - 1)):
             ll_sets.append(ll)
-    qq_graphs = _bounded_degree_graphs(q, m - 1 - t) if q else [()]
+    qq_graphs = _bounded_degree_graphs(q, m - 1 - t)
     codes = set()
     searches = 0
-    for cols in _sorted_columns(t, q, m - t) if q else [()]:
+    for cols in _sorted_columns(t, q, m - t):
         run = [0] * q  # run of equal columns that each quadratic-only vertex is in
         for ci in range(1, q):
             run[ci] = run[ci - 1] + (cols[ci] != cols[ci - 1])

@@ -59,6 +59,9 @@ def check(name: str, lhs, op: str, rhs) -> CheckRecord:
 
 @dataclass
 class VerificationReport:
+    """A certificate's checks and exact values.  ``wall_time`` is set by the
+    runner, ``cli._run_certificates``; a certificate function leaves it at 0."""
+
     name: str
     inputs: dict = field(default_factory=dict)
     exact_values: dict = field(default_factory=dict)  # str -> Fraction

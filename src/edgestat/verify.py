@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -96,6 +95,8 @@ def _value_rows(family: GmFamily, ell_min: int) -> list[ValueRow]:
     a row already kept.  The rows are built once per ``(family, ell_min)`` and
     kept on the family.
     """
+    if ell_min < 1:
+        raise InputError("ell_min must be >= 1")
     if ell_min in family.value_rows:
         return family.value_rows[ell_min]
     first: dict[tuple[int, tuple[int, ...]], ValueRow] = {}
@@ -144,30 +145,19 @@ def _bound_at(m: int, p: Fraction, rows: Sequence[ValueRow]) -> Fraction:
     return max(binmax(m, p), _family_max(rows, p, var_bound(m))[0])
 
 
-def _family_for(m: int, ell_min: int, family: GmFamily | None, workers: int) -> GmFamily:
-    if ell_min < 1:
-        raise InputError("ell_min must be >= 1")
-    if family is None:
-        return enumerate_gm(m, workers)
-    if family.m != m:
-        raise InputError(f"family was enumerated for m={family.m}, not m={m}")
-    return family
-
-
-def reduction_bound(
-    m: int, p, ell_min: int, family: GmFamily | None = None, workers: int = 1
-) -> ReductionBound:
+def reduction_bound(m: int, p, ell_min: int, *, workers: int = 1) -> ReductionBound:
     """max(binmax(m, p), family point-mass max over values >= ell_min).
 
     The family part is maximized over every member and every achievable value
     at least ``ell_min``; ties are broken toward the lexicographically
     smallest canonical key, then the smallest value.  The witness is reported
-    whenever the family part attains the overall bound.
+    whenever the family part attains the overall bound.  The family is the
+    cached ``enumerate_gm(m, workers)``.
     """
     p = as_probability(p)
     if not 0 < p < 1:
         raise InputError("p must lie strictly between 0 and 1")
-    family = _family_for(m, ell_min, family, workers)
+    family = enumerate_gm(m, workers)
     binmax_part = binmax(m, p)
     gm_part, key, value, g = _family_max(_value_rows(family, ell_min), p, var_bound(m))
     bound = max(binmax_part, gm_part)
@@ -180,23 +170,22 @@ def optimize_p(
     m: int,
     grid: Sequence[Fraction] | None = None,
     ell_min: int = 2,
-    family: GmFamily | None = None,
+    *,
     workers: int = 1,
 ) -> tuple[Fraction, Fraction]:
     """Grid point minimizing the reduction bound, with its exact bound.
 
     Every grid point is evaluated exactly, on the value rows built once for
-    the family.  Exact ties are broken toward the larger p (the reference
+    ``enumerate_gm(m, workers)``.  Exact ties are broken toward the larger p (the reference
     table's m=2 row has two exact minima, at 1/3 and 2/3, and is quoted at
     the larger one).
     """
-    family = _family_for(m, ell_min, family, workers)
     if grid is None:
         grid = default_grid()
     grid = sorted({as_probability(p) for p in grid})
     if not grid or grid[0] <= 0 or grid[-1] >= 1:
         raise InputError("grid must be non-empty with entries strictly inside (0, 1)")
-    rows = _value_rows(family, ell_min)
+    rows = _value_rows(enumerate_gm(m, workers), ell_min)
     bounds = [(p, _bound_at(m, p, rows)) for p in grid]
     return min(bounds, key=lambda pb: (pb[1], -pb[0]))
 
@@ -210,11 +199,9 @@ _WITNESS_POLY_TEXT = "x2+x3+x4+x5+x1*x2+x1*x3+x1*x4+x1*x5"
 
 def verify_prop_033(workers: int = 1) -> VerificationReport:
     """m=5 reduction bound at p=1/3 stays strictly below 0.3293."""
-    start = time.perf_counter()
     p = Fraction(1, 3)
     threshold = Fraction(3293, 10000)
-    family = enumerate_gm(5, workers)
-    rb = reduction_bound(5, p, 2, family)
+    rb = reduction_bound(5, p, 2, workers=workers)
     expected_key = canonical_key(GPolynomial(parse_poly(_WITNESS_POLY_TEXT)))
     witness = None
     if rb.witness_key is not None:
@@ -236,13 +223,11 @@ def verify_prop_033(workers: int = 1) -> VerificationReport:
         threshold=threshold,
         witness=witness,
         checks=checks,
-        wall_time=time.perf_counter() - start,
     )
 
 
 def verify_counts(workers: int = 1) -> VerificationReport:
     """Family sizes for m = 2..5 against the reference row 4, 16, 99, 1653."""
-    start = time.perf_counter()
     checks = []
     exact: dict[str, Fraction] = {}
     for m, (ref_count, _, _) in TABLE_REFERENCE.items():
@@ -254,13 +239,11 @@ def verify_counts(workers: int = 1) -> VerificationReport:
         inputs={"m_range": "2..5"},
         exact_values=exact,
         checks=checks,
-        wall_time=time.perf_counter() - start,
     )
 
 
 def verify_prop_027() -> VerificationReport:
     """m=8 bound at p=0.426: binomial part, expectation, and Markov step."""
-    start = time.perf_counter()
     p = Fraction(213, 500)
     threshold = Fraction(27, 100)
     bm = binmax(8, p)
@@ -277,19 +260,17 @@ def verify_prop_027() -> VerificationReport:
         exact_values={"binmax8": bm, "expectation": expectation, "markov": markov},
         threshold=threshold,
         checks=checks,
-        wall_time=time.perf_counter() - start,
     )
 
 
-def verify_table(workers: int = 1, grid: Sequence[Fraction] | None = None) -> tuple[VerificationReport, list[dict]]:
+def verify_table(workers: int = 1) -> tuple[VerificationReport, list[dict]]:
     """Reproduce the m=2..5 reference table (counts, optimal p, bounds)."""
-    start = time.perf_counter()
     checks = []
     exact: dict[str, Fraction] = {}
     rows: list[dict] = []
     for m, (ref_count, ref_p, ref_bound) in TABLE_REFERENCE.items():
         family = enumerate_gm(m, workers)
-        p_star, bound = optimize_p(m, grid=grid, ell_min=2, family=family)
+        p_star, bound = optimize_p(m, workers=workers)
         exact[f"bound_m{m}"] = bound
         exact[f"p_star_m{m}"] = p_star
         checks.append(check(f"count_m{m}", Fraction(family.count), "==", Fraction(ref_count)))
@@ -309,7 +290,6 @@ def verify_table(workers: int = 1, grid: Sequence[Fraction] | None = None) -> tu
         inputs={"m_range": "2..5", "grid": "i/300, i=1..299", "ell_min": 2},
         exact_values=exact,
         checks=checks,
-        wall_time=time.perf_counter() - start,
     )
     return report, rows
 
@@ -329,7 +309,6 @@ def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
     scan up to m=64), the two combined 0.725 comparisons, and the two-layer
     0.713 comparisons for the complete-multipartite case.
     """
-    start = time.perf_counter()
     p = as_probability(p)
     b = Fraction(19, 40)
     target = Fraction(29, 40)
@@ -367,7 +346,6 @@ def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
         },
         threshold=target,
         checks=checks,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -423,7 +401,6 @@ def verify_star_search(
     p=Fraction(97, 250),
     cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> VerificationReport:
-    start = time.perf_counter()
     target = Fraction(29, 40)
     ells = sorted({int(e) for e in ell_values})
     best, witness = star_zero_probability_search(max_vars, ells, p, cap)
@@ -439,7 +416,6 @@ def verify_star_search(
             "prob": format_rational(witness.prob),
         },
         checks=[check("max_zero_probability", best, "<", target)],
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -651,13 +627,13 @@ def _random_unit_form(rng: random.Random, max_vars: int = 8) -> GPolynomial:
     return GPolynomial.from_sets(s, linear, edges)
 
 
-def suite_reduction_spot(seed: int, count: int, families: Mapping[int, GmFamily] | None = None) -> int:
+def suite_reduction_spot(seed: int, count: int) -> int:
     """Random members of the unrestricted 0/1 family against reduction bounds."""
     rng = random.Random(seed)
     ps = (Fraction(1, 3), Fraction(1, 2))
     bounds = {}
     for m in (2, 3, 4, 5):
-        rows = _value_rows(_family_for(m, 1, families.get(m) if families else None, 1), 1)
+        rows = _value_rows(enumerate_gm(m), 1)
         for p in ps:
             bounds[(m, p)] = _bound_at(m, p, rows)
     violations = 0
@@ -687,7 +663,6 @@ DEFAULT_SUITE_SEED = 20240801
 
 def verify_lemmas(seed: int = DEFAULT_SUITE_SEED) -> VerificationReport:
     """Seeded randomized batteries for the supporting finite oracles."""
-    start = time.perf_counter()
     checks = []
     for name, runner in LEMMA_SUITES.items():
         violations = runner(seed)
@@ -696,5 +671,4 @@ def verify_lemmas(seed: int = DEFAULT_SUITE_SEED) -> VerificationReport:
         name="lemmas",
         inputs={"seed": seed},
         checks=checks,
-        wall_time=time.perf_counter() - start,
     )

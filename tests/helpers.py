@@ -9,7 +9,7 @@ import mpmath
 from edgestat.constructions import HostGraph
 from edgestat.dist import ValueDist, as_probability
 from edgestat.errors import InputError
-from edgestat.gm import _skeletons
+from edgestat.gm import _bounded_degree_graphs, _sorted_columns
 from edgestat.poly import (
     CanonicalKey,
     GPolynomial,
@@ -246,6 +246,16 @@ def reduction_bound_unpruned(family, profiles, p, ell_min):
     return bound, gm_part, None, None
 
 
+def skeletons(m, t, q):
+    """Edge lists of the branch's skeletons: attachment columns plus a
+    bounded-degree graph on the quadratic-only vertices, no edge inside L."""
+    qq_graphs = _bounded_degree_graphs(q, m - 1 - t)
+    for cols in _sorted_columns(t, q, m - t):
+        base = [(r, t + ci) for ci, mask in enumerate(cols) for r in range(t) if mask >> r & 1]
+        for qq in qq_graphs:
+            yield base + [(t + a, t + b) for a, b in qq]
+
+
 def uncut_codes(m, t, q):
     """Oracle for the generator's order cuts: the canonical codes of every
     skeleton of branch ``(t, q)`` completed by every edge set inside ``L``."""
@@ -255,4 +265,4 @@ def uncut_codes(m, t, q):
         for ll_mask in range(1 << len(ll_pairs))
     ]
     lmask = (1 << t) - 1
-    return {canonical_code(t + q, lmask, skeleton + ll) for skeleton in _skeletons(m, t, q) for ll in ll_sets}
+    return {canonical_code(t + q, lmask, skeleton + ll) for skeleton in skeletons(m, t, q) for ll in ll_sets}

@@ -192,9 +192,11 @@ def test_criterion_08_poisson_limit_emergence(capsys):
 
 def test_criterion_09_property_suites_at_scale(capsys):
     failures: list[str] = []
+    start = time.perf_counter()
     report = verify_lemmas()
+    runtime = time.perf_counter() - start
     _check(failures, "all_suites_present", len(report.checks) == len(LEMMA_SUITES) == 7)
     for record in report.checks:
         _check(failures, record.name, record.ok)
-    _check(failures, "runtime", report.wall_time < 300.0)
+    _check(failures, "runtime", runtime < 300.0)
     _conclude(capsys, 9, "zero violations across all seven property suites at full scale", failures)

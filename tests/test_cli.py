@@ -23,6 +23,11 @@ def _clean_env(monkeypatch):
     monkeypatch.delenv("EDGESTAT_WORKERS", raising=False)
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _strip_wall_time(obj):
     if isinstance(obj, dict):
         return {k: _strip_wall_time(v) for k, v in obj.items() if k != "wall_time"}
@@ -190,10 +195,18 @@ def test_verify_table_csv(tmp_path, capsys):
 
 
 def test_verify_choices_are_the_registry():
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    target = next(a for a in sub.choices["verify"]._actions if a.dest == "target")
+    target = next(a for a in _subcommands()["verify"]._actions if a.dest == "target")
     assert tuple(target.choices) == tuple(CERTIFICATES) + ("all",)
+
+
+@pytest.mark.parametrize("target", [name for name in CERTIFICATES if name != "table"])
+def test_verify_csv_needs_the_table(target, tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    assert main(["verify", target, "--csv", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any certificate ran
+    assert "error:" in err and "--csv" in err
+    assert not path.exists()
 
 
 def test_registry_order_is_the_golden_report_order():
@@ -294,8 +307,52 @@ def test_construct_bipartite_rejects_oversized_a(capsys):
 
 
 # ---------------------------------------------------------------------------
-# workers / env / caps
+# flags / workers / env / caps
 # ---------------------------------------------------------------------------
+
+#: The option strings of each subcommand: every flag is one its handler reads.
+SUBCOMMAND_OPTIONS = {
+    "enumerate": {"--m", "--per-s", "--json", "--csv", "--workers"},
+    "verify": {"--json", "--csv", "--workers", "--assignment-cap", "--subset-cap"},
+    "dist": {"--poly", "--p", "--slice", "--ell", "--json", "--assignment-cap", "--subset-cap"},
+    "construct": {"--family", "--a", "--k", "--ell", "--n", "--json", "--subset-cap"},
+    "reproduce": {"--json", "--csv", "--workers", "--assignment-cap", "--subset-cap"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    got = {
+        name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, p in _subcommands().items()
+    }
+    assert got == SUBCOMMAND_OPTIONS
+
+
+_BASE_ARGV = {
+    "enumerate": ["enumerate", "--m", "2"],
+    "dist": ["dist", "--poly", "x1", "--p", "1/2"],
+    "construct": ["construct", "--family", "cliques", "--k", "40", "--ell", "6"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("enumerate", "--assignment-cap"),
+        ("enumerate", "--subset-cap"),
+        ("dist", "--csv"),
+        ("dist", "--workers"),
+        ("construct", "--csv"),
+        ("construct", "--workers"),
+        ("construct", "--assignment-cap"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, tmp_path, capsys):
+    value = str(tmp_path / "out.csv") if flag == "--csv" else "7"
+    assert main(_BASE_ARGV[command] + [flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_env_worker_default_rejected_when_malformed(monkeypatch, capsys):
@@ -322,7 +379,8 @@ def test_zero_workers_rejected(capsys):
 
 def test_reproduce_all_certificates(tmp_path, capsys):
     path = tmp_path / "table.csv"
-    assert main(["reproduce", "--csv", str(path)]) == 0
+    reports = tmp_path / "reports.json"
+    assert main(["reproduce", "--csv", str(path), "--json", str(reports)]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 9
     assert "CERTIFICATE FAILURE" not in out
@@ -330,6 +388,10 @@ def test_reproduce_all_certificates(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == "m,count,p_star,bound_exact,bound_decimal"
     assert lines[4] == "5,1653,1/3,80/243,0.3292181070"
+    # The runner times every certificate, cheap ones included.
+    payload = json.loads(reports.read_text())
+    assert [r["name"] for r in payload["reports"]] == list(CERTIFICATES)
+    assert all(r["wall_time"] > 0 for r in payload["reports"])
 
 
 def test_reproduce_respects_subset_cap(capsys):

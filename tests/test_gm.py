@@ -11,14 +11,13 @@ from edgestat.errors import InputError
 from edgestat.gm import (
     MAX_SUPPORTED_M,
     _enumerate_branch,
-    _skeletons,
     enumerate_gm,
     max_structure_stats,
     var_bound,
 )
 from edgestat.poly import GPolynomial, canonical_form, gm_membership
 
-from helpers import canonical_form_unpruned, permute_variables, uncut_codes
+from helpers import canonical_form_unpruned, permute_variables, skeletons, uncut_codes
 
 REFERENCE_COUNTS = {1: 1, 2: 4, 3: 16, 4: 99, 5: 1653}
 
@@ -130,7 +129,7 @@ def test_skeleton_membership_equals_literal_for_every_ll_mask(m):
     for t in range(1, m + 1):
         ll_pairs = list(itertools.combinations(range(t), 2))
         for q in range(t * (m - t) + 1):
-            for skeleton in _skeletons(m, t, q):
+            for skeleton in skeletons(m, t, q):
                 for k in range(1, m + 1):
                     skeleton_ok = gm_membership(GPolynomial.from_sets(t + q, range(t), skeleton), k)
                     for ll_mask in range(1 << len(ll_pairs)):
@@ -146,10 +145,10 @@ def test_skeleton_capacities_equal_literal_membership(m):
     # that the literal test accepts at m.
     for t in range(1, m + 1):
         for q in range(t * (m + 1 - t) + 1):
-            emitted = {tuple(sk) for sk in _skeletons(m, t, q)}
+            emitted = {tuple(sk) for sk in skeletons(m, t, q)}
             accepted = {
                 tuple(sk)
-                for sk in _skeletons(m + 1, t, q)
+                for sk in skeletons(m + 1, t, q)
                 if gm_membership(GPolynomial.from_sets(t + q, range(t), sk), m)
             }
             assert emitted == accepted, (m, t, q)
@@ -178,7 +177,7 @@ def test_search_count_is_the_same_for_every_worker_count(monkeypatch):
 def test_every_m5_skeleton_is_a_member():
     for t in range(1, 6):
         for q in range(t * (5 - t) + 1):
-            for sk in _skeletons(5, t, q):
+            for sk in skeletons(5, t, q):
                 assert gm_membership(GPolynomial.from_sets(t + q, range(t), sk), 5), (t, q, sk)
 
 

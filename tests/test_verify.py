@@ -115,7 +115,7 @@ def test_reduction_bound_matches_direct_distribution_scan():
         for value, prob in dist.probs.items():
             if value >= 1:
                 best = max(best, prob)
-    rb = reduction_bound(3, p, 1, family)
+    rb = reduction_bound(3, p, 1)
     assert rb.gm_part == best
     assert rb.bound == max(binmax(3, p), best)
 
@@ -127,8 +127,6 @@ def test_reduction_bound_input_validation():
         reduction_bound(3, Fraction(1), 1)
     with pytest.raises(InputError):
         reduction_bound(3, Fraction(1, 2), 0)
-    with pytest.raises(InputError):
-        reduction_bound(3, Fraction(1, 2), 1, family=enumerate_gm(2))
 
 
 def test_optimize_p_tie_breaks_to_larger_p():
@@ -149,7 +147,7 @@ def test_reduction_bound_equals_unpruned_oracle():
         profiles = member_profiles(family)
         for ell_min in (1, 2):
             for p in ps:
-                rb = reduction_bound(m, p, ell_min, family)
+                rb = reduction_bound(m, p, ell_min)
                 got = (rb.bound, rb.gm_part, rb.witness_key, rb.witness_ell)
                 assert got == reduction_bound_unpruned(family, profiles, p, ell_min), (m, p, ell_min)
 
@@ -162,7 +160,7 @@ def test_optimize_p_equals_unpruned_argmin():
         bounds = {p: reduction_bound_unpruned(family, profiles, p, 2)[0] for p in grid}
         least = min(bounds.values())
         p_star = max(p for p, bound in bounds.items() if bound == least)
-        assert optimize_p(m, family=family) == (p_star, least)
+        assert optimize_p(m) == (p_star, least)
 
 
 def test_value_rows_are_built_once_per_family_and_ell_min():
