@@ -37,7 +37,7 @@ from .dist import (
     tv_distance,
 )
 from .errors import InputError, ResourceLimitError
-from .gm import GmFamily, StructureStats, enumerate_gm, max_structure_stats, var_bound
+from .gm import GmFamily, enumerate_gm, var_bound
 from .poly import (
     CanonicalKey,
     GPolynomial,

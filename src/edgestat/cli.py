@@ -33,7 +33,7 @@ from .dist import (
     slice_value_dist,
 )
 from .errors import InputError, ResourceLimitError
-from .gm import enumerate_gm, max_structure_stats
+from .gm import enumerate_gm
 from .poly import DEFAULT_ASSIGNMENT_CAP, format_poly, parse_poly
 from .report import VerificationReport
 from .verify import (
@@ -47,19 +47,17 @@ from .verify import (
 )
 
 
-def _check_flags(args: argparse.Namespace) -> None:
-    """Resolve the worker default and reject non-positive counts before any work runs."""
-    flags = vars(args)
-    if flags.get("workers", 1) is None:
-        raw = os.environ.get("EDGESTAT_WORKERS", "1")
-        try:
-            args.workers = int(raw)
-        except ValueError:
-            raise InputError(f"EDGESTAT_WORKERS must be an integer, got {raw!r}")
-    if flags.get("workers", 1) < 1:
-        raise InputError("workers must be >= 1")
-    if flags.get("assignment_cap", 1) < 1 or flags.get("subset_cap", 1) < 1:
-        raise InputError("caps must be positive")
+def _positive(text: str) -> int:
+    """The type of ``--workers``, ``--assignment-cap`` and ``--subset-cap``: an
+    integer >= 1.  argparse also passes the ``--workers`` default through it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        source = " (from EDGESTAT_WORKERS)" if text == os.environ.get("EDGESTAT_WORKERS") else ""
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}{source}")
+    return value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -80,26 +78,20 @@ def _print_status(report: VerificationReport) -> None:
     print(f"[{status}] {report.name:<18} ({report.wall_time:.2f}s)")
 
 
-def _reports_json(reports: list[VerificationReport]) -> str:
-    payload = {"passed": all(r.passed for r in reports), "reports": [r.to_json() for r in reports]}
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _cmd_enumerate(args) -> int:
+    start = time.perf_counter()
     family = enumerate_gm(args.m, args.workers)
-    stats = max_structure_stats(family)
-    print("m,count,max_vars,wall_time")
-    print(f"{family.m},{family.count},{stats.max_num_vars},{family.wall_time:.2f}")
+    summary = (
+        "m,count,max_vars,wall_time\n"
+        f"{family.m},{family.count},{max(family.per_s_counts)},{time.perf_counter() - start:.2f}\n"
+    )
+    print(summary, end="")
     if args.per_s:
         print("s,count")
         for s in sorted(family.per_s_counts):
             print(f"{s},{family.per_s_counts[s]}")
     if args.csv_path:
-        _write_text(
-            args.csv_path,
-            "m,count,max_vars,wall_time\n"
-            f"{family.m},{family.count},{stats.max_num_vars},{family.wall_time:.2f}\n",
-        )
+        _write_text(args.csv_path, summary)
     if args.json_path:
         lines = []
         for key, g in zip(family.keys, family.members):
@@ -131,17 +123,18 @@ def _run_table(args) -> VerificationReport:
     return report
 
 
-#: Every certificate, in the order ``reproduce`` and ``verify all`` run them.
-CERTIFICATES: dict[str, Callable[[argparse.Namespace], VerificationReport]] = {
-    "counts": lambda args: verify_counts(args.workers),
-    "prop033": lambda args: verify_prop_033(args.workers),
-    "table": _run_table,
-    "prop027": lambda args: verify_prop_027(),
-    "better34": lambda args: check_better34_inequalities(),
-    "star_search": lambda args: verify_star_search(cap=args.assignment_cap),
-    "goodman": lambda args: verify_goodman(args.subset_cap),
-    "poisson_emergence": lambda args: verify_poisson_emergence(),
-    "lemmas": lambda args: verify_lemmas(),
+#: Every certificate, in the order ``reproduce`` runs them, with the flags its
+#: runner reads; ``verify NAME`` takes those flags and ``--json``.
+CERTIFICATES: dict[str, tuple[Callable[[argparse.Namespace], VerificationReport], tuple[str, ...]]] = {
+    "counts": (lambda args: verify_counts(args.workers), ("--workers",)),
+    "prop033": (lambda args: verify_prop_033(args.workers), ("--workers",)),
+    "table": (_run_table, ("--workers", "--csv")),
+    "prop027": (lambda args: verify_prop_027(), ()),
+    "better34": (lambda args: check_better34_inequalities(), ()),
+    "star_search": (lambda args: verify_star_search(cap=args.assignment_cap), ("--assignment-cap",)),
+    "goodman": (lambda args: verify_goodman(args.subset_cap), ("--subset-cap",)),
+    "poisson_emergence": (lambda args: verify_poisson_emergence(), ()),
+    "lemmas": (lambda args: verify_lemmas(), ()),
 }
 
 
@@ -152,7 +145,7 @@ def _run_certificates(
     reports = []
     for name in names:
         start = time.perf_counter()
-        report = CERTIFICATES[name](args)
+        report = CERTIFICATES[name][0](args)
         report.wall_time = time.perf_counter() - start
         show(report)
         reports.append(report)
@@ -160,14 +153,10 @@ def _run_certificates(
 
 
 def _cmd_verify(args) -> int:
-    if args.csv_path and args.target not in ("table", "all"):
-        raise InputError(f"--csv writes the table rows; verify {args.target} has none")
-    names = CERTIFICATES if args.target == "all" else (args.target,)
-    reports = _run_certificates(names, args, _print_report)
+    (report,) = _run_certificates((args.target,), args, _print_report)
     if args.json_path:
-        text = _reports_json(reports) if args.target == "all" else reports[0].to_json_str()
-        _write_text(args.json_path, text + "\n")
-    return 0 if all(r.passed for r in reports) else 1
+        _write_text(args.json_path, report.to_json_str() + "\n")
+    return 0 if report.passed else 1
 
 
 def _cmd_dist(args) -> int:
@@ -246,7 +235,8 @@ def _cmd_reproduce(args) -> int:
     passed = all(r.passed for r in reports)
     print(f"{'all certificates pass' if passed else 'CERTIFICATE FAILURE'}")
     if args.json_path:
-        _write_text(args.json_path, _reports_json(reports) + "\n")
+        payload = {"passed": passed, "reports": [r.to_json() for r in reports]}
+        _write_text(args.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if passed else 1
 
 
@@ -260,31 +250,35 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "--json": {"dest": "json_path", "metavar": "PATH", "help": "write JSON output here"},
         "--csv": {"dest": "csv_path", "metavar": "PATH", "help": "write CSV output here"},
-        "--workers": {"type": int, "default": None, "help": "worker process count"},
-        "--assignment-cap": {"type": int, "default": DEFAULT_ASSIGNMENT_CAP,
+        "--workers": {"type": _positive, "default": os.environ.get("EDGESTAT_WORKERS", "1"),
+                      "help": "worker process count (default: EDGESTAT_WORKERS, else 1)"},
+        "--assignment-cap": {"type": _positive, "default": DEFAULT_ASSIGNMENT_CAP,
                              "help": "max full assignments to enumerate"},
-        "--subset-cap": {"type": int, "default": DEFAULT_SUBSET_CAP, "help": "max k-subsets to enumerate"},
+        "--subset-cap": {"type": _positive, "default": DEFAULT_SUBSET_CAP, "help": "max k-subsets to enumerate"},
     }
 
-    def add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    def finish(p: argparse.ArgumentParser, handler: Callable[[argparse.Namespace], int], *names: str) -> None:
+        """Give the leaf parser ``p`` the shared flags it reads, its handler and its usage errors."""
         for name in names:
             p.add_argument(name, **flags[name])
+        p.set_defaults(handler=handler, error=p.error)
 
     p_enum = sub.add_parser("enumerate", help="enumerate a reduced polynomial family")
     p_enum.add_argument("--m", type=int, required=True, help="family threshold")
     p_enum.add_argument("--per-s", action="store_true", help="also print counts by variable count")
-    add_flags(p_enum, "--json", "--csv", "--workers")
+    finish(p_enum, _cmd_enumerate, "--json", "--csv", "--workers")
 
     p_verify = sub.add_parser("verify", help="run a named certificate")
-    p_verify.add_argument("target", choices=tuple(CERTIFICATES) + ("all",))
-    add_flags(p_verify, *flags)
+    targets = p_verify.add_subparsers(dest="target", required=True)
+    for name, (_, reads) in CERTIFICATES.items():
+        finish(targets.add_parser(name), _cmd_verify, "--json", *reads)
 
     p_dist = sub.add_parser("dist", help="exact value distribution of a polynomial")
     p_dist.add_argument("--poly", required=True, help='expression such as "x1+x2+x1*x2"')
     p_dist.add_argument("--p", help="Bernoulli parameter (rational or decimal string)")
     p_dist.add_argument("--slice", help="uniform k-subset model as N,K")
     p_dist.add_argument("--ell", type=int, default=None, help="print only the mass at this value")
-    add_flags(p_dist, "--json", "--assignment-cap", "--subset-cap")
+    finish(p_dist, _cmd_dist, "--json", "--assignment-cap", "--subset-cap")
 
     p_con = sub.add_parser("construct", help="host-graph family probabilities")
     p_con.add_argument("--family", required=True, choices=("bipartite", "cliques", "bipartite-plus-clique"))
@@ -292,30 +286,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--k", type=int, required=True, help="subset size")
     p_con.add_argument("--ell", type=int, required=True, help="induced edge count")
     p_con.add_argument("--n", type=int, default=None, help="also evaluate a concrete n-vertex host")
-    add_flags(p_con, "--json", "--subset-cap")
+    finish(p_con, _cmd_construct, "--json", "--subset-cap")
 
     p_rep = sub.add_parser("reproduce", help="run every certificate in order")
-    add_flags(p_rep, *flags)
+    finish(p_rep, _cmd_reproduce, *flags)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            args.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_flags(args)
-        handler = {
-            "enumerate": _cmd_enumerate,
-            "verify": _cmd_verify,
-            "dist": _cmd_dist,
-            "construct": _cmd_construct,
-            "reproduce": _cmd_reproduce,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .dist import EXP_BITS, SliceSpec, ValueDist, as_probability, exp_enclosure, format_rational, slice_value_dist
+from .dist import DEFAULT_SUBSET_CAP, SliceSpec, ValueDist, as_probability, poisson_peak_lower, slice_value_dist
 from .errors import InputError, ResourceLimitError
 from .poly import MultilinearPoly
 from .report import VerificationReport, check
@@ -169,7 +169,7 @@ def edge_polynomial(host: HostGraph) -> MultilinearPoly:
     return MultilinearPoly(host.n, 0, {}, {e: 1 for e in sorted(host.edges)})
 
 
-def edge_count_dist(host: HostGraph, k: int, cap: int = 10**7) -> ValueDist:
+def edge_count_dist(host: HostGraph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> ValueDist:
     """Exact induced-edge-count distribution over uniform k-subsets."""
     return slice_value_dist(edge_polynomial(host), SliceSpec(host.n, k), cap)
 
@@ -277,7 +277,7 @@ class MonotonicityScan:
 
 
 def monotonicity_scan(
-    family: PartFamily, k: int, ell: int, n_list: Iterable[int], cap: int = 10**7
+    family: PartFamily, k: int, ell: int, n_list: Iterable[int], cap: int = DEFAULT_SUBSET_CAP
 ) -> MonotonicityScan:
     """Pr[k-subset induces ell edges] for each n, flagged for whether the
     distance to the limit shrinks along the list (observed, not a theorem)."""
@@ -295,7 +295,7 @@ def poisson_reference(a: int) -> float:
     """a^a / (e^a a!), the Poisson(a) point mass at a: the double nearest its enclosure's lower end."""
     if not 0 <= a <= 10**4:
         raise InputError("need 0 <= a <= 10**4")
-    return (a**a << EXP_BITS) / (exp_enclosure(a)[1] * math.factorial(a))
+    return float(poisson_peak_lower(a))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def poisson_reference(a: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def verify_goodman(subset_cap: int = 10**7) -> VerificationReport:
+def verify_goodman(subset_cap: int = DEFAULT_SUBSET_CAP) -> VerificationReport:
     """Two disjoint half cliques: exact values at n = 12, 24, 48 and the
     exact 3/4 limit for one induced edge among three chosen vertices."""
     family = clique_union_family((3, 3), 6)

@@ -201,6 +201,12 @@ def exp_enclosure(x) -> tuple[int, int]:
     return lo, hi + term_hi
 
 
+def poisson_peak_lower(a: int) -> Fraction:
+    """a^a / (e^a a!), the Poisson(a) point mass at a, from below: the upper
+    end of e^a's enclosure in the denominator."""
+    return Fraction(a**a << EXP_BITS, exp_enclosure(a)[1] * math.factorial(a))
+
+
 def poisson_tv_check(n: int, p) -> tuple[float, bool]:
     """An upper bound on d_TV(Binomial(n, p), Poisson(np)), rounded to float,
     and whether it meets ``tv <= p``.  Masses are integers over

@@ -56,7 +56,6 @@ count.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -93,7 +92,6 @@ class GmFamily:
     members: list[GPolynomial]
     keys: list[CanonicalKey]
     per_s_counts: dict[int, int]
-    wall_time: float = 0.0
     searches: int = 0
     value_rows: dict[int, list] = field(default_factory=dict, repr=False, compare=False)
 
@@ -105,13 +103,6 @@ class GmFamily:
     def profiles(self) -> list[dict[int, dict[int, int]]]:
         """``value_weight_counts`` of every member, in member order."""
         return [value_weight_counts(g.poly) for g in self.members]
-
-
-@dataclass
-class StructureStats:
-    max_num_vars: int
-    max_linear_terms: int
-    max_quad_degree: int
 
 
 def _sorted_columns(t: int, q: int, cap_row: int) -> list[tuple[int, ...]]:
@@ -214,7 +205,6 @@ def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
         raise InputError("workers must be >= 1")
     if m in _CACHE:
         return _CACHE[m]
-    start = time.perf_counter()
     branches = [(m, t, q) for t in range(1, m + 1) for q in range(t * (m - t) + 1)]
     if workers == 1:
         parts = [_enumerate_branch(branch) for branch in branches]
@@ -231,23 +221,6 @@ def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
     per_s: dict[int, int] = {}
     for g in members:
         per_s[g.num_vars] = per_s.get(g.num_vars, 0) + 1
-    family = GmFamily(m, members, keys, dict(sorted(per_s.items())), time.perf_counter() - start, searches)
+    family = GmFamily(m, members, keys, dict(sorted(per_s.items())), searches)
     _CACHE[m] = family
     return family
-
-
-def max_structure_stats(family: GmFamily) -> StructureStats:
-    """Extremes over the family: variable count, |L|, and quadratic degree."""
-    max_vars = 0
-    max_lin = 0
-    max_deg = 0
-    for g in family.members:
-        max_vars = max(max_vars, g.num_vars)
-        max_lin = max(max_lin, len(g.linear_indices))
-        deg: dict[int, int] = {}
-        for a, b in g.edge_pairs:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        if deg:
-            max_deg = max(max_deg, max(deg.values()))
-    return StructureStats(max_vars, max_lin, max_deg)

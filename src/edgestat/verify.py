@@ -20,16 +20,15 @@ from operator import le, mul
 from typing import Iterable, Mapping, Sequence
 
 from .dist import (
-    EXP_BITS,
     SliceSpec,
     as_probability,
     bernoulli_value_dist,
     binmax,
     binmaxplus,
     binomial_numerators,
-    exp_enclosure,
     format_rational,
     point_probability,
+    poisson_peak_lower,
     poisson_tv_check,
     product_slice_tv,
     weight_scale,
@@ -470,11 +469,7 @@ def antichain_expectation_check(
         (w * p ** len(a) * (1 - p) ** (ground_size - len(a)) for a, w in support),
         Fraction(0),
     )
-    rhs = p + max(
-        (w * Fraction(len(a) ** len(a) << EXP_BITS, exp_enclosure(len(a))[1] * math.factorial(len(a)))
-         for a, w in support),
-        default=0,
-    )
+    rhs = p + max((w * poisson_peak_lower(len(a)) for a, w in support), default=0)
     return lhs, float(rhs), lhs <= rhs
 
 

@@ -220,6 +220,23 @@ def member_profiles(family):
     return [value_weight_counts(g.poly) for g in family.members]
 
 
+def max_structure_stats(family):
+    """Extremes over the family: ``(variable count, |L|, quadratic degree)``."""
+    max_vars = 0
+    max_lin = 0
+    max_deg = 0
+    for g in family.members:
+        max_vars = max(max_vars, g.num_vars)
+        max_lin = max(max_lin, len(g.linear_indices))
+        deg: dict[int, int] = {}
+        for a, b in g.edge_pairs:
+            deg[a] = deg.get(a, 0) + 1
+            deg[b] = deg.get(b, 0) + 1
+        if deg:
+            max_deg = max(max_deg, max(deg.values()))
+    return max_vars, max_lin, max_deg
+
+
 def reduction_bound_unpruned(family, profiles, p, ell_min):
     """Oracle for ``reduction_bound``: a Fraction loop over every value of
     every member, with no pruning.

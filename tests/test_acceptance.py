@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+from edgestat import gm
 from edgestat.constructions import (
     build_host,
     clique_union_family,
@@ -51,14 +52,17 @@ def _check(failures: list[str], name: str, ok: bool) -> None:
         failures.append(name)
 
 
-def test_criterion_01_family_counts_and_runtime(capsys):
+def test_criterion_01_family_counts_and_runtime(capsys, monkeypatch):
     failures: list[str] = []
     expected = {2: 4, 3: 16, 4: 99, 5: 1653}
+    monkeypatch.setattr(gm, "_CACHE", {})  # time cold enumerations, not cache hits
     for m, count in expected.items():
+        start = time.perf_counter()
         family = enumerate_gm(m, workers=1)
+        elapsed = time.perf_counter() - start
         _check(failures, f"count_m{m}", family.count == count)
         budget = 1.0 if m <= 4 else 10.0
-        _check(failures, f"runtime_m{m}", family.wall_time < budget)
+        _check(failures, f"runtime_m{m}", elapsed < budget)
     _conclude(capsys, 1, "permutation-class counts 4, 16, 99, 1653 for m = 2..5", failures)
 
 

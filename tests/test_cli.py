@@ -23,8 +23,8 @@ def _clean_env(monkeypatch):
     monkeypatch.delenv("EDGESTAT_WORKERS", raising=False)
 
 
-def _subcommands() -> dict[str, argparse.ArgumentParser]:
-    parser = build_parser()
+def _subcommands(parser=None) -> dict[str, argparse.ArgumentParser]:
+    parser = parser or build_parser()
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
@@ -194,9 +194,11 @@ def test_verify_table_csv(tmp_path, capsys):
     assert lines[4] == "5,1653,1/3,80/243,0.3292181070"
 
 
-def test_verify_choices_are_the_registry():
+def test_verify_choices_are_the_registry(capsys):
     target = next(a for a in _subcommands()["verify"]._actions if a.dest == "target")
-    assert tuple(target.choices) == tuple(CERTIFICATES) + ("all",)
+    assert tuple(target.choices) == tuple(CERTIFICATES)
+    assert main(["verify", "all"]) == 2  # reproduce runs them all
+    assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", [name for name in CERTIFICATES if name != "table"])
@@ -310,10 +312,18 @@ def test_construct_bipartite_rejects_oversized_a(capsys):
 # flags / workers / env / caps
 # ---------------------------------------------------------------------------
 
-#: The option strings of each subcommand: every flag is one its handler reads.
+#: The option strings of each leaf command: every flag is one its handler reads.
 SUBCOMMAND_OPTIONS = {
     "enumerate": {"--m", "--per-s", "--json", "--csv", "--workers"},
-    "verify": {"--json", "--csv", "--workers", "--assignment-cap", "--subset-cap"},
+    "verify counts": {"--json", "--workers"},
+    "verify prop033": {"--json", "--workers"},
+    "verify table": {"--json", "--workers", "--csv"},
+    "verify prop027": {"--json"},
+    "verify better34": {"--json"},
+    "verify star_search": {"--json", "--assignment-cap"},
+    "verify goodman": {"--json", "--subset-cap"},
+    "verify poisson_emergence": {"--json"},
+    "verify lemmas": {"--json"},
     "dist": {"--poly", "--p", "--slice", "--ell", "--json", "--assignment-cap", "--subset-cap"},
     "construct": {"--family", "--a", "--k", "--ell", "--n", "--json", "--subset-cap"},
     "reproduce": {"--json", "--csv", "--workers", "--assignment-cap", "--subset-cap"},
@@ -321,9 +331,15 @@ SUBCOMMAND_OPTIONS = {
 
 
 def test_each_subcommand_declares_only_the_flags_it_reads():
+    leaves = {}
+    for name, p in _subcommands().items():
+        if name == "verify":
+            leaves.update({f"verify {target}": leaf for target, leaf in _subcommands(p).items()})
+        else:
+            leaves[name] = p
     got = {
         name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
-        for name, p in _subcommands().items()
+        for name, p in leaves.items()
     }
     assert got == SUBCOMMAND_OPTIONS
 
@@ -332,6 +348,10 @@ _BASE_ARGV = {
     "enumerate": ["enumerate", "--m", "2"],
     "dist": ["dist", "--poly", "x1", "--p", "1/2"],
     "construct": ["construct", "--family", "cliques", "--k", "40", "--ell", "6"],
+    "verify better34": ["verify", "better34"],
+    "verify prop027": ["verify", "prop027"],
+    "verify counts": ["verify", "counts"],
+    "verify lemmas": ["verify", "lemmas"],
 }
 
 
@@ -345,6 +365,10 @@ _BASE_ARGV = {
         ("construct", "--csv"),
         ("construct", "--workers"),
         ("construct", "--assignment-cap"),
+        ("verify better34", "--workers"),
+        ("verify prop027", "--subset-cap"),
+        ("verify counts", "--assignment-cap"),
+        ("verify lemmas", "--csv"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, tmp_path, capsys):
@@ -352,7 +376,15 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, tmp_pa
     assert main(_BASE_ARGV[command] + [flag, value]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments" in err
+    assert f"usage: edgestat {command}" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--assignment-cap", "--subset-cap"])
+def test_non_positive_counts_rejected_before_any_output(flag, capsys):
+    assert main(["reproduce", flag, "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and flag in err
 
 
 def test_env_worker_default_rejected_when_malformed(monkeypatch, capsys):

@@ -12,12 +12,11 @@ from edgestat.gm import (
     MAX_SUPPORTED_M,
     _enumerate_branch,
     enumerate_gm,
-    max_structure_stats,
     var_bound,
 )
 from edgestat.poly import GPolynomial, canonical_form, gm_membership
 
-from helpers import canonical_form_unpruned, permute_variables, skeletons, uncut_codes
+from helpers import canonical_form_unpruned, max_structure_stats, permute_variables, skeletons, uncut_codes
 
 REFERENCE_COUNTS = {1: 1, 2: 4, 3: 16, 4: 99, 5: 1653}
 
@@ -217,10 +216,10 @@ def test_family_cache_serves_every_worker_count():
 
 def test_structure_stats_hit_their_bounds():
     for m in (2, 3, 4):
-        stats = max_structure_stats(enumerate_gm(m))
-        assert stats.max_num_vars == var_bound(m)
-        assert stats.max_linear_terms == m
-        assert stats.max_quad_degree == m - 1
+        max_num_vars, max_linear_terms, max_quad_degree = max_structure_stats(enumerate_gm(m))
+        assert max_num_vars == var_bound(m)
+        assert max_linear_terms == m
+        assert max_quad_degree == m - 1
 
 
 def test_input_validation():
