@@ -29,7 +29,6 @@ from .dist import (
     binmaxplus,
     exp_enclosure,
     format_rational,
-    parse_rational,
     point_probability,
     poisson_tv_check,
     product_slice_tv,
@@ -47,7 +46,6 @@ from .poly import (
     format_poly,
     gm_membership,
     parse_poly,
-    poly_from_json,
     poly_to_json,
     substitute,
     value_weight_counts,

@@ -16,9 +16,7 @@ from typing import Callable, Iterable
 
 from .constructions import (
     bipartite_family,
-    build_host,
     clique_decomposition_bound,
-    edge_count_dist,
     limit_probability,
     poisson_reference,
     verify_goodman,
@@ -27,9 +25,9 @@ from .constructions import (
 from .dist import (
     DEFAULT_SUBSET_CAP,
     SliceSpec,
+    as_rational,
     bernoulli_value_dist,
     format_rational,
-    parse_rational,
     slice_value_dist,
 )
 from .errors import InputError, ResourceLimitError
@@ -48,8 +46,9 @@ from .verify import (
 
 
 def _positive(text: str) -> int:
-    """The type of ``--workers``, ``--assignment-cap`` and ``--subset-cap``: an
-    integer >= 1.  argparse also passes the ``--workers`` default through it."""
+    """The type of ``--workers``, ``--assignment-cap`` and ``dist``'s
+    ``--subset-cap``: an integer >= 1.  argparse also passes the ``--workers``
+    default through it."""
     try:
         value = int(text)
     except ValueError:
@@ -132,7 +131,7 @@ CERTIFICATES: dict[str, tuple[Callable[[argparse.Namespace], VerificationReport]
     "prop027": (lambda args: verify_prop_027(), ()),
     "better34": (lambda args: check_better34_inequalities(), ()),
     "star_search": (lambda args: verify_star_search(cap=args.assignment_cap), ("--assignment-cap",)),
-    "goodman": (lambda args: verify_goodman(args.subset_cap), ("--subset-cap",)),
+    "goodman": (lambda args: verify_goodman(), ()),
     "poisson_emergence": (lambda args: verify_poisson_emergence(), ()),
     "lemmas": (lambda args: verify_lemmas(), ()),
 }
@@ -161,10 +160,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dist(args) -> int:
     f = parse_poly(args.poly)
-    if (args.p is None) == (args.slice is None):
-        raise InputError("exactly one of --p and --slice is required")
     if args.p is not None:
-        dist = bernoulli_value_dist(f, parse_rational(args.p), args.assignment_cap)
+        dist = bernoulli_value_dist(f, as_rational(args.p), args.assignment_cap)
     else:
         try:
             n_text, k_text = args.slice.split(",")
@@ -185,13 +182,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_construct(args) -> int:
     k, ell = args.k, args.ell
-    if args.family in ("bipartite", "bipartite-plus-clique"):
-        if args.a is None:
-            raise InputError(f"--a is required for the {args.family} family")
-        family = bipartite_family(args.a, k, args.family == "bipartite-plus-clique")
-        reference = poisson_reference(args.a)
-        reference_label = f"{args.a}^{args.a}/(e^{args.a} {args.a}!)"
-    elif args.family == "cliques":
+    if args.family == "cliques":
         pieces, product, prob = clique_decomposition_bound(k, ell)
         print(f"family: {','.join(map(str, pieces))}-clique union at k={k}")
         print(f"decomposition: ell={ell} = " + " + ".join(f"C({m},2)" for m in pieces))
@@ -209,20 +200,21 @@ def _cmd_construct(args) -> int:
             }
             _write_text(args.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown family {args.family!r}")
 
+    if args.a is None:
+        args.error(f"--a is required for the {args.family} family")
+    family = bipartite_family(args.a, k, args.family == "bipartite-plus-clique")
+    reference = poisson_reference(args.a)
+    finite = None if args.n is None else limit_probability(family, k, ell, args.n)
+    prob = limit_probability(family, k, ell)
     print(f"family: {family.tag}")
     payload = {"family": family.tag, "k": k, "ell": ell}
-    if args.n is not None:
-        host = build_host(family, args.n)
-        finite = edge_count_dist(host, k, args.subset_cap).prob(ell)
+    if finite is not None:
         print(f"finite n={args.n}: {format_rational(finite)} = {float(finite):.10f}")
         payload["finite_n"] = args.n
         payload["finite"] = format_rational(finite)
-    prob = limit_probability(family, k, ell)
     print(f"limit: {format_rational(prob)} = {float(prob):.10f}")
-    print(f"reference: {reference_label} = {reference:.10f}")
+    print(f"reference: {args.a}^{args.a}/(e^{args.a} {args.a}!) = {reference:.10f}")
     payload["limit"] = format_rational(prob)
     payload["reference"] = reference
     if args.json_path:
@@ -275,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="exact value distribution of a polynomial")
     p_dist.add_argument("--poly", required=True, help='expression such as "x1+x2+x1*x2"')
-    p_dist.add_argument("--p", help="Bernoulli parameter (rational or decimal string)")
-    p_dist.add_argument("--slice", help="uniform k-subset model as N,K")
+    measure = p_dist.add_mutually_exclusive_group(required=True)
+    measure.add_argument("--p", help="Bernoulli parameter (rational or decimal string)")
+    measure.add_argument("--slice", help="uniform k-subset model as N,K")
     p_dist.add_argument("--ell", type=int, default=None, help="print only the mass at this value")
     finish(p_dist, _cmd_dist, "--json", "--assignment-cap", "--subset-cap")
 
@@ -286,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--k", type=int, required=True, help="subset size")
     p_con.add_argument("--ell", type=int, required=True, help="induced edge count")
     p_con.add_argument("--n", type=int, default=None, help="also evaluate a concrete n-vertex host")
-    finish(p_con, _cmd_construct, "--json", "--subset-cap")
+    finish(p_con, _cmd_construct, "--json")
 
     p_rep = sub.add_parser("reproduce", help="run every certificate in order")
-    finish(p_rep, _cmd_reproduce, *flags)
+    read = {name for _, reads in CERTIFICATES.values() for name in reads}
+    finish(p_rep, _cmd_reproduce, *(name for name in flags if name == "--json" or name in read))
 
     return parser
 
@@ -299,10 +293,9 @@ def main(argv=None) -> int:
         args, extra = build_parser().parse_known_args(argv)
         if extra:
             args.error(f"unrecognized arguments: {' '.join(extra)}")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.handler(args)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return int(exc.code or 0)
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

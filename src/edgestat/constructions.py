@@ -3,9 +3,11 @@
 A family is described by part fractions of the vertex set (clique or
 independent inside, complete or empty between pairs); whatever fraction
 remains is an implicit background part with no internal edges.  Finite hosts
-are realized by flooring part sizes; limit probabilities for a uniform
-k-subset are exact multinomial sums, since for fixed k the hypergeometric
-part counts converge to a multinomial draw with the part fractions.
+are realized by flooring part sizes.  The edges a k-subset induces depend
+only on how many of its vertices fall in each part, so
+:func:`limit_probability` makes one walk over part-count vectors for both
+cases and changes only the term: the hypergeometric one on an n-vertex host,
+and in the n -> infinity limit the multinomial one with the part fractions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import InputError, ResourceLimitError
 from .poly import MultilinearPoly
 from .report import VerificationReport, check
 
-#: Guard on the number of explicit part-count vectors a limit sum may visit.
+#: Guard on the number of explicit part-count vectors one walk may visit.
 DEFAULT_VECTOR_CAP = 2 * 10**6
 
 
@@ -44,10 +46,6 @@ class HostGraph:
                 raise InputError(f"edge ({a}, {b}) outside vertex range")
             normalized.add((a, b) if a < b else (b, a))
         object.__setattr__(self, "edges", frozenset(normalized))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -87,14 +85,6 @@ class PartFamily:
     def num_parts(self) -> int:
         """Number of explicit (non-background) parts."""
         return len(self.fractions)
-
-    @property
-    def background_index(self) -> int:
-        return len(self.fractions)
-
-    @property
-    def background_fraction(self) -> Fraction:
-        return 1 - sum(self.fractions, Fraction(0))
 
 
 def bipartite_family(a: int, k: int, with_clique: bool = False) -> PartFamily:
@@ -174,19 +164,34 @@ def edge_count_dist(host: HostGraph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> V
     return slice_value_dist(edge_polynomial(host), SliceSpec(host.n, k), cap)
 
 
-def limit_probability(
-    family: PartFamily, k: int, ell: int, vector_cap: int = DEFAULT_VECTOR_CAP
-) -> Fraction:
-    """Exact n->infinity probability that a uniform k-subset induces ell edges.
+def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None) -> Fraction:
+    """Exact probability that a uniform k-subset induces ell edges: on the
+    n-vertex host when n is given, else in the n -> infinity limit.
 
-    For fixed k the part counts of a uniform k-subset converge to a
-    multinomial draw over the part fractions, so the limit is a finite sum of
-    multinomial terms over count vectors whose induced edge count is ell.
+    The sum runs over the part-count vectors c (background last) whose
+    induced edge count is ell.  With sizes s_i, the floored part sizes, the
+    finite term is prod C(s_i, c_i) over C(n, k).  For fixed k the part
+    counts converge to a multinomial draw, so with part fractions a_i / D the
+    limit term is prod C(rem, c_i) a_i^c_i over D^k, rem counting the slots
+    not yet given to earlier parts.
     """
     if family.num_parts > 6:
         raise InputError("at most 6 explicit parts supported")
     if not 0 <= k <= 10**4:
         raise InputError("need 0 <= k <= 10**4")
+    if n is None:
+        den = math.lcm(*(c.denominator for c in family.fractions))
+        weights = [c.numerator * (den // c.denominator) for c in family.fractions]
+        weights.append(den - sum(weights))
+        denominator = den**k
+    else:
+        weights = [math.floor(c * n) for c in family.fractions]
+        if any(s == 0 for s in weights):
+            raise InputError(f"n={n} too small: some part would be empty")
+        if k > n:
+            raise InputError(f"need k <= n, got n={n} k={k}")
+        weights.append(n - sum(weights))
+        denominator = math.comb(n, k)
     if ell < 0:
         return Fraction(0)
     t = family.num_parts
@@ -199,15 +204,14 @@ def limit_probability(
                 hi += 1
         ranges.append(hi + 1)
     needed = math.prod(ranges)
-    if needed > vector_cap:
+    if needed > DEFAULT_VECTOR_CAP:
         raise ResourceLimitError(
-            f"limit sum would visit {needed} count vectors (cap {vector_cap})",
+            f"the sum would visit {needed} count vectors (cap {DEFAULT_VECTOR_CAP})",
             needed=needed,
-            cap=vector_cap,
+            cap=DEFAULT_VECTOR_CAP,
         )
-    bg_fraction = family.background_fraction
     cross = sorted(family.cross)
-    total = Fraction(0)
+    total = 0
 
     def induced(counts: list[int]) -> int:
         """Edges among the parts counted so far (cross pairs are sorted, i < j)."""
@@ -218,14 +222,16 @@ def limit_probability(
         nonlocal total
         used = sum(counts)
         if i == t:
-            if induced(counts + [k - used]) != ell:
+            counts = counts + [k - used]
+            if induced(counts) != ell:
                 return
-            rem = k
-            term = Fraction(1)
-            for c, frac in zip(counts, family.fractions):
-                term *= math.comb(rem, c) * frac**c
-                rem -= c
-            term *= bg_fraction**rem if rem else 1
+            if n is not None:
+                term = math.prod(math.comb(s, c) for s, c in zip(weights, counts))
+            else:
+                term, rem = 1, k
+                for c, a in zip(counts, weights):
+                    term *= math.comb(rem, c) * a**c
+                    rem -= c
             total += term
             return
         for c in range(min(ranges[i] - 1, k - used) + 1):
@@ -235,7 +241,7 @@ def limit_probability(
             counts.pop()
 
     walk(0, [])
-    return total
+    return Fraction(total, denominator)
 
 
 def clique_decomposition(ell: int) -> tuple:
@@ -254,16 +260,14 @@ def clique_decomposition(ell: int) -> tuple:
     return tuple(pieces)
 
 
-def clique_decomposition_bound(
-    k: int, ell: int, vector_cap: int = DEFAULT_VECTOR_CAP
-) -> tuple:
+def clique_decomposition_bound(k: int, ell: int) -> tuple:
     """(decomposition, product of piece sizes, exact limit probability of the
     matching clique-union family at this k)."""
     if not 1 <= ell or 2 * ell > k:
         raise InputError("need 1 <= ell <= k/2")
     pieces = clique_decomposition(ell)
     family = clique_union_family(pieces, k)
-    prob = limit_probability(family, k, ell, vector_cap)
+    prob = limit_probability(family, k, ell)
     return pieces, math.prod(pieces), prob
 
 
@@ -276,15 +280,10 @@ class MonotonicityScan:
     monotone_toward_limit: bool
 
 
-def monotonicity_scan(
-    family: PartFamily, k: int, ell: int, n_list: Iterable[int], cap: int = DEFAULT_SUBSET_CAP
-) -> MonotonicityScan:
+def monotonicity_scan(family: PartFamily, k: int, ell: int, n_list: Iterable[int]) -> MonotonicityScan:
     """Pr[k-subset induces ell edges] for each n, flagged for whether the
     distance to the limit shrinks along the list (observed, not a theorem)."""
-    values = []
-    for n in n_list:
-        host = build_host(family, n)
-        values.append((n, edge_count_dist(host, k, cap).prob(ell)))
+    values = [(n, limit_probability(family, k, ell, n)) for n in n_list]
     limit = limit_probability(family, k, ell)
     gaps = [abs(v - limit) for _, v in values]
     monotone = all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
@@ -303,11 +302,11 @@ def poisson_reference(a: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def verify_goodman(subset_cap: int = DEFAULT_SUBSET_CAP) -> VerificationReport:
+def verify_goodman() -> VerificationReport:
     """Two disjoint half cliques: exact values at n = 12, 24, 48 and the
     exact 3/4 limit for one induced edge among three chosen vertices."""
     family = clique_union_family((3, 3), 6)
-    scan = monotonicity_scan(family, 3, 1, (12, 24, 48), subset_cap)
+    scan = monotonicity_scan(family, 3, 1, (12, 24, 48))
     by_n = dict(scan.values)
     checks = [
         check("n12_value", by_n[12], "==", Fraction(9, 11)),

@@ -55,10 +55,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    return as_rational(text)
-
-
 @dataclass
 class ValueDist:
     """Finite exact distribution on integers."""
@@ -86,19 +82,8 @@ class ValueDist:
     def prob(self, value: int) -> Fraction:
         return self.probs.get(value, Fraction(0))
 
-    def max_point_mass(self) -> Fraction:
-        return max(self.probs.values())
-
     def to_json(self) -> dict:
         return {"support": [[v, format_rational(pr)] for v, pr in self.probs.items()]}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "ValueDist":
-        try:
-            probs = {int(v): parse_rational(pr) for v, pr in data["support"]}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed distribution JSON: {exc}") from exc
-        return cls(probs)
 
 
 def _check_numerators(numerators: Mapping[int, int], denominator: int) -> None:

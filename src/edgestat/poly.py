@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError, ResourceLimitError
@@ -211,10 +210,6 @@ class GPolynomial:
     def linear_indices(self) -> frozenset[int]:
         return frozenset(self.poly.linear)
 
-    @property
-    def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.poly.quadratic)
-
 
 def _as_unit_poly(g: GPolynomial | MultilinearPoly) -> MultilinearPoly:
     f = g.poly if isinstance(g, GPolynomial) else g
@@ -259,9 +254,6 @@ class CanonicalKey:
         lpart = ",".join(str(i + 1) for i in lin)
         epart = ",".join(f"{a + 1}-{b + 1}" for a, b in edges)
         return f"n{s}|L{lpart}|E{epart}"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.text
 
 
 def _refined_classes(s: int, lmask: int, adj: list[list[int]]) -> list[list[int]]:
@@ -533,13 +525,3 @@ def poly_to_json(f: MultilinearPoly) -> dict:
         "quad": [[a + 1, b + 1, c] for (a, b), c in f.quadratic.items()],
     }
 
-
-def poly_from_json(data: dict) -> MultilinearPoly:
-    try:
-        n = int(data["n"])
-        constant = int(data.get("c", 0))
-        linear = {int(i) - 1: int(c) for i, c in data.get("lin", [])}
-        quadratic = {(int(a) - 1, int(b) - 1): int(c) for a, b, c in data.get("quad", [])}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed polynomial JSON: {exc}") from exc
-    return MultilinearPoly(n, constant, linear, quadratic)

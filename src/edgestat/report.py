@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dist import format_rational, parse_rational
+from .dist import as_rational, format_rational
 from .errors import InputError
 
 #: check operators: exact rational comparisons and string equality.
@@ -36,7 +36,7 @@ class CheckRecord:
 def _apply_op(lhs: str, op: str, rhs: str) -> bool:
     if op == "==s":
         return lhs == rhs
-    a, b = parse_rational(lhs), parse_rational(rhs)
+    a, b = as_rational(lhs), as_rational(rhs)
     if op == "<":
         return a < b
     if op == "<=":
@@ -99,8 +99,8 @@ def report_from_json(data: dict) -> VerificationReport:
         report = VerificationReport(
             name=data["name"],
             inputs=data.get("inputs", {}),
-            exact_values={k: parse_rational(v) for k, v in data.get("exact_values", {}).items()},
-            threshold=None if data.get("threshold") is None else parse_rational(data["threshold"]),
+            exact_values={k: as_rational(v) for k, v in data.get("exact_values", {}).items()},
+            threshold=None if data.get("threshold") is None else as_rational(data["threshold"]),
             witness=data.get("witness"),
             checks=checks,
             wall_time=float(data.get("wall_time", 0.0)),

@@ -66,6 +66,13 @@ def complement(host):
     return HostGraph(host.n, missing, tag)
 
 
+def poly_from_json(data):
+    """Inverse of ``poly.poly_to_json``, the oracle for its exact round trip."""
+    linear = {i - 1: c for i, c in data["lin"]}
+    quadratic = {(a - 1, b - 1): c for a, b, c in data["quad"]}
+    return MultilinearPoly(data["n"], data["c"], linear, quadratic)
+
+
 def random_poly(rng, max_vars=8, coeff_range=(-4, 4)):
     """A random integer-coefficient multilinear quadratic on 1..max_vars slots."""
     n = rng.randint(1, max_vars)
@@ -109,7 +116,7 @@ def canonical_form_unpruned(g):
     the edge-touching members and keep the least ``(s, L, E)`` encoding."""
     s = g.num_vars
     L = g.linear_indices
-    edges = sorted(g.edge_pairs)
+    edges = sorted(g.poly.quadratic)
     nbrs = [set() for _ in range(s)]
     for a, b in edges:
         nbrs[a].add(b)
@@ -229,7 +236,7 @@ def max_structure_stats(family):
         max_vars = max(max_vars, g.num_vars)
         max_lin = max(max_lin, len(g.linear_indices))
         deg: dict[int, int] = {}
-        for a, b in g.edge_pairs:
+        for a, b in g.poly.quadratic:
             deg[a] = deg.get(a, 0) + 1
             deg[b] = deg.get(b, 0) + 1
         if deg:

@@ -23,7 +23,7 @@ from edgestat.constructions import (
     verify_goodman,
     verify_poisson_emergence,
 )
-from edgestat.dist import binmax, binmaxplus
+from edgestat.dist import binmax
 from edgestat.gm import enumerate_gm
 from edgestat.poly import GPolynomial, canonical_form
 from edgestat.verify import (

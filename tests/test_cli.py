@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -65,10 +66,11 @@ def test_dist_slice_table(capsys):
 
 
 def test_dist_requires_exactly_one_measure(capsys):
-    assert main(["dist", "--poly", "x1"]) == 2
-    assert main(["dist", "--poly", "x1", "--p", "1/2", "--slice", "4,2"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
+    for measure in ([], ["--p", "1/2", "--slice", "4,2"]):
+        assert main(["dist", "--poly", "x1", *measure]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err and "--slice" in err
+        assert "usage: edgestat dist" in err
 
 
 def test_dist_malformed_slice(capsys):
@@ -299,7 +301,29 @@ def test_construct_cliques_decomposition(capsys):
 
 def test_construct_bipartite_requires_a(capsys):
     assert main(["construct", "--family", "bipartite", "--k", "5", "--ell", "4"]) == 2
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "error: --a is required" in err
+    assert "usage: edgestat construct" in err
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [("1", "n=4 too small: some part would be empty"), ("4", "need k <= n, got n=4 k=5")],
+)
+def test_construct_prints_nothing_before_it_fails(a, message, capsys):
+    assert main(["construct", "--family", "bipartite", "--a", a, "--k", "5", "--ell", "4", "--n", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {message}" in err
+
+
+def test_construct_finite_n_far_beyond_enumeration(capsys):
+    # C(10**6, 5) subsets: the part-count walk needs a handful of count vectors.
+    start = time.perf_counter()
+    argv = ["construct", "--family", "bipartite", "--a", "1", "--k", "5", "--ell", "4", "--n", "1000000"]
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 5.0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "finite n=1000000: 207999200001200000/499997000005499997 = 0.4160008960"
 
 
 def test_construct_bipartite_rejects_oversized_a(capsys):
@@ -321,12 +345,12 @@ SUBCOMMAND_OPTIONS = {
     "verify prop027": {"--json"},
     "verify better34": {"--json"},
     "verify star_search": {"--json", "--assignment-cap"},
-    "verify goodman": {"--json", "--subset-cap"},
+    "verify goodman": {"--json"},
     "verify poisson_emergence": {"--json"},
     "verify lemmas": {"--json"},
     "dist": {"--poly", "--p", "--slice", "--ell", "--json", "--assignment-cap", "--subset-cap"},
-    "construct": {"--family", "--a", "--k", "--ell", "--n", "--json", "--subset-cap"},
-    "reproduce": {"--json", "--csv", "--workers", "--assignment-cap", "--subset-cap"},
+    "construct": {"--family", "--a", "--k", "--ell", "--n", "--json"},
+    "reproduce": {"--json", "--csv", "--workers", "--assignment-cap"},
 }
 
 
@@ -352,6 +376,8 @@ _BASE_ARGV = {
     "verify prop027": ["verify", "prop027"],
     "verify counts": ["verify", "counts"],
     "verify lemmas": ["verify", "lemmas"],
+    "verify goodman": ["verify", "goodman"],
+    "reproduce": ["reproduce"],
 }
 
 
@@ -365,10 +391,13 @@ _BASE_ARGV = {
         ("construct", "--csv"),
         ("construct", "--workers"),
         ("construct", "--assignment-cap"),
+        ("construct", "--subset-cap"),
         ("verify better34", "--workers"),
         ("verify prop027", "--subset-cap"),
         ("verify counts", "--assignment-cap"),
         ("verify lemmas", "--csv"),
+        ("verify goodman", "--subset-cap"),
+        ("reproduce", "--subset-cap"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, tmp_path, capsys):
@@ -382,7 +411,8 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, tmp_pa
 
 @pytest.mark.parametrize("flag", ["--workers", "--assignment-cap", "--subset-cap"])
 def test_non_positive_counts_rejected_before_any_output(flag, capsys):
-    assert main(["reproduce", flag, "0"]) == 2
+    command = ["dist", "--poly", "x1", "--slice", "4,2"] if flag == "--subset-cap" else ["reproduce"]
+    assert main([*command, flag, "0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err and flag in err
 
@@ -424,12 +454,6 @@ def test_reproduce_all_certificates(tmp_path, capsys):
     payload = json.loads(reports.read_text())
     assert [r["name"] for r in payload["reports"]] == list(CERTIFICATES)
     assert all(r["wall_time"] > 0 for r in payload["reports"])
-
-
-def test_reproduce_respects_subset_cap(capsys):
-    assert main(["reproduce", "--subset-cap", "100"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "cap" in err
 
 
 def test_cli_import_does_not_load_numpy():

@@ -37,7 +37,7 @@ from helpers import complement
 def test_host_graph_validation():
     host = HostGraph(3, frozenset({(2, 0), (0, 1)}))
     assert host.edges == frozenset({(0, 2), (0, 1)})
-    assert host.edge_count == 2
+    assert len(host.edges) == 2
     with pytest.raises(InputError):
         HostGraph(0)
     with pytest.raises(InputError):
@@ -57,8 +57,6 @@ def test_part_family_validation():
         PartFamily((Fraction(1, 2),), (False,), frozenset({(0, 2)}))
     family = PartFamily((Fraction(1, 3),), (True,), frozenset({(1, 0)}))
     assert family.cross == frozenset({(0, 1)})
-    assert family.background_index == 1
-    assert family.background_fraction == Fraction(2, 3)
 
 
 def test_family_builders_validate():
@@ -79,28 +77,28 @@ def test_family_builders_validate():
 def test_build_host_bipartite_is_complete_bipartite():
     host = build_host(bipartite_family(1, 5), 30)
     assert host.n == 30
-    assert host.edge_count == 6 * 24
+    assert len(host.edges) == 6 * 24
     assert all((a < 6) != (b < 6) for a, b in host.edges)
 
 
 def test_build_host_adds_clique_when_requested():
     host = build_host(bipartite_family(2, 5, with_clique=True), 10)
-    assert host.edge_count == math.comb(4, 2) + 4 * 6
+    assert len(host.edges) == math.comb(4, 2) + 4 * 6
 
 
 def test_build_host_two_cliques():
     host = build_host(clique_union_family((3, 3), 6), 12)
-    assert host.edge_count == 2 * math.comb(6, 2)
+    assert len(host.edges) == 2 * math.comb(6, 2)
     assert all((a < 6) == (b < 6) for a, b in host.edges)
 
 
 def test_build_host_tightness_families():
     host = build_host(crossed_clique_family(1, 2, 5), 10)
     # parts of sizes 2 and 4 plus background 4; the first part sees everything
-    assert host.edge_count == math.comb(4, 2) + 2 * 4 + 2 * 4
+    assert len(host.edges) == math.comb(4, 2) + 2 * 4 + 2 * 4
     buffered = build_host(blocker_with_buffer_family(1, 2, 6), 12)
     # blocker {0..3} joins only the background {8..11}; the buffer is inert
-    assert buffered.edge_count == 4 * 4
+    assert len(buffered.edges) == 4 * 4
     assert all(a < 4 and b >= 8 for a, b in buffered.edges)
 
 
@@ -202,7 +200,47 @@ def test_limit_probability_validation_and_caps():
         (Fraction(1, 10),) * 3, (False,) * 3, frozenset({(0, 1), (1, 2), (0, 2)})
     )
     with pytest.raises(ResourceLimitError):
-        limit_probability(wide, 300, 600, vector_cap=1000)
+        limit_probability(wide, 300, 600)  # 301**3 count vectors
+
+
+#: The walk's oracle grid: every family shape the paper uses, at hosts small
+#: enough for ``edge_count_dist`` to enumerate all C(n, k) subsets.
+ORACLE_FAMILIES = {
+    "cliques": clique_union_family((3, 3), 6),
+    "bipartite": bipartite_family(1, 5),
+    "bipartite-plus-clique": bipartite_family(2, 7, with_clique=True),
+    "crossed": crossed_clique_family(1, 3, 6),
+    "blocker": blocker_with_buffer_family(1, 2, 6),
+}
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("n", [12, 18, 24])
+@pytest.mark.parametrize("name", list(ORACLE_FAMILIES))
+def test_limit_probability_finite_n_matches_edge_count_dist(name, n, k):
+    family = ORACLE_FAMILIES[name]
+    law = edge_count_dist(build_host(family, n), k)
+    assert [limit_probability(family, k, ell, n) for ell in range(12)] == [law.prob(ell) for ell in range(12)]
+
+
+def test_limit_probability_finite_n_reference_points():
+    two_cliques = clique_union_family((3, 3), 6)
+    assert [limit_probability(two_cliques, 3, 1, n) for n in (12, 24, 48)] == [
+        Fraction(9, 11), Fraction(18, 23), Fraction(36, 47)
+    ]
+    assert limit_probability(bipartite_family(1, 5), 5, 4, 30) == Fraction(274, 609)
+    # far beyond enumeration: C(10**12, 3) subsets
+    assert limit_probability(two_cliques, 3, 1, 10**12) == Fraction(250000000000, 333333333333)
+    assert limit_probability(PartFamily((), ()), 4, 0, 4) == 1
+
+
+def test_limit_probability_finite_n_rejects_impossible_hosts():
+    with pytest.raises(InputError, match="some part would be empty"):
+        limit_probability(bipartite_family(1, 5), 5, 4, 4)
+    with pytest.raises(InputError, match="k <= n"):
+        limit_probability(bipartite_family(4, 5), 5, 4, 4)
+    with pytest.raises(InputError, match="k <= n"):
+        limit_probability(PartFamily((), ()), 1, 0, 0)
 
 
 def test_poisson_emergence_third_point():
