@@ -2,7 +2,6 @@
 
 from .constructions import (
     HostGraph,
-    MonotonicityScan,
     PartFamily,
     bipartite_family,
     blocker_with_buffer_family,
@@ -14,7 +13,6 @@ from .constructions import (
     edge_count_dist,
     edge_polynomial,
     limit_probability,
-    monotonicity_scan,
     poisson_reference,
     verify_goodman,
     verify_poisson_emergence,

@@ -17,22 +17,16 @@ from typing import Callable, Iterable
 from .constructions import (
     bipartite_family,
     clique_decomposition_bound,
+    clique_union_family,
     limit_probability,
     poisson_reference,
     verify_goodman,
     verify_poisson_emergence,
 )
-from .dist import (
-    DEFAULT_SUBSET_CAP,
-    SliceSpec,
-    as_rational,
-    bernoulli_value_dist,
-    format_rational,
-    slice_value_dist,
-)
+from .dist import SliceSpec, as_rational, bernoulli_value_dist, format_rational, slice_value_dist
 from .errors import InputError, ResourceLimitError
 from .gm import enumerate_gm
-from .poly import DEFAULT_ASSIGNMENT_CAP, format_poly, parse_poly
+from .poly import format_poly, parse_poly
 from .report import VerificationReport
 from .verify import (
     check_better34_inequalities,
@@ -46,8 +40,7 @@ from .verify import (
 
 
 def _positive(text: str) -> int:
-    """The type of ``--workers``, ``--assignment-cap`` and ``dist``'s
-    ``--subset-cap``: an integer >= 1.  argparse also passes the ``--workers``
+    """The type of ``--workers``: an integer >= 1.  argparse also passes the
     default through it."""
     try:
         value = int(text)
@@ -60,8 +53,11 @@ def _positive(text: str) -> int:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _print_report(report: VerificationReport) -> None:
@@ -130,7 +126,7 @@ CERTIFICATES: dict[str, tuple[Callable[[argparse.Namespace], VerificationReport]
     "table": (_run_table, ("--workers", "--csv")),
     "prop027": (lambda args: verify_prop_027(), ()),
     "better34": (lambda args: check_better34_inequalities(), ()),
-    "star_search": (lambda args: verify_star_search(cap=args.assignment_cap), ("--assignment-cap",)),
+    "star_search": (lambda args: verify_star_search(), ()),
     "goodman": (lambda args: verify_goodman(), ()),
     "poisson_emergence": (lambda args: verify_poisson_emergence(), ()),
     "lemmas": (lambda args: verify_lemmas(), ()),
@@ -161,14 +157,14 @@ def _cmd_verify(args) -> int:
 def _cmd_dist(args) -> int:
     f = parse_poly(args.poly)
     if args.p is not None:
-        dist = bernoulli_value_dist(f, as_rational(args.p), args.assignment_cap)
+        dist = bernoulli_value_dist(f, as_rational(args.p))
     else:
         try:
             n_text, k_text = args.slice.split(",")
             spec = SliceSpec(int(n_text), int(k_text))
         except ValueError as exc:
             raise InputError(f"--slice expects N,K with integers, got {args.slice!r}") from exc
-        dist = slice_value_dist(f, spec, args.subset_cap)
+        dist = slice_value_dist(f, spec)
     if args.ell is not None:
         print(format_rational(dist.prob(args.ell)))
     else:
@@ -181,42 +177,34 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    """Print the family, the finite-n value if asked, the limit and the
+    reference; every value is computed before the first line is printed."""
     k, ell = args.k, args.ell
     if args.family == "cliques":
         pieces, product, prob = clique_decomposition_bound(k, ell)
-        print(f"family: {','.join(map(str, pieces))}-clique union at k={k}")
-        print(f"decomposition: ell={ell} = " + " + ".join(f"C({m},2)" for m in pieces))
-        print(f"limit: {format_rational(prob)} = {float(prob):.10f}")
-        print(f"reference: (prod m_i)^(-1/2) = {product**-0.5:.10f}")
-        if args.json_path:
-            payload = {
-                "family": "cliques",
-                "k": k,
-                "ell": ell,
-                "decomposition": list(pieces),
-                "product": product,
-                "limit": format_rational(prob),
-                "reference": product**-0.5,
-            }
-            _write_text(args.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
-
-    if args.a is None:
-        args.error(f"--a is required for the {args.family} family")
-    family = bipartite_family(args.a, k, args.family == "bipartite-plus-clique")
-    reference = poisson_reference(args.a)
-    finite = None if args.n is None else limit_probability(family, k, ell, args.n)
-    prob = limit_probability(family, k, ell)
-    print(f"family: {family.tag}")
-    payload = {"family": family.tag, "k": k, "ell": ell}
-    if finite is not None:
-        print(f"finite n={args.n}: {format_rational(finite)} = {float(finite):.10f}")
-        payload["finite_n"] = args.n
-        payload["finite"] = format_rational(finite)
-    print(f"limit: {format_rational(prob)} = {float(prob):.10f}")
-    print(f"reference: {args.a}^{args.a}/(e^{args.a} {args.a}!) = {reference:.10f}")
-    payload["limit"] = format_rational(prob)
-    payload["reference"] = reference
+        family = clique_union_family(pieces, k)
+        reference = product**-0.5
+        lines = [
+            f"family: {','.join(map(str, pieces))}-clique union at k={k}",
+            f"decomposition: ell={ell} = " + " + ".join(f"C({m},2)" for m in pieces),
+        ]
+        reference_line = f"reference: (prod m_i)^(-1/2) = {reference:.10f}"
+        payload = {"family": "cliques", "decomposition": list(pieces), "product": product}
+    else:
+        if args.a is None:
+            args.error(f"--a is required for the {args.family} family")
+        family = bipartite_family(args.a, k, args.family == "bipartite-plus-clique")
+        reference = poisson_reference(args.a)
+        prob = limit_probability(family, k, ell)
+        lines = [f"family: {family.tag}"]
+        reference_line = f"reference: {args.a}^{args.a}/(e^{args.a} {args.a}!) = {reference:.10f}"
+        payload = {"family": family.tag}
+    payload.update(k=k, ell=ell, limit=format_rational(prob), reference=reference)
+    if args.n is not None:
+        finite = limit_probability(family, k, ell, args.n)
+        lines.append(f"finite n={args.n}: {format_rational(finite)} = {float(finite):.10f}")
+        payload.update(finite_n=args.n, finite=format_rational(finite))
+    print("\n".join(lines + [f"limit: {format_rational(prob)} = {float(prob):.10f}", reference_line]))
     if args.json_path:
         _write_text(args.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
@@ -244,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--csv": {"dest": "csv_path", "metavar": "PATH", "help": "write CSV output here"},
         "--workers": {"type": _positive, "default": os.environ.get("EDGESTAT_WORKERS", "1"),
                       "help": "worker process count (default: EDGESTAT_WORKERS, else 1)"},
-        "--assignment-cap": {"type": _positive, "default": DEFAULT_ASSIGNMENT_CAP,
-                             "help": "max full assignments to enumerate"},
-        "--subset-cap": {"type": _positive, "default": DEFAULT_SUBSET_CAP, "help": "max k-subsets to enumerate"},
     }
 
     def finish(p: argparse.ArgumentParser, handler: Callable[[argparse.Namespace], int], *names: str) -> None:
@@ -271,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--p", help="Bernoulli parameter (rational or decimal string)")
     measure.add_argument("--slice", help="uniform k-subset model as N,K")
     p_dist.add_argument("--ell", type=int, default=None, help="print only the mass at this value")
-    finish(p_dist, _cmd_dist, "--json", "--assignment-cap", "--subset-cap")
+    finish(p_dist, _cmd_dist, "--json")
 
     p_con = sub.add_parser("construct", help="host-graph family probabilities")
     p_con.add_argument("--family", required=True, choices=("bipartite", "cliques", "bipartite-plus-clique"))

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .dist import DEFAULT_SUBSET_CAP, SliceSpec, ValueDist, as_probability, poisson_peak_lower, slice_value_dist
+from .dist import SliceSpec, ValueDist, as_probability, poisson_peak_lower, slice_value_dist
 from .errors import InputError, ResourceLimitError
 from .poly import MultilinearPoly
 from .report import VerificationReport, check
@@ -159,9 +159,9 @@ def edge_polynomial(host: HostGraph) -> MultilinearPoly:
     return MultilinearPoly(host.n, 0, {}, {e: 1 for e in sorted(host.edges)})
 
 
-def edge_count_dist(host: HostGraph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> ValueDist:
+def edge_count_dist(host: HostGraph, k: int) -> ValueDist:
     """Exact induced-edge-count distribution over uniform k-subsets."""
-    return slice_value_dist(edge_polynomial(host), SliceSpec(host.n, k), cap)
+    return slice_value_dist(edge_polynomial(host), SliceSpec(host.n, k))
 
 
 def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None) -> Fraction:
@@ -205,11 +205,7 @@ def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None
         ranges.append(hi + 1)
     needed = math.prod(ranges)
     if needed > DEFAULT_VECTOR_CAP:
-        raise ResourceLimitError(
-            f"the sum would visit {needed} count vectors (cap {DEFAULT_VECTOR_CAP})",
-            needed=needed,
-            cap=DEFAULT_VECTOR_CAP,
-        )
+        raise ResourceLimitError(f"the sum would visit {needed} count vectors (cap {DEFAULT_VECTOR_CAP})")
     cross = sorted(family.cross)
     total = 0
 
@@ -271,25 +267,6 @@ def clique_decomposition_bound(k: int, ell: int) -> tuple:
     return pieces, math.prod(pieces), prob
 
 
-@dataclass
-class MonotonicityScan:
-    """Exact finite-n probabilities next to the limit value."""
-
-    values: list  # (n, Fraction) pairs in the scanned order
-    limit: Fraction
-    monotone_toward_limit: bool
-
-
-def monotonicity_scan(family: PartFamily, k: int, ell: int, n_list: Iterable[int]) -> MonotonicityScan:
-    """Pr[k-subset induces ell edges] for each n, flagged for whether the
-    distance to the limit shrinks along the list (observed, not a theorem)."""
-    values = [(n, limit_probability(family, k, ell, n)) for n in n_list]
-    limit = limit_probability(family, k, ell)
-    gaps = [abs(v - limit) for _, v in values]
-    monotone = all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
-    return MonotonicityScan(values, limit, monotone)
-
-
 def poisson_reference(a: int) -> float:
     """a^a / (e^a a!), the Poisson(a) point mass at a: the double nearest its enclosure's lower end."""
     if not 0 <= a <= 10**4:
@@ -306,25 +283,20 @@ def verify_goodman() -> VerificationReport:
     """Two disjoint half cliques: exact values at n = 12, 24, 48 and the
     exact 3/4 limit for one induced edge among three chosen vertices."""
     family = clique_union_family((3, 3), 6)
-    scan = monotonicity_scan(family, 3, 1, (12, 24, 48))
-    by_n = dict(scan.values)
+    n12, n24, n48 = (limit_probability(family, 3, 1, n) for n in (12, 24, 48))
+    limit = limit_probability(family, 3, 1)
     checks = [
-        check("n12_value", by_n[12], "==", Fraction(9, 11)),
-        check("n24_below_n12", by_n[24], "<", by_n[12]),
-        check("n48_below_n24", by_n[48], "<", by_n[24]),
-        check("n24_at_least_limit", scan.limit, "<=", by_n[24]),
-        check("n48_at_least_limit", scan.limit, "<=", by_n[48]),
-        check("limit_value", scan.limit, "==", Fraction(3, 4)),
+        check("n12_value", n12, "==", Fraction(9, 11)),
+        check("n24_below_n12", n24, "<", n12),
+        check("n48_below_n24", n48, "<", n24),
+        check("n24_at_least_limit", limit, "<=", n24),
+        check("n48_at_least_limit", limit, "<=", n48),
+        check("limit_value", limit, "==", Fraction(3, 4)),
     ]
     return VerificationReport(
         name="goodman",
         inputs={"family": family.tag, "k": 3, "ell": 1, "n_list": [12, 24, 48]},
-        exact_values={
-            "n12": by_n[12],
-            "n24": by_n[24],
-            "n48": by_n[48],
-            "limit": scan.limit,
-        },
+        exact_values={"n12": n12, "n24": n24, "n48": n48, "limit": limit},
         checks=checks,
     )
 

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Mapping
 
 from .errors import InputError, ResourceLimitError
-from .poly import DEFAULT_ASSIGNMENT_CAP, MultilinearPoly, value_weight_counts
+from .poly import MultilinearPoly, value_weight_counts
 
 #: Hard ceiling on C(n, k) for slice enumeration.
 DEFAULT_SUBSET_CAP = 10**7
@@ -111,28 +111,24 @@ def weight_scale(p: Fraction, n: int) -> list[int]:
     return [a**w * c ** (n - w) for w in range(n + 1)]
 
 
-def _product_numerators(f: MultilinearPoly, p: Fraction, cap: int) -> tuple[dict[int, int], int]:
+def _product_numerators(f: MultilinearPoly, p: Fraction) -> tuple[dict[int, int], int]:
     """Numerators of the product-model law of ``f`` over b^num_vars."""
     scale = weight_scale(p, f.num_vars)
     numerators = {
         value: sum(count * scale[w] for w, count in per_weight.items())
-        for value, per_weight in value_weight_counts(f, cap).items()
+        for value, per_weight in value_weight_counts(f).items()
     }
     return numerators, p.denominator**f.num_vars
 
 
-def bernoulli_value_dist(
-    f: MultilinearPoly, p, cap: int = DEFAULT_ASSIGNMENT_CAP
-) -> ValueDist:
+def bernoulli_value_dist(f: MultilinearPoly, p) -> ValueDist:
     """Exact law of ``f`` when every variable is an independent Bernoulli(p)."""
-    return ValueDist.from_numerators(*_product_numerators(f, as_probability(p), cap))
+    return ValueDist.from_numerators(*_product_numerators(f, as_probability(p)))
 
 
-def point_probability(
-    f: MultilinearPoly, p, ell: int, cap: int = DEFAULT_ASSIGNMENT_CAP
-) -> Fraction:
+def point_probability(f: MultilinearPoly, p, ell: int) -> Fraction:
     """P[f = ell] under the product model; 0 when ell is not achievable."""
-    numerators, denominator = _product_numerators(f, as_probability(p), cap)
+    numerators, denominator = _product_numerators(f, as_probability(p))
     _check_numerators(numerators, denominator)
     return Fraction(numerators.get(ell, 0), denominator)
 
@@ -232,9 +228,7 @@ class SliceSpec:
             raise InputError(f"need 0 <= k <= n, got n={self.n} k={self.k}")
 
 
-def slice_value_dist(
-    f: MultilinearPoly, spec: SliceSpec, cap: int = DEFAULT_SUBSET_CAP
-) -> ValueDist:
+def slice_value_dist(f: MultilinearPoly, spec: SliceSpec) -> ValueDist:
     """Exact law of ``f`` on the indicator vector of a uniform k-subset.
 
     ``f`` reads the first ``f.num_vars`` of the n slots, so it may be
@@ -246,12 +240,8 @@ def slice_value_dist(
     if f.num_vars > n:
         raise InputError(f"polynomial uses {f.num_vars} variables but the slice has n={n}")
     total = math.comb(n, k)
-    if total > cap:
-        raise ResourceLimitError(
-            f"slice enumeration needs {total} subsets, cap is {cap}",
-            needed=total,
-            cap=cap,
-        )
+    if total > DEFAULT_SUBSET_CAP:
+        raise ResourceLimitError(f"slice enumeration needs {total} subsets, cap is {DEFAULT_SUBSET_CAP}")
     if k == 0:
         return ValueDist.from_numerators({f.constant: 1}, 1)
     below: list[dict[int, int]] = [{} for _ in range(n)]
@@ -276,8 +266,7 @@ def slice_value_dist(
     return ValueDist.from_numerators(counts, total)
 
 
-def product_slice_tv(f: MultilinearPoly, spec: SliceSpec,
-                     cap: int = DEFAULT_SUBSET_CAP) -> tuple[Fraction, Fraction, bool]:
+def product_slice_tv(f: MultilinearPoly, spec: SliceSpec) -> tuple[Fraction, Fraction, bool]:
     """Compare the slice law with the Bernoulli(k/n) law of the same statistic.
 
     ``f`` is read as a statistic depending on its own ``num_vars`` leading
@@ -289,7 +278,7 @@ def product_slice_tv(f: MultilinearPoly, spec: SliceSpec,
         raise InputError("k must be >= 1")
     if 2 * spec.k > spec.n:
         raise InputError(f"need k <= n/2, got n={spec.n} k={spec.k}")
-    slice_law = slice_value_dist(f, spec, cap)
+    slice_law = slice_value_dist(f, spec)
     product_law = bernoulli_value_dist(f, Fraction(spec.k, spec.n))
     tv = tv_distance(slice_law, product_law)
     bound = max(Fraction(s, spec.n), Fraction(3, spec.k))

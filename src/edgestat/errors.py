@@ -14,9 +14,4 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an exact enumeration would exceed a configured cap."""
-
-    def __init__(self, message: str, *, needed: int | None = None, cap: int | None = None):
-        super().__init__(message)
-        self.needed = needed
-        self.cap = cap
+    """Raised when an exact enumeration would exceed one of the package's fixed caps."""

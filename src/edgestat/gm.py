@@ -131,8 +131,8 @@ def _sorted_columns(t: int, q: int, cap_row: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _bounded_degree_graphs(q: int, cap: int) -> list[tuple[tuple[int, int], ...]]:
-    """All edge sets on q labelled vertices with maximum degree <= cap."""
+def _bounded_degree_graphs(q: int, max_degree: int) -> list[tuple[tuple[int, int], ...]]:
+    """All edge sets on q labelled vertices with maximum degree <= max_degree."""
     pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
     out: list[tuple[tuple[int, int], ...]] = []
     deg = [0] * q
@@ -144,7 +144,7 @@ def _bounded_degree_graphs(q: int, cap: int) -> list[tuple[tuple[int, int], ...]
             return
         rec(i + 1)
         a, b = pairs[i]
-        if deg[a] < cap and deg[b] < cap:
+        if deg[a] < max_degree and deg[b] < max_degree:
             deg[a] += 1
             deg[b] += 1
             chosen.append(pairs[i])

@@ -113,9 +113,7 @@ def substitute(f: MultilinearPoly, i: int, bit: int) -> MultilinearPoly:
     return MultilinearPoly(f.num_vars - 1, constant, linear, quadratic)
 
 
-def value_weight_counts(
-    f: MultilinearPoly, cap: int = DEFAULT_ASSIGNMENT_CAP
-) -> dict[int, dict[int, int]]:
+def value_weight_counts(f: MultilinearPoly) -> dict[int, dict[int, int]]:
     """Exact table ``value -> {weight -> count}`` over all assignments.
 
     Weight is the number of ones.  Variables are set one at a time; the state
@@ -124,11 +122,9 @@ def value_weight_counts(
     quadratic partner is placed, so assignments that agree on all three merge.
     """
     total = 1 << f.num_vars
-    if total > cap:
+    if total > DEFAULT_ASSIGNMENT_CAP:
         raise ResourceLimitError(
-            f"assignment enumeration needs {total} assignments, cap is {cap}",
-            needed=total,
-            cap=cap,
+            f"assignment enumeration needs {total} assignments, cap is {DEFAULT_ASSIGNMENT_CAP}"
         )
     n = f.num_vars
     below: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -325,11 +321,7 @@ def canonical_code(num_vars: int, lmask: int, edges: Sequence[tuple[int, int]]) 
             placements *= math.factorial(len(edged))
         pos += len(cls)
     if placements > CANONICAL_PLACEMENT_CAP:
-        raise ResourceLimitError(
-            f"canonical search needs {placements} class-respecting placements",
-            needed=placements,
-            cap=CANONICAL_PLACEMENT_CAP,
-        )
+        raise ResourceLimitError(f"canonical search needs {placements} class-respecting placements")
 
     # Swapping two twins (same neighbours apart from each other) is an
     # automorphism, so of the free twins only the first need be tried.
@@ -380,7 +372,7 @@ def canonical_code(num_vars: int, lmask: int, edges: Sequence[tuple[int, int]]) 
     return (s, tuple(lin), edge_code)
 
 
-def canonical_form(g: GPolynomial, max_vars: int = CANONICAL_VAR_CAP) -> tuple[CanonicalKey, GPolynomial]:
+def canonical_form(g: GPolynomial) -> tuple[CanonicalKey, GPolynomial]:
     """Canonical key plus the relabelled representative that attains it.
 
     The key is the minimum encoding ``(num_vars, sorted L, sorted E)`` over
@@ -404,17 +396,15 @@ def canonical_form(g: GPolynomial, max_vars: int = CANONICAL_VAR_CAP) -> tuple[C
     enumerated families) are rejected whatever pruning would have saved.
     """
     s = g.num_vars
-    if s > max_vars:
-        raise ResourceLimitError(
-            f"canonical keys support at most {max_vars} variables", needed=s, cap=max_vars
-        )
+    if s > CANONICAL_VAR_CAP:
+        raise ResourceLimitError(f"canonical keys support at most {CANONICAL_VAR_CAP} variables")
     lmask = sum(1 << i for i in g.poly.linear)
     code = canonical_code(s, lmask, list(g.poly.quadratic))
     return CanonicalKey(code), GPolynomial.from_sets(s, code[1], code[2])
 
 
-def canonical_key(g: GPolynomial, max_vars: int = CANONICAL_VAR_CAP) -> CanonicalKey:
-    return canonical_form(g, max_vars)[0]
+def canonical_key(g: GPolynomial) -> CanonicalKey:
+    return canonical_form(g)[0]
 
 
 # ---------------------------------------------------------------------------

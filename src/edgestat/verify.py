@@ -36,7 +36,6 @@ from .dist import (
 from .errors import InputError
 from .gm import GmFamily, enumerate_gm, var_bound
 from .poly import (
-    DEFAULT_ASSIGNMENT_CAP,
     CanonicalKey,
     GPolynomial,
     MultilinearPoly,
@@ -362,19 +361,16 @@ class StarWitness:
 
 
 def star_zero_probability_search(
-    max_vars: int = 5,
-    ell_values: Iterable[int] = (-2, -1, 1, 2),
-    p=Fraction(97, 250),
-    cap: int = DEFAULT_ASSIGNMENT_CAP,
+    max_s: int = 5, ell_values: Iterable[int] = (-2, -1, 1, 2), p=Fraction(97, 250)
 ) -> tuple[Fraction, StarWitness]:
     """Exhaustive max of P[f = 0] over f = ell(1 - sum x_i) + edge terms.
 
-    Every graph on up to ``max_vars`` labelled vertices is paired with every
+    Every graph on up to ``max_s`` labelled vertices is paired with every
     requested ``ell``; the first maximizer in (ell, size, edge-mask) order is
     the witness.
     """
-    if not 1 <= max_vars <= 5:
-        raise InputError("max_vars must be in 1..5")
+    if not 1 <= max_s <= 5:
+        raise InputError("max_s must be in 1..5")
     p = as_probability(p)
     ells = sorted(set(int(e) for e in ell_values))
     if not ells:
@@ -383,29 +379,26 @@ def star_zero_probability_search(
         raise InputError("ell values must be nonzero with |ell| <= 4")
     best: tuple[Fraction, StarWitness] | None = None
     for ell in ells:
-        for s in range(1, max_vars + 1):
+        for s in range(1, max_s + 1):
             pairs = list(combinations(range(s), 2))
             for mask in range(1 << len(pairs)):
                 edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
                 f = MultilinearPoly(s, ell, {i: -ell for i in range(s)}, {e: 1 for e in edges})
-                pr = point_probability(f, p, 0, cap)
+                pr = point_probability(f, p, 0)
                 if best is None or pr > best[0]:
                     best = (pr, StarWitness(ell, s, edges, pr))
     return best
 
 
 def verify_star_search(
-    max_vars: int = 5,
-    ell_values: Iterable[int] = (-2, -1, 1, 2),
-    p=Fraction(97, 250),
-    cap: int = DEFAULT_ASSIGNMENT_CAP,
+    max_s: int = 5, ell_values: Iterable[int] = (-2, -1, 1, 2), p=Fraction(97, 250)
 ) -> VerificationReport:
     target = Fraction(29, 40)
     ells = sorted({int(e) for e in ell_values})
-    best, witness = star_zero_probability_search(max_vars, ells, p, cap)
+    best, witness = star_zero_probability_search(max_s, ells, p)
     return VerificationReport(
         name="star_search",
-        inputs={"max_vars": max_vars, "ell_values": ells, "p": format_rational(as_probability(p))},
+        inputs={"max_vars": max_s, "ell_values": ells, "p": format_rational(as_probability(p))},
         exact_values={"max_zero_probability": best},
         threshold=target,
         witness={
@@ -610,8 +603,8 @@ def suite_large_linear_part(seed: int, count: int, max_n: int = 10) -> int:
     return violations
 
 
-def _random_unit_form(rng: random.Random, max_vars: int = 8) -> GPolynomial:
-    s = rng.randint(1, max_vars)
+def _random_unit_form(rng: random.Random) -> GPolynomial:
+    s = rng.randint(1, 8)
     linear = {i for i in range(s) if rng.random() < 0.5}
     edges = {(a, b) for a in range(s) for b in range(a + 1, s) if rng.random() < 0.35}
     used = set(linear)

@@ -18,7 +18,6 @@ from edgestat.constructions import (
     bipartite_family,
     edge_count_dist,
     limit_probability,
-    monotonicity_scan,
     poisson_reference,
     verify_goodman,
     verify_poisson_emergence,
@@ -174,8 +173,7 @@ def test_criterion_07_two_clique_construction(capsys):
     family = clique_union_family((3, 3), 6)
     host = build_host(family, 12)
     _check(failures, "n12_exact", edge_count_dist(host, 3).prob(1) == F(9, 11))
-    scan = monotonicity_scan(family, 3, 1, (12, 24, 48))
-    values = [v for _, v in scan.values]
+    values = [limit_probability(family, 3, 1, n) for n in (12, 24, 48)]
     _check(failures, "decreasing", values[0] > values[1] > values[2])
     _check(failures, "at_least_limit", all(v >= F(3, 4) for v in values))
     _check(failures, "limit_exact", limit_probability(family, 3, 1) == F(3, 4))

@@ -16,6 +16,7 @@ import pytest
 
 import edgestat
 from edgestat.cli import CERTIFICATES, build_parser, main
+from edgestat.constructions import build_host, clique_union_family, edge_count_dist
 from edgestat.report import report_from_json, reverify
 
 
@@ -79,9 +80,20 @@ def test_dist_malformed_slice(capsys):
 
 
 def test_dist_slice_subset_cap(capsys):
-    assert main(["dist", "--poly", "x1", "--slice", "12,3", "--subset-cap", "100"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "cap" in err
+    # C(40, 20) = 137,846,528,820 subsets exceed the fixed cap of 10**7.
+    assert main(["dist", "--poly", "x1", "--slice", "40,20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and "cap" in err
+
+
+@pytest.mark.parametrize("measure", [["--p", "1/2"], ["--slice", "40,20"]])
+def test_dist_oversized_input_fails_before_any_output(measure, capsys):
+    # x25 has 2**25 assignments (cap 2**24); the 40,20 slice has C(40, 20)
+    # subsets (cap 10**7).  Both guards trip before any enumeration.
+    poly = "x25" if measure[0] == "--p" else "x1"
+    assert main(["dist", "--poly", poly, *measure]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 def test_dist_poly_wider_than_slice(capsys):
@@ -299,6 +311,34 @@ def test_construct_cliques_decomposition(capsys):
     assert out[3] == "reference: (prod m_i)^(-1/2) = 0.5000000000"
 
 
+def test_construct_cliques_finite_n(tmp_path, capsys):
+    path = tmp_path / "cliques.json"
+    argv = ["construct", "--family", "cliques", "--k", "8", "--ell", "3", "--n", "16", "--json", str(path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    finite = edge_count_dist(build_host(clique_union_family((3,), 8), 16), 8).prob(3)
+    assert out[0] == "family: 3-clique union at k=8"
+    assert out[2] == f"finite n=16: {finite.numerator}/{finite.denominator} = {float(finite):.10f}"
+    assert out[3].startswith("limit:")
+    payload = json.loads(path.read_text())
+    assert payload["finite_n"] == 16 and payload["finite"] == f"{finite.numerator}/{finite.denominator}"
+    # Every value is computed before the first line is printed.
+    assert main(["construct", "--family", "cliques", "--k", "40", "--ell", "6", "--n", "30"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: need k <= n, got n=30 k=40" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--family", "cliques", "--k", "40", "--ell", "6"], ["verify", "prop027"]],
+)
+def test_unwritable_output_path_is_an_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {path}" in err and "Traceback" not in err
+
+
 def test_construct_bipartite_requires_a(capsys):
     assert main(["construct", "--family", "bipartite", "--k", "5", "--ell", "4"]) == 2
     out, err = capsys.readouterr()
@@ -333,7 +373,7 @@ def test_construct_bipartite_rejects_oversized_a(capsys):
 
 
 # ---------------------------------------------------------------------------
-# flags / workers / env / caps
+# flags / workers / env
 # ---------------------------------------------------------------------------
 
 #: The option strings of each leaf command: every flag is one its handler reads.
@@ -344,13 +384,13 @@ SUBCOMMAND_OPTIONS = {
     "verify table": {"--json", "--workers", "--csv"},
     "verify prop027": {"--json"},
     "verify better34": {"--json"},
-    "verify star_search": {"--json", "--assignment-cap"},
+    "verify star_search": {"--json"},
     "verify goodman": {"--json"},
     "verify poisson_emergence": {"--json"},
     "verify lemmas": {"--json"},
-    "dist": {"--poly", "--p", "--slice", "--ell", "--json", "--assignment-cap", "--subset-cap"},
+    "dist": {"--poly", "--p", "--slice", "--ell", "--json"},
     "construct": {"--family", "--a", "--k", "--ell", "--n", "--json"},
-    "reproduce": {"--json", "--csv", "--workers", "--assignment-cap"},
+    "reproduce": {"--json", "--csv", "--workers"},
 }
 
 
@@ -377,6 +417,7 @@ _BASE_ARGV = {
     "verify counts": ["verify", "counts"],
     "verify lemmas": ["verify", "lemmas"],
     "verify goodman": ["verify", "goodman"],
+    "verify star_search": ["verify", "star_search"],
     "reproduce": ["reproduce"],
 }
 
@@ -388,6 +429,8 @@ _BASE_ARGV = {
         ("enumerate", "--subset-cap"),
         ("dist", "--csv"),
         ("dist", "--workers"),
+        ("dist", "--assignment-cap"),
+        ("dist", "--subset-cap"),
         ("construct", "--csv"),
         ("construct", "--workers"),
         ("construct", "--assignment-cap"),
@@ -397,7 +440,9 @@ _BASE_ARGV = {
         ("verify counts", "--assignment-cap"),
         ("verify lemmas", "--csv"),
         ("verify goodman", "--subset-cap"),
+        ("verify star_search", "--assignment-cap"),
         ("reproduce", "--subset-cap"),
+        ("reproduce", "--assignment-cap"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, tmp_path, capsys):
@@ -409,10 +454,9 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(command, flag, tmp_pa
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--workers", "--assignment-cap", "--subset-cap"])
+@pytest.mark.parametrize("flag", ["--workers"])
 def test_non_positive_counts_rejected_before_any_output(flag, capsys):
-    command = ["dist", "--poly", "x1", "--slice", "4,2"] if flag == "--subset-cap" else ["reproduce"]
-    assert main([*command, flag, "0"]) == 2
+    assert main(["reproduce", flag, "0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err and flag in err
 

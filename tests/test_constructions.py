@@ -19,7 +19,6 @@ from edgestat.constructions import (
     edge_count_dist,
     edge_polynomial,
     limit_probability,
-    monotonicity_scan,
     poisson_reference,
     verify_goodman,
     verify_poisson_emergence,
@@ -288,21 +287,20 @@ def test_clique_decomposition_bound():
 
 
 def test_monotonicity_scan_two_cliques():
-    scan = monotonicity_scan(clique_union_family((3, 3), 6), 3, 1, (12, 24, 48))
-    values = dict(scan.values)
+    family = clique_union_family((3, 3), 6)
+    values = {n: limit_probability(family, 3, 1, n) for n in (12, 24, 48)}
     assert values[12] == Fraction(9, 11)
     assert values[12] > values[24] > values[48]
     assert all(v >= Fraction(3, 4) for v in values.values())
-    assert scan.limit == Fraction(3, 4)
-    assert scan.monotone_toward_limit
+    assert limit_probability(family, 3, 1) == Fraction(3, 4)
 
 
 def test_monotonicity_scan_bipartite_closes_on_limit():
-    scan = monotonicity_scan(bipartite_family(1, 5), 3, 2, (30, 60))
-    assert scan.limit == Fraction(12, 25)
-    gaps = [abs(v - scan.limit) for _, v in scan.values]
+    family = bipartite_family(1, 5)
+    limit = limit_probability(family, 3, 2)
+    assert limit == Fraction(12, 25)
+    gaps = [abs(limit_probability(family, 3, 2, n) - limit) for n in (30, 60)]
     assert gaps[1] < gaps[0]
-    assert scan.monotone_toward_limit
 
 
 def test_poisson_reference_values():

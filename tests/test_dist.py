@@ -124,9 +124,10 @@ def test_point_probability_consistent_with_dist():
 
 
 def test_assignment_cap():
-    f = MultilinearPoly(26, 0, {i: 1 for i in range(26)}, {})
+    # 2**25 assignments exceed the fixed cap of 2**24.
+    f = MultilinearPoly(25, 0, {i: 1 for i in range(25)}, {})
     with pytest.raises(ResourceLimitError):
-        bernoulli_value_dist(f, Fraction(1, 2), cap=2**20)
+        bernoulli_value_dist(f, Fraction(1, 2))
 
 
 def test_binmax_against_scan():
@@ -285,9 +286,10 @@ def test_slice_dist_permutation_invariant():
 
 
 def test_slice_subset_cap():
+    # C(40, 20) = 137,846,528,820 subsets exceed the fixed cap of 10**7.
     f = MultilinearPoly(30, 0, {0: 1}, {})
     with pytest.raises(ResourceLimitError):
-        slice_value_dist(f, SliceSpec(30, 15), cap=10**4)
+        slice_value_dist(f, SliceSpec(40, 20))
 
 
 def test_product_slice_tv_bound():

@@ -145,9 +145,9 @@ def test_value_weight_counts_frontier_shapes(shape):
 
 
 def test_value_weight_counts_respects_cap():
-    f = zero_poly(30)
+    f = zero_poly(25)  # 2**25 assignments, over the fixed cap of 2**24
     with pytest.raises(ResourceLimitError):
-        value_weight_counts(f, cap=2**20)
+        value_weight_counts(f)
 
 
 def test_achievable_values_of_expanded_product():
@@ -261,10 +261,6 @@ def test_canonical_form_var_cap():
     g = GPolynomial.from_sets(13, set(range(13)), set())
     with pytest.raises(ResourceLimitError):
         canonical_form(g)
-    # All-linear forms have no edge structure to search, so lifting the cap
-    # canonicalises them instantly at any size.
-    key, _ = canonical_form(g, max_vars=13)
-    assert key.text == "n13|L" + ",".join(str(i) for i in range(1, 14)) + "|E"
 
 
 def test_canonical_form_placement_cap():

@@ -246,7 +246,7 @@ def test_better34_certificate():
 def test_star_search_two_vertices_by_hand():
     # On two vertices with ell=1 the candidates are 1-x1 (prob p),
     # 1-x1-x2 (prob 2pq) and (1-x1)(1-x2) (prob 1-q^2); the last wins.
-    best, witness = star_zero_probability_search(max_vars=2, ell_values=(1,))
+    best, witness = star_zero_probability_search(max_s=2, ell_values=(1,))
     assert best == Fraction(39091, 62500)
     assert witness.ell == 1
     assert witness.num_vars == 2
@@ -271,14 +271,14 @@ def test_verify_star_search_report():
 
 
 def test_verify_star_search_records_iterator_ell_values():
-    report = verify_star_search(max_vars=2, ell_values=iter([1, -1, 1]))
+    report = verify_star_search(max_s=2, ell_values=iter([1, -1, 1]))
     assert report.inputs["ell_values"] == [-1, 1]
     assert report.exact_values["max_zero_probability"] == star_zero_probability_search(2, (-1, 1))[0]
 
 
 def test_star_search_input_validation():
     with pytest.raises(InputError):
-        star_zero_probability_search(max_vars=6)
+        star_zero_probability_search(max_s=6)
     with pytest.raises(InputError):
         star_zero_probability_search(ell_values=(0,))
     with pytest.raises(InputError):
