@@ -52,6 +52,18 @@ def _positive(text: str) -> int:
     return value
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Reject a ``--json``/``--csv`` path that is a directory or lies in a
+    missing one, before any work; the file itself is not opened."""
+    for path in (getattr(args, "json_path", None), getattr(args, "csv_path", None)):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise InputError(f"cannot write {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"cannot write {path}: no such directory")
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -278,6 +290,7 @@ def main(argv=None) -> int:
         args, extra = build_parser().parse_known_args(argv)
         if extra:
             args.error(f"unrecognized arguments: {' '.join(extra)}")
+        _check_output_paths(args)
         return args.handler(args)
     except SystemExit as exc:  # argparse's usage errors and --help
         return int(exc.code or 0)

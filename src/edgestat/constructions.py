@@ -133,18 +133,22 @@ def blocker_with_buffer_family(a: int, m: int, k: int) -> PartFamily:
     )
 
 
-def build_host(family: PartFamily, n: int) -> HostGraph:
-    """Realize the family at n vertices, flooring part sizes with the
-    remainder going to the background part."""
+def _part_sizes(family: PartFamily, n: int) -> list[int]:
+    """Part sizes at n vertices, background last: each explicit part gets
+    the floor of its fraction of n and the background gets the rest."""
     sizes = [math.floor(c * n) for c in family.fractions]
     if any(s == 0 for s in sizes):
         raise InputError(f"n={n} too small: some part would be empty")
+    return sizes + [n - sum(sizes)]
+
+
+def build_host(family: PartFamily, n: int) -> HostGraph:
+    """Realize the family at n vertices with :func:`_part_sizes`."""
     blocks = []
     start = 0
-    for s in sizes:
+    for s in _part_sizes(family, n):
         blocks.append(range(start, start + s))
         start += s
-    blocks.append(range(start, n))  # background
     edges = set()
     for i, is_clique in enumerate(family.clique):
         if is_clique:
@@ -169,7 +173,7 @@ def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None
     n-vertex host when n is given, else in the n -> infinity limit.
 
     The sum runs over the part-count vectors c (background last) whose
-    induced edge count is ell.  With sizes s_i, the floored part sizes, the
+    induced edge count is ell.  With s_i the :func:`_part_sizes`, the
     finite term is prod C(s_i, c_i) over C(n, k).  For fixed k the part
     counts converge to a multinomial draw, so with part fractions a_i / D the
     limit term is prod C(rem, c_i) a_i^c_i over D^k, rem counting the slots
@@ -185,12 +189,9 @@ def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None
         weights.append(den - sum(weights))
         denominator = den**k
     else:
-        weights = [math.floor(c * n) for c in family.fractions]
-        if any(s == 0 for s in weights):
-            raise InputError(f"n={n} too small: some part would be empty")
+        weights = _part_sizes(family, n)
         if k > n:
             raise InputError(f"need k <= n, got n={n} k={k}")
-        weights.append(n - sum(weights))
         denominator = math.comb(n, k)
     if ell < 0:
         return Fraction(0)

@@ -46,9 +46,10 @@ quadratic-only neighbours per ``L`` vertex (the row cap) and at most
 :func:`~edgestat.poly.gm_membership` is kept as a test oracle for this.
 
 Every completion that passes the cuts gets one integer canonical search,
-:func:`~edgestat.poly.canonical_code`; the distinct codes are the classes,
-and each class's key and representative are read off its code.  The emitted
-family is therefore sound and isomorph-free by construction.
+:func:`~edgestat.poly.canonical_code`; the distinct codes are the classes.
+Branches return only their keys, and each class's representative is its
+key's ``member``, read off the code.  The emitted family is therefore sound
+and isomorph-free by construction.
 
 Families are cached by ``m`` alone: a family is identical for every worker
 count.
@@ -81,8 +82,8 @@ def var_bound(m: int) -> int:
 class GmFamily:
     """Complete family at threshold ``m``, one canonical representative per class.
 
-    ``keys`` are sorted and ``members[i]`` represents ``keys[i]``; ``profiles``
-    and ``value_rows`` (the pruned rows of
+    ``keys`` are sorted and ``members[i]`` is ``keys[i].member``, the form
+    the key spells out; ``profiles`` and ``value_rows`` (the pruned rows of
     :func:`edgestat.verify._value_rows`, by ``ell_min``) are computed on first
     use and live as long as the cached family.  ``searches`` is the number of
     canonical searches the generator ran, the same for every worker count.
@@ -157,8 +158,8 @@ def _bounded_degree_graphs(q: int, max_degree: int) -> list[tuple[tuple[int, int
     return out
 
 
-def _enumerate_branch(args: tuple[int, int, int]) -> tuple[dict[CanonicalKey, GPolynomial], int]:
-    """Classes of one ``(t, q)`` branch and the number of canonical searches run.
+def _enumerate_branch(args: tuple[int, int, int]) -> tuple[set[CanonicalKey], int]:
+    """Class keys of one ``(t, q)`` branch and the number of canonical searches run.
 
     Only the LL sets and, per column sequence, the QQ graphs that pass the
     order cuts of the module docstring are completed.
@@ -194,7 +195,7 @@ def _enumerate_branch(args: tuple[int, int, int]) -> tuple[dict[CanonicalKey, GP
         for qq in qq_cut:
             skeleton = base + [(t + a, t + b) for a, b in qq]
             codes.update(canonical_code(s, lmask, skeleton + ll) for ll in ll_sets)
-    return {CanonicalKey(code): GPolynomial.from_sets(s, code[1], code[2]) for code in codes}, searches
+    return {CanonicalKey(code) for code in codes}, searches
 
 
 def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
@@ -211,13 +212,9 @@ def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(branches))) as pool:
             parts = list(pool.map(_enumerate_branch, branches))
-    merged: dict[CanonicalKey, GPolynomial] = {}
-    searches = 0
-    for classes, n in parts:
-        merged.update(classes)
-        searches += n
-    keys = sorted(merged)
-    members = [merged[k] for k in keys]
+    keys = sorted(set().union(*(classes for classes, _ in parts)))
+    members = [k.member for k in keys]
+    searches = sum(n for _, n in parts)
     per_s: dict[int, int] = {}
     for g in members:
         per_s[g.num_vars] = per_s.get(g.num_vars, 0) + 1

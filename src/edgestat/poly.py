@@ -251,6 +251,11 @@ class CanonicalKey:
         epart = ",".join(f"{a + 1}-{b + 1}" for a, b in edges)
         return f"n{s}|L{lpart}|E{epart}"
 
+    @property
+    def member(self) -> GPolynomial:
+        """The class representative: the form the key spells out."""
+        return GPolynomial.from_sets(*self.code)
+
 
 def _refined_classes(s: int, lmask: int, adj: list[list[int]]) -> list[list[int]]:
     """Partition vertices by iterated colour refinement.
@@ -399,8 +404,8 @@ def canonical_form(g: GPolynomial) -> tuple[CanonicalKey, GPolynomial]:
     if s > CANONICAL_VAR_CAP:
         raise ResourceLimitError(f"canonical keys support at most {CANONICAL_VAR_CAP} variables")
     lmask = sum(1 << i for i in g.poly.linear)
-    code = canonical_code(s, lmask, list(g.poly.quadratic))
-    return CanonicalKey(code), GPolynomial.from_sets(s, code[1], code[2])
+    key = CanonicalKey(canonical_code(s, lmask, list(g.poly.quadratic)))
+    return key, key.member
 
 
 def canonical_key(g: GPolynomial) -> CanonicalKey:
@@ -434,11 +439,10 @@ def _parse_term(chunk: str) -> tuple[int, list[int]]:
     return coeff, indices
 
 
-def parse_poly(text: str, num_vars: int | None = None) -> MultilinearPoly:
+def parse_poly(text: str) -> MultilinearPoly:
     """Parse ``"x2+x3+x1*x2"``-style text (also signs, integer coefficients).
 
-    The variable count defaults to the largest index mentioned; pass
-    ``num_vars`` to embed into a wider slot range.
+    The variable count is the largest index mentioned.
     """
     compact = text.replace(" ", "")
     if not compact:
@@ -476,10 +480,7 @@ def parse_poly(text: str, num_vars: int | None = None) -> MultilinearPoly:
             raise InputError(f"term {chunk!r} has degree > 2")
     if not seen_term:
         raise InputError("empty polynomial text")
-    n = max_index if num_vars is None else num_vars
-    if n < max_index:
-        raise InputError(f"num_vars={n} smaller than largest index {max_index}")
-    return MultilinearPoly(n, constant, linear, quadratic)
+    return MultilinearPoly(max_index, constant, linear, quadratic)
 
 
 def _format_term(coeff: int, vars_text: str) -> str:

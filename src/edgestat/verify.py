@@ -1,9 +1,12 @@
 """Certificate computations: reduction bounds, named inequality batteries,
 and the supporting finite oracles.
 
-Every verdict is decided in exact rational arithmetic.  The reduction bounds
-and :func:`optimize_p` compare family point masses as integer numerators over
-a common power of the denominator of p, on value rows pruned once per family.
+Every verdict is decided in exact rational arithmetic.  :func:`reduction_bound`
+is the one computation of the reduction bound: it compares family point
+masses as integer numerators over a common power of the denominator of p, on
+value rows pruned once per family, and :func:`optimize_p` and the
+``reduction_spot`` suite read their bounds from it.  A witness is a canonical
+key, and its polynomial is the key's ``member``.
 Floats appear only in decimal annotations.  Where a side is transcendental
 (antichain expectation, Poisson TV), e^x is enclosed in integers by
 :func:`dist.exp_enclosure` and a check passes only if the whole enclosure clears its bound.
@@ -58,9 +61,8 @@ TABLE_REFERENCE: dict[int, tuple[int, Fraction, Fraction]] = {
 TABLE_TOLERANCE = Fraction(1, 20000)
 
 
-def default_grid() -> list[Fraction]:
-    """Multiples of 1/300 strictly inside (0, 1)."""
-    return [Fraction(i, 300) for i in range(1, 300)]
+#: The points :func:`optimize_p` searches: the multiples of 1/300 strictly inside (0, 1).
+GRID = [Fraction(i, 300) for i in range(1, 300)]
 
 
 @dataclass
@@ -75,11 +77,10 @@ class ReductionBound:
     gm_part: Fraction
     witness_key: CanonicalKey | None
     witness_ell: int | None
-    witness_poly: GPolynomial | None
 
 
-#: One family value: (width n, counts by weight 0..n, key, value, member).
-ValueRow = tuple[int, tuple[int, ...], CanonicalKey, int, GPolynomial]
+#: One family value: (width n, counts by weight 0..n, key, value).
+ValueRow = tuple[int, tuple[int, ...], CanonicalKey, int]
 
 
 def _value_rows(family: GmFamily, ell_min: int) -> list[ValueRow]:
@@ -98,13 +99,13 @@ def _value_rows(family: GmFamily, ell_min: int) -> list[ValueRow]:
     if ell_min in family.value_rows:
         return family.value_rows[ell_min]
     first: dict[tuple[int, tuple[int, ...]], ValueRow] = {}
-    for key, g, profile in zip(family.keys, family.members, family.profiles):
-        n = g.num_vars
+    for key, profile in zip(family.keys, family.profiles):
+        n = key.code[0]
         for value, per_w in sorted(profile.items()):
             if value >= ell_min:
                 counts = tuple(per_w.get(w, 0) for w in range(n + 1))
                 # keys are sorted, so the first row seen has the smallest (key, value)
-                first.setdefault((n, counts), (n, counts, key, value, g))
+                first.setdefault((n, counts), (n, counts, key, value))
     kept: dict[int, list[tuple[int, ...]]] = {}
     rows: list[ValueRow] = []
     for row in sorted(first.values(), key=lambda r: -sum(r[1])):
@@ -117,74 +118,46 @@ def _value_rows(family: GmFamily, ell_min: int) -> list[ValueRow]:
     return rows
 
 
-def _family_max(
-    rows: Sequence[ValueRow], p: Fraction, max_n: int
-) -> tuple[Fraction, CanonicalKey | None, int | None, GPolynomial | None]:
-    """Largest row mass at p, ties to the smallest ``(key, value)``; mass 0
-    and no witness when there are no rows.
-
-    With p = a/b a row's mass times b^max_n is the integer
-    sum_w counts[w] a^w (b-a)^(n-w) b^(max_n-n), so rows compare as integers.
-    """
-    b = p.denominator
-    scale = [[s * b ** (max_n - n) for s in weight_scale(p, n)] for n in range(max_n + 1)]
-    best: tuple[int, CanonicalKey, int, GPolynomial] | None = None
-    for n, counts, key, value, g in rows:
-        num = sum(map(mul, counts, scale[n]))
-        if best is None or num > best[0] or (num == best[0] and (key, value) < (best[1], best[2])):
-            best = (num, key, value, g)
-    if best is None:
-        return Fraction(0), None, None, None
-    return Fraction(best[0], b**max_n), best[1], best[2], best[3]
-
-
-def _bound_at(m: int, p: Fraction, rows: Sequence[ValueRow]) -> Fraction:
-    """The reduction bound max(binmax(m, p), family part) on pruned rows."""
-    return max(binmax(m, p), _family_max(rows, p, var_bound(m))[0])
-
-
 def reduction_bound(m: int, p, ell_min: int, *, workers: int = 1) -> ReductionBound:
     """max(binmax(m, p), family point-mass max over values >= ell_min).
 
-    The family part is maximized over every member and every achievable value
-    at least ``ell_min``; ties are broken toward the lexicographically
-    smallest canonical key, then the smallest value.  The witness is reported
-    whenever the family part attains the overall bound.  The family is the
-    cached ``enumerate_gm(m, workers)``.
+    The family part is maximized over the pruned value rows of the cached
+    ``enumerate_gm(m, workers)``, that is over every member and every
+    achievable value at least ``ell_min``; ties are broken toward the
+    lexicographically smallest canonical key, then the smallest value.  With
+    p = a/b a row's mass times b^N, N = ``var_bound(m)``, is the integer
+    sum_w counts[w] a^w (b-a)^(n-w) b^(N-n), so rows compare as integers.
+    The witness is reported whenever the family part attains the overall
+    bound; with no rows the family part is 0.
     """
     p = as_probability(p)
     if not 0 < p < 1:
         raise InputError("p must lie strictly between 0 and 1")
-    family = enumerate_gm(m, workers)
+    rows = _value_rows(enumerate_gm(m, workers), ell_min)
+    max_n, b = var_bound(m), p.denominator
+    scale = [[s * b ** (max_n - n) for s in weight_scale(p, n)] for n in range(max_n + 1)]
+    best: tuple[int, CanonicalKey, int] | None = None
+    for n, counts, key, value in rows:
+        num = sum(map(mul, counts, scale[n]))
+        if best is None or num > best[0] or (num == best[0] and (key, value) < best[1:]):
+            best = (num, key, value)
+    num, key, value = best or (0, None, None)
+    gm_part = Fraction(num, b**max_n)
     binmax_part = binmax(m, p)
-    gm_part, key, value, g = _family_max(_value_rows(family, ell_min), p, var_bound(m))
     bound = max(binmax_part, gm_part)
     if gm_part < bound:
-        key = value = g = None
-    return ReductionBound(m, p, ell_min, bound, binmax_part, gm_part, key, value, g)
+        key = value = None
+    return ReductionBound(m, p, ell_min, bound, binmax_part, gm_part, key, value)
 
 
-def optimize_p(
-    m: int,
-    grid: Sequence[Fraction] | None = None,
-    ell_min: int = 2,
-    *,
-    workers: int = 1,
-) -> tuple[Fraction, Fraction]:
-    """Grid point minimizing the reduction bound, with its exact bound.
+def optimize_p(m: int, *, workers: int = 1) -> tuple[Fraction, Fraction]:
+    """Point of :data:`GRID` minimizing the reduction bound over values >= 2,
+    with its exact bound.
 
-    Every grid point is evaluated exactly, on the value rows built once for
-    ``enumerate_gm(m, workers)``.  Exact ties are broken toward the larger p (the reference
-    table's m=2 row has two exact minima, at 1/3 and 2/3, and is quoted at
-    the larger one).
+    Exact ties are broken toward the larger p (the reference table's m=2 row
+    has two exact minima, at 1/3 and 2/3, and is quoted at the larger one).
     """
-    if grid is None:
-        grid = default_grid()
-    grid = sorted({as_probability(p) for p in grid})
-    if not grid or grid[0] <= 0 or grid[-1] >= 1:
-        raise InputError("grid must be non-empty with entries strictly inside (0, 1)")
-    rows = _value_rows(enumerate_gm(m, workers), ell_min)
-    bounds = [(p, _bound_at(m, p, rows)) for p in grid]
+    bounds = [(p, reduction_bound(m, p, 2, workers=workers).bound) for p in GRID]
     return min(bounds, key=lambda pb: (pb[1], -pb[0]))
 
 
@@ -206,7 +179,7 @@ def verify_prop_033(workers: int = 1) -> VerificationReport:
         witness = {
             "key": rb.witness_key.text,
             "ell": rb.witness_ell,
-            "poly": poly_to_json(rb.witness_poly.poly),
+            "poly": poly_to_json(rb.witness_key.member.poly),
         }
     checks = [
         check("bound_below_threshold", rb.bound, "<", threshold),
@@ -525,20 +498,20 @@ def _random_antichain(rng: random.Random, n: int) -> list[frozenset[int]]:
     return sets or [frozenset()]
 
 
-def suite_blym(seed: int, count: int, max_n: int = 12) -> int:
+def suite_blym(seed: int, count: int) -> int:
     rng = random.Random(seed)
     violations = 0
     for _ in range(count):
-        n = rng.randint(1, max_n)
+        n = rng.randint(1, 12)
         violations += not blym_check(n, _random_antichain(rng, n))[1]
     return violations
 
 
-def suite_antichain_expectation(seed: int, count: int, max_n: int = 12) -> int:
+def suite_antichain_expectation(seed: int, count: int) -> int:
     rng = random.Random(seed)
     violations = 0
     for _ in range(count):
-        n = rng.randint(1, max_n)
+        n = rng.randint(1, 12)
         sets = _random_antichain(rng, n)
         phi = {a: Fraction(rng.randint(0, 8), 8) for a in sets}
         p = Fraction(rng.randint(1, 99), 100)
@@ -546,11 +519,11 @@ def suite_antichain_expectation(seed: int, count: int, max_n: int = 12) -> int:
     return violations
 
 
-def suite_elo(seed: int, count: int, max_n: int = 12) -> int:
+def suite_elo(seed: int, count: int) -> int:
     rng = random.Random(seed)
     violations = 0
     for _ in range(count):
-        n = rng.randint(1, max_n)
+        n = rng.randint(1, 12)
         coeffs = []
         for _ in range(n):
             num = 0
@@ -587,11 +560,11 @@ def _random_int_poly(rng: random.Random, n: int, lo: int, hi: int) -> Multilinea
     return MultilinearPoly(n, rng.randint(lo, hi), lin, quad)
 
 
-def suite_large_linear_part(seed: int, count: int, max_n: int = 10) -> int:
+def suite_large_linear_part(seed: int, count: int) -> int:
     rng = random.Random(seed)
     violations = 0
     for _ in range(count):
-        n = rng.randint(1, max_n)
+        n = rng.randint(1, 10)
         lin_support = rng.sample(range(n), rng.randint(1, n))
         lin = {i: rng.randint(1, 3) for i in lin_support}
         quad = {(a, b): rng.randint(0, 2) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3}
@@ -619,11 +592,7 @@ def suite_reduction_spot(seed: int, count: int) -> int:
     """Random members of the unrestricted 0/1 family against reduction bounds."""
     rng = random.Random(seed)
     ps = (Fraction(1, 3), Fraction(1, 2))
-    bounds = {}
-    for m in (2, 3, 4, 5):
-        rows = _value_rows(enumerate_gm(m), 1)
-        for p in ps:
-            bounds[(m, p)] = _bound_at(m, p, rows)
+    bounds = {(m, p): reduction_bound(m, p, 1).bound for m in (2, 3, 4, 5) for p in ps}
     violations = 0
     for _ in range(count):
         g = _random_unit_form(rng)

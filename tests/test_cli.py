@@ -330,12 +330,33 @@ def test_construct_cliques_finite_n(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["construct", "--family", "cliques", "--k", "40", "--ell", "6"], ["verify", "prop027"]],
+    [
+        ["construct", "--family", "cliques", "--k", "40", "--ell", "6", "--json"],
+        ["verify", "prop027", "--json"],
+        ["reproduce", "--json"],
+        ["verify", "table", "--csv"],
+    ],
 )
 def test_unwritable_output_path_is_an_input_error(argv, tmp_path, capsys):
-    path = tmp_path / "missing" / "x.json"
-    assert main([*argv, "--json", str(path)]) == 2
-    err = capsys.readouterr().err
+    # A path in a missing directory, or a directory, is rejected before any
+    # work, and no other output file is opened.
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    extra = ["--json", str(kept)] if argv[-1] == "--csv" else []
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        start = time.perf_counter()
+        assert main([*argv, str(path), *extra]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: cannot write {path}" in err and "Traceback" not in err
+    assert kept.read_text() == "old\n"
+
+
+def test_output_failure_at_write_time_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / ("x" * 300)  # passes the early check; the name is too long to create
+    assert main(["verify", "prop027", "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("[PASS] prop027")
     assert f"error: cannot write {path}" in err and "Traceback" not in err
 
 

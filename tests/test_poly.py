@@ -276,7 +276,8 @@ def test_parse_format_round_trip():
     rng = random.Random(107)
     for _ in range(100):
         f = random_poly(rng)
-        assert parse_poly(format_poly(f), f.num_vars) == f
+        g = parse_poly(format_poly(f))
+        assert MultilinearPoly(f.num_vars, g.constant, g.linear, g.quadratic) == f
 
 
 def test_parse_rejects_malformed_text():

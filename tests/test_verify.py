@@ -13,12 +13,12 @@ from edgestat.gm import GmFamily, enumerate_gm
 from edgestat.poly import parse_poly
 from edgestat.report import check, report_from_json, reverify
 from edgestat.verify import (
+    GRID,
     LEMMA_SUITES,
     _value_rows,
     antichain_expectation_check,
     blym_check,
     check_better34_inequalities,
-    default_grid,
     elo_max,
     large_linear_part_check,
     optimize_p,
@@ -134,13 +134,13 @@ def test_optimize_p_tie_breaks_to_larger_p():
     # the larger one.
     assert reduction_bound(2, Fraction(1, 3), 2).bound == Fraction(4, 9)
     assert reduction_bound(2, Fraction(2, 3), 2).bound == Fraction(4, 9)
-    p_star, bound = optimize_p(2, grid=[Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
+    p_star, bound = optimize_p(2)
     assert (p_star, bound) == (Fraction(2, 3), Fraction(4, 9))
 
 
 def test_reduction_bound_equals_unpruned_oracle():
     # The pruned integer path against a Fraction loop over every value row.
-    spots = {m: default_grid()[::7] + [Fraction(97, 250)] for m in (2, 3, 4)}
+    spots = {m: GRID[::7] + [Fraction(97, 250)] for m in (2, 3, 4)}
     spots[5] = [Fraction(1, 300), Fraction(1, 3), Fraction(1, 2), Fraction(97, 250), Fraction(299, 300)]
     for m, ps in spots.items():
         family = enumerate_gm(m)
@@ -153,11 +153,10 @@ def test_reduction_bound_equals_unpruned_oracle():
 
 
 def test_optimize_p_equals_unpruned_argmin():
-    grid = default_grid()
     for m in (2, 3, 4):
         family = enumerate_gm(m)
         profiles = member_profiles(family)
-        bounds = {p: reduction_bound_unpruned(family, profiles, p, 2)[0] for p in grid}
+        bounds = {p: reduction_bound_unpruned(family, profiles, p, 2)[0] for p in GRID}
         least = min(bounds.values())
         p_star = max(p for p, bound in bounds.items() if bound == least)
         assert optimize_p(m) == (p_star, least)
@@ -171,13 +170,6 @@ def test_value_rows_are_built_once_per_family_and_ell_min():
         fresh = GmFamily(family.m, family.members, family.keys, family.per_s_counts)
         assert _value_rows(fresh, ell_min) == rows
     assert _value_rows(family, 1) != _value_rows(family, 2)
-
-
-def test_optimize_p_grid_validation():
-    with pytest.raises(InputError):
-        optimize_p(2, grid=[])
-    with pytest.raises(InputError):
-        optimize_p(2, grid=[Fraction(0), Fraction(1, 2)])
 
 
 # ---------------------------------------------------------------------------
