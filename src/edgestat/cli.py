@@ -53,11 +53,13 @@ def _positive(text: str) -> int:
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
-    """Reject a ``--json``/``--csv`` path that is a directory or lies in a
-    missing one, before any work; the file itself is not opened."""
+    """Reject a ``--json``/``--csv`` path that is empty, is a directory or lies
+    in a missing one, before any work; the file itself is not opened."""
     for path in (getattr(args, "json_path", None), getattr(args, "csv_path", None)):
         if path is None:
             continue
+        if not path:
+            raise InputError("cannot write an empty path")
         if os.path.isdir(path):
             raise InputError(f"cannot write {path}: is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
@@ -88,27 +90,29 @@ def _print_status(report: VerificationReport) -> None:
 def _cmd_enumerate(args) -> int:
     start = time.perf_counter()
     family = enumerate_gm(args.m, args.workers)
+    per_s = family.per_s_counts
     summary = (
         "m,count,max_vars,wall_time\n"
-        f"{family.m},{family.count},{max(family.per_s_counts)},{time.perf_counter() - start:.2f}\n"
+        f"{family.m},{family.count},{max(per_s)},{time.perf_counter() - start:.2f}\n"
     )
     print(summary, end="")
     if args.per_s:
         print("s,count")
-        for s in sorted(family.per_s_counts):
-            print(f"{s},{family.per_s_counts[s]}")
+        for s, count in per_s.items():
+            print(f"{s},{count}")
     if args.csv_path:
         _write_text(args.csv_path, summary)
     if args.json_path:
         lines = []
-        for key, g in zip(family.keys, family.members):
+        for key in family.keys:
+            s, lin, _ = key.code
             lines.append(
                 json.dumps(
                     {
                         "key": key.text,
-                        "poly": format_poly(g.poly),
-                        "s": g.num_vars,
-                        "linear_terms": len(g.linear_indices),
+                        "poly": format_poly(key.member.poly),
+                        "s": s,
+                        "linear_terms": len(lin),
                     },
                     sort_keys=True,
                 )
@@ -193,6 +197,8 @@ def _cmd_construct(args) -> int:
     reference; every value is computed before the first line is printed."""
     k, ell = args.k, args.ell
     if args.family == "cliques":
+        if args.a is not None:
+            args.error("--a does not apply to the cliques family")
         pieces, product, prob = clique_decomposition_bound(k, ell)
         family = clique_union_family(pieces, k)
         reference = product**-0.5

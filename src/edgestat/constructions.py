@@ -33,7 +33,6 @@ class HostGraph:
 
     n: int
     edges: frozenset = frozenset()
-    family_tag: str = ""
 
     def __post_init__(self):
         if self.n < 1:
@@ -155,7 +154,7 @@ def build_host(family: PartFamily, n: int) -> HostGraph:
             edges.update(combinations(blocks[i], 2))
     for i, j in family.cross:
         edges.update((u, v) for u in blocks[i] for v in blocks[j])
-    return HostGraph(n, frozenset(edges), family.tag)
+    return HostGraph(n, frozenset(edges))
 
 
 def edge_polynomial(host: HostGraph) -> MultilinearPoly:

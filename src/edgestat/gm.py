@@ -47,9 +47,10 @@ quadratic-only neighbours per ``L`` vertex (the row cap) and at most
 
 Every completion that passes the cuts gets one integer canonical search,
 :func:`~edgestat.poly.canonical_code`; the distinct codes are the classes.
-Branches return only their keys, and each class's representative is its
-key's ``member``, read off the code.  The emitted family is therefore sound
-and isomorph-free by construction.
+Branches return only their keys, and the family is their sorted union and
+nothing more: each class's representative is its key's ``member``, read off
+the code when a caller needs it.  The emitted family is therefore sound and
+isomorph-free by construction.
 
 Families are cached by ``m`` alone: a family is identical for every worker
 count.
@@ -57,12 +58,13 @@ count.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError
-from .poly import CanonicalKey, GPolynomial, canonical_code, value_weight_counts
+from .poly import CanonicalKey, canonical_code, value_weight_counts
 # perfbench/child.py wraps these two names on this module when it traces a run.
 from .poly import canonical_form, gm_membership  # noqa: F401
 
@@ -80,30 +82,34 @@ def var_bound(m: int) -> int:
 
 @dataclass
 class GmFamily:
-    """Complete family at threshold ``m``, one canonical representative per class.
+    """Complete family at threshold ``m``: the sorted canonical keys, one per class.
 
-    ``keys`` are sorted and ``members[i]`` is ``keys[i].member``, the form
-    the key spells out; ``profiles`` and ``value_rows`` (the pruned rows of
-    :func:`edgestat.verify._value_rows`, by ``ell_min``) are computed on first
-    use and live as long as the cached family.  ``searches`` is the number of
-    canonical searches the generator ran, the same for every worker count.
+    A class's representative is its key's ``member``, the form the key spells
+    out, and its variable count is ``key.code[0]``.  ``profiles`` and
+    ``value_rows`` (the pruned rows of :func:`edgestat.verify._value_rows`, by
+    ``ell_min``) are computed on first use and live as long as the cached
+    family.  ``searches`` is the number of canonical searches the generator
+    ran, the same for every worker count.
     """
 
     m: int
-    members: list[GPolynomial]
     keys: list[CanonicalKey]
-    per_s_counts: dict[int, int]
     searches: int = 0
     value_rows: dict[int, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return len(self.keys)
+
+    @property
+    def per_s_counts(self) -> dict[int, int]:
+        """Class count by variable count, in increasing order."""
+        return dict(sorted(Counter(k.code[0] for k in self.keys).items()))
 
     @cached_property
     def profiles(self) -> list[dict[int, dict[int, int]]]:
-        """``value_weight_counts`` of every member, in member order."""
-        return [value_weight_counts(g.poly) for g in self.members]
+        """``value_weight_counts`` of every class representative, in key order."""
+        return [value_weight_counts(k.member.poly) for k in self.keys]
 
 
 def _sorted_columns(t: int, q: int, cap_row: int) -> list[tuple[int, ...]]:
@@ -213,11 +219,6 @@ def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
         with ProcessPoolExecutor(max_workers=min(workers, len(branches))) as pool:
             parts = list(pool.map(_enumerate_branch, branches))
     keys = sorted(set().union(*(classes for classes, _ in parts)))
-    members = [k.member for k in keys]
-    searches = sum(n for _, n in parts)
-    per_s: dict[int, int] = {}
-    for g in members:
-        per_s[g.num_vars] = per_s.get(g.num_vars, 0) + 1
-    family = GmFamily(m, members, keys, dict(sorted(per_s.items())), searches)
+    family = GmFamily(m, keys, sum(n for _, n in parts))
     _CACHE[m] = family
     return family

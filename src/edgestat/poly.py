@@ -202,10 +202,6 @@ class GPolynomial:
     def num_vars(self) -> int:
         return self.poly.num_vars
 
-    @property
-    def linear_indices(self) -> frozenset[int]:
-        return frozenset(self.poly.linear)
-
 
 def _as_unit_poly(g: GPolynomial | MultilinearPoly) -> MultilinearPoly:
     f = g.poly if isinstance(g, GPolynomial) else g

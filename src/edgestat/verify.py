@@ -94,8 +94,6 @@ def _value_rows(family: GmFamily, ell_min: int) -> list[ValueRow]:
     a row already kept.  The rows are built once per ``(family, ell_min)`` and
     kept on the family.
     """
-    if ell_min < 1:
-        raise InputError("ell_min must be >= 1")
     if ell_min in family.value_rows:
         return family.value_rows[ell_min]
     first: dict[tuple[int, tuple[int, ...]], ValueRow] = {}
@@ -133,6 +131,8 @@ def reduction_bound(m: int, p, ell_min: int, *, workers: int = 1) -> ReductionBo
     p = as_probability(p)
     if not 0 < p < 1:
         raise InputError("p must lie strictly between 0 and 1")
+    if ell_min < 1:
+        raise InputError("ell_min must be >= 1")
     rows = _value_rows(enumerate_gm(m, workers), ell_min)
     max_n, b = var_bound(m), p.denominator
     scale = [[s * b ** (max_n - n) for s in weight_scale(p, n)] for n in range(max_n + 1)]

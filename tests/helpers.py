@@ -62,8 +62,7 @@ def is_zero(f):
 def complement(host):
     """The host graph on the same vertices with exactly the missing edges."""
     missing = frozenset(pair for pair in combinations(range(host.n), 2) if pair not in host.edges)
-    tag = f"complement({host.family_tag})" if host.family_tag else "complement"
-    return HostGraph(host.n, missing, tag)
+    return HostGraph(host.n, missing)
 
 
 def poly_from_json(data):
@@ -115,7 +114,7 @@ def canonical_form_unpruned(g):
     """Oracle for ``canonical_form``: try every class-respecting placement of
     the edge-touching members and keep the least ``(s, L, E)`` encoding."""
     s = g.num_vars
-    L = g.linear_indices
+    L = frozenset(g.poly.linear)
     edges = sorted(g.poly.quadratic)
     nbrs = [set() for _ in range(s)]
     for a, b in edges:
@@ -224,7 +223,7 @@ def binmax_oracle(m, p):
 
 def member_profiles(family):
     """``value_weight_counts`` of every member, computed apart from the family."""
-    return [value_weight_counts(g.poly) for g in family.members]
+    return [value_weight_counts(k.member.poly) for k in family.keys]
 
 
 def max_structure_stats(family):
@@ -232,9 +231,10 @@ def max_structure_stats(family):
     max_vars = 0
     max_lin = 0
     max_deg = 0
-    for g in family.members:
+    for k in family.keys:
+        g = k.member
         max_vars = max(max_vars, g.num_vars)
-        max_lin = max(max_lin, len(g.linear_indices))
+        max_lin = max(max_lin, len(g.poly.linear))
         deg: dict[int, int] = {}
         for a, b in g.poly.quadratic:
             deg[a] = deg.get(a, 0) + 1
@@ -251,12 +251,12 @@ def reduction_bound_unpruned(family, profiles, p, ell_min):
     Returns ``(bound, gm_part, witness_key, witness_ell)``; family ties go to
     the smallest ``(key, value)``.
     """
-    max_n = max(g.num_vars for g in family.members)
+    max_n = max(k.code[0] for k in family.keys)
     p_pows = [p**w for w in range(max_n + 1)]
     q_pows = [(1 - p) ** w for w in range(max_n + 1)]
     best = None
-    for key, g, profile in zip(family.keys, family.members, profiles):
-        n = g.num_vars
+    for key, profile in zip(family.keys, profiles):
+        n = key.code[0]
         for value, per_w in profile.items():
             if value < ell_min:
                 continue

@@ -338,12 +338,12 @@ def test_construct_cliques_finite_n(tmp_path, capsys):
     ],
 )
 def test_unwritable_output_path_is_an_input_error(argv, tmp_path, capsys):
-    # A path in a missing directory, or a directory, is rejected before any
-    # work, and no other output file is opened.
+    # An empty path, a path in a missing directory, or a directory is
+    # rejected before any work, and no other output file is opened.
     kept = tmp_path / "kept.json"
     kept.write_text("old\n")
     extra = ["--json", str(kept)] if argv[-1] == "--csv" else []
-    for path in (tmp_path / "missing" / "x.json", tmp_path):
+    for path in ("", tmp_path / "missing" / "x.json", tmp_path):
         start = time.perf_counter()
         assert main([*argv, str(path), *extra]) == 2
         assert time.perf_counter() - start < 1.0
@@ -364,6 +364,13 @@ def test_construct_bipartite_requires_a(capsys):
     assert main(["construct", "--family", "bipartite", "--k", "5", "--ell", "4"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error: --a is required" in err
+    assert "usage: edgestat construct" in err
+
+
+def test_construct_cliques_rejects_a(capsys):
+    assert main(["construct", "--family", "cliques", "--a", "3", "--k", "40", "--ell", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: --a does not apply to the cliques family" in err
     assert "usage: edgestat construct" in err
 
 

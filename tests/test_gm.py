@@ -95,7 +95,8 @@ def test_members_are_canonical_and_sound():
         family = enumerate_gm(m)
         assert family.keys == sorted(family.keys)
         assert len(set(family.keys)) == family.count
-        for key, g in zip(family.keys, family.members):
+        for key in family.keys:
+            g = key.member
             assert gm_membership(g, m)
             key_again, rep = canonical_form(g)
             assert key_again == key
@@ -110,7 +111,7 @@ def test_key_digests_are_pinned(m, digest):
 
 def test_canonical_form_matches_unpruned_oracle_on_relabelled_members():
     rng = random.Random(110)
-    for g in enumerate_gm(4).members:
+    for g in (k.member for k in enumerate_gm(4).keys):
         for _ in range(3):
             perm = list(range(g.num_vars))
             rng.shuffle(perm)
@@ -185,7 +186,7 @@ def test_worker_merge_is_order_independent(monkeypatch):
     monkeypatch.setattr(gm, "_CACHE", {})
     multi = enumerate_gm(3, workers=2)
     assert multi.keys == solo.keys
-    assert [g.poly for g in multi.members] == [g.poly for g in solo.members]
+    assert [k.member.poly for k in multi.keys] == [k.member.poly for k in solo.keys]
 
 
 def test_pool_has_at_most_one_worker_per_branch(monkeypatch):
@@ -206,7 +207,7 @@ def test_pool_has_at_most_one_worker_per_branch(monkeypatch):
 
     monkeypatch.setattr(gm, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(gm, "_CACHE", {})
-    assert len(enumerate_gm(3, workers=1000).members) == REFERENCE_COUNTS[3]
+    assert enumerate_gm(3, workers=1000).count == REFERENCE_COUNTS[3]
     assert asked == [7]
 
 

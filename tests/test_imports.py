@@ -1,14 +1,16 @@
-"""Every name a module of the package imports is read somewhere in that module."""
+"""Every name a module of the package imports is read somewhere in that
+module, and the package namespace holds only its modules."""
 
 import ast
 import os
+import types
 
 import pytest
 
 import edgestat
 
 SRC = os.path.dirname(edgestat.__file__)
-MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py") and name != "__init__.py")
+MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +42,13 @@ def test_no_unused_imports(module):
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom fractions import Fraction\nos.sep\n") == ["Fraction (line 2)"]
     assert unused_imports("from x import y  # noqa: F401\n") == []
+
+
+def test_package_binds_only_its_modules():
+    # Each library name has one import path: the module that defines it.
+    stray = [
+        name for name, value in vars(edgestat).items()
+        if not name.startswith("_")
+        and not (isinstance(value, types.ModuleType) and value.__name__.startswith("edgestat."))
+    ]
+    assert stray == []

@@ -110,8 +110,8 @@ def test_reduction_bound_matches_direct_distribution_scan():
     p = Fraction(2, 5)
     family = enumerate_gm(3)
     best = Fraction(0)
-    for g in family.members:
-        dist = bernoulli_value_dist(g.poly, p)
+    for key in family.keys:
+        dist = bernoulli_value_dist(key.member.poly, p)
         for value, prob in dist.probs.items():
             if value >= 1:
                 best = max(best, prob)
@@ -120,13 +120,21 @@ def test_reduction_bound_matches_direct_distribution_scan():
     assert rb.bound == max(binmax(3, p), best)
 
 
-def test_reduction_bound_input_validation():
+def test_reduction_bound_input_validation(monkeypatch):
     with pytest.raises(InputError):
         reduction_bound(3, Fraction(0), 1)
     with pytest.raises(InputError):
         reduction_bound(3, Fraction(1), 1)
     with pytest.raises(InputError):
         reduction_bound(3, Fraction(1, 2), 0)
+
+    # ell_min is checked before G(m) is enumerated.
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerate_gm ran before ell_min was checked")
+
+    monkeypatch.setattr("edgestat.verify.enumerate_gm", no_enumeration)
+    with pytest.raises(InputError):
+        reduction_bound(5, Fraction(1, 3), 0)
 
 
 def test_optimize_p_tie_breaks_to_larger_p():
@@ -167,7 +175,7 @@ def test_value_rows_are_built_once_per_family_and_ell_min():
     for ell_min in (1, 2):
         rows = _value_rows(family, ell_min)
         assert _value_rows(family, ell_min) is rows
-        fresh = GmFamily(family.m, family.members, family.keys, family.per_s_counts)
+        fresh = GmFamily(family.m, family.keys)
         assert _value_rows(fresh, ell_min) == rows
     assert _value_rows(family, 1) != _value_rows(family, 2)
 
