@@ -110,7 +110,7 @@ def _cmd_enumerate(args) -> int:
                 json.dumps(
                     {
                         "key": key.text,
-                        "poly": format_poly(key.member.poly),
+                        "poly": format_poly(key.member),
                         "s": s,
                         "linear_terms": len(lin),
                     },
@@ -176,11 +176,10 @@ def _cmd_dist(args) -> int:
         dist = bernoulli_value_dist(f, as_rational(args.p))
     else:
         try:
-            n_text, k_text = args.slice.split(",")
-            spec = SliceSpec(int(n_text), int(k_text))
+            n, k = (int(text) for text in args.slice.split(","))
         except ValueError as exc:
             raise InputError(f"--slice expects N,K with integers, got {args.slice!r}") from exc
-        dist = slice_value_dist(f, spec)
+        dist = slice_value_dist(f, SliceSpec(n, k))
     if args.ell is not None:
         print(format_rational(dist.prob(args.ell)))
     else:
@@ -297,7 +296,16 @@ def main(argv=None) -> int:
         if extra:
             args.error(f"unrecognized arguments: {' '.join(extra)}")
         _check_output_paths(args)
-        return args.handler(args)
+        # Exact results may exceed the int-to-text digit limit of Python >= 3.10.7;
+        # argv was parsed under it, and it is lifted (0) while the command runs.
+        digits = getattr(sys, "get_int_max_str_digits", int)()
+        if digits:
+            sys.set_int_max_str_digits(0)
+        try:
+            return args.handler(args)
+        finally:
+            if digits:
+                sys.set_int_max_str_digits(digits)
     except SystemExit as exc:  # argparse's usage errors and --help
         return int(exc.code or 0)
     except (InputError, ResourceLimitError) as exc:

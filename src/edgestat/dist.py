@@ -113,10 +113,11 @@ def weight_scale(p: Fraction, n: int) -> list[int]:
 
 def _product_numerators(f: MultilinearPoly, p: Fraction) -> tuple[dict[int, int], int]:
     """Numerators of the product-model law of ``f`` over b^num_vars."""
+    counts = value_weight_counts(f)  # checks the assignment cap before any work
     scale = weight_scale(p, f.num_vars)
     numerators = {
         value: sum(count * scale[w] for w, count in per_weight.items())
-        for value, per_weight in value_weight_counts(f).items()
+        for value, per_weight in counts.items()
     }
     return numerators, p.denominator**f.num_vars
 
@@ -239,9 +240,11 @@ def slice_value_dist(f: MultilinearPoly, spec: SliceSpec) -> ValueDist:
     n, k = spec.n, spec.k
     if f.num_vars > n:
         raise InputError(f"polynomial uses {f.num_vars} variables but the slice has n={n}")
-    total = math.comb(n, k)
-    if total > DEFAULT_SUBSET_CAP:
-        raise ResourceLimitError(f"slice enumeration needs {total} subsets, cap is {DEFAULT_SUBSET_CAP}")
+    total = 1  # C(n, j) for j up to min(k, n - k), so C(n, k) if the cap holds
+    for j in range(min(k, n - k)):
+        total = total * (n - j) // (j + 1)
+        if total > DEFAULT_SUBSET_CAP:
+            raise ResourceLimitError(f"slice enumeration needs C({n}, {k}) subsets, cap is {DEFAULT_SUBSET_CAP}")
     if k == 0:
         return ValueDist.from_numerators({f.constant: 1}, 1)
     below: list[dict[int, int]] = [{} for _ in range(n)]

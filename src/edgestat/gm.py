@@ -48,9 +48,10 @@ quadratic-only neighbours per ``L`` vertex (the row cap) and at most
 Every completion that passes the cuts gets one integer canonical search,
 :func:`~edgestat.poly.canonical_code`; the distinct codes are the classes.
 Branches return only their keys, and the family is their sorted union and
-nothing more: each class's representative is its key's ``member``, read off
-the code when a caller needs it.  The emitted family is therefore sound and
-isomorph-free by construction.
+nothing more: each class's representative is its key's ``member``, a
+:class:`~edgestat.poly.MultilinearPoly` read off the code when a caller
+needs it.  The emitted family is therefore sound and isomorph-free by
+construction.
 
 Families are cached by ``m`` alone: a family is identical for every worker
 count.
@@ -109,7 +110,7 @@ class GmFamily:
     @cached_property
     def profiles(self) -> list[dict[int, dict[int, int]]]:
         """``value_weight_counts`` of every class representative, in key order."""
-        return [value_weight_counts(k.member.poly) for k in self.keys]
+        return [value_weight_counts(k.member) for k in self.keys]
 
 
 def _sorted_columns(t: int, q: int, cap_row: int) -> list[tuple[int, ...]]:

@@ -15,6 +15,10 @@ two notions the enumeration engine is built on:
   0/1-coefficient family and keeps fewer than ``m`` linear terms; and
 * a permutation-canonical key, so that relabelled copies of the same form
   collapse to one representative.
+
+A 0/1 form is a plain :class:`MultilinearPoly` with constant 0 and every
+coefficient 1; :func:`canonical_form` also requires every variable slot to
+appear in some term, and rejects any other input.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError, ResourceLimitError
 
@@ -121,12 +125,10 @@ def value_weight_counts(f: MultilinearPoly) -> dict[int, dict[int, int]]:
     bits a later variable still reads, and a bit leaves it once its last
     quadratic partner is placed, so assignments that agree on all three merge.
     """
-    total = 1 << f.num_vars
-    if total > DEFAULT_ASSIGNMENT_CAP:
-        raise ResourceLimitError(
-            f"assignment enumeration needs {total} assignments, cap is {DEFAULT_ASSIGNMENT_CAP}"
-        )
     n = f.num_vars
+    if n >= DEFAULT_ASSIGNMENT_CAP.bit_length():  # 2**n > cap, without building 2**n
+        raise ResourceLimitError(f"assignment enumeration needs 2**{n} assignments, "
+                                 f"cap is {DEFAULT_ASSIGNMENT_CAP}")
     below: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     last = list(range(n))  # last variable that reads each bit
     for (a, b), c in f.quadratic.items():
@@ -177,39 +179,7 @@ def _require_unit_form(f: MultilinearPoly) -> None:
         raise InputError("polynomial must have zero constant and all coefficients equal to 1")
 
 
-@dataclass
-class GPolynomial:
-    """A 0/1 quadratic form with no constant term and no unused variable.
-
-    ``L`` is the set of indices carrying a linear term, ``E`` the set of pairs
-    carrying a quadratic term; together they must cover every variable slot.
-    """
-
-    poly: MultilinearPoly
-
-    def __post_init__(self) -> None:
-        _require_unit_form(self.poly)
-        if self.poly.used_variables() != set(range(self.poly.num_vars)):
-            raise InputError("every variable slot must appear in some term")
-
-    @classmethod
-    def from_sets(cls, num_vars: int, linear: Iterable[int], edges: Iterable[tuple[int, int]]) -> "GPolynomial":
-        lin = {int(i): 1 for i in linear}
-        quad = {(int(a), int(b)): 1 for a, b in edges}
-        return cls(MultilinearPoly(num_vars, 0, lin, quad))
-
-    @property
-    def num_vars(self) -> int:
-        return self.poly.num_vars
-
-
-def _as_unit_poly(g: GPolynomial | MultilinearPoly) -> MultilinearPoly:
-    f = g.poly if isinstance(g, GPolynomial) else g
-    _require_unit_form(f)
-    return f
-
-
-def gm_membership(g: GPolynomial | MultilinearPoly, m: int) -> bool:
+def gm_membership(f: MultilinearPoly, m: int) -> bool:
     """Literal membership test in the reduced family for threshold ``m``.
 
     For every variable slot ``i``, the polynomial obtained by pinning
@@ -219,7 +189,7 @@ def gm_membership(g: GPolynomial | MultilinearPoly, m: int) -> bool:
     """
     if m < 1:
         raise InputError("m must be >= 1")
-    f = _as_unit_poly(g)
+    _require_unit_form(f)
     for i in range(f.num_vars):
         h = substitute(f, i, 1)
         if _is_unit_form(h):
@@ -248,9 +218,10 @@ class CanonicalKey:
         return f"n{s}|L{lpart}|E{epart}"
 
     @property
-    def member(self) -> GPolynomial:
+    def member(self) -> MultilinearPoly:
         """The class representative: the form the key spells out."""
-        return GPolynomial.from_sets(*self.code)
+        s, lin, edges = self.code
+        return MultilinearPoly(s, 0, dict.fromkeys(lin, 1), dict.fromkeys(edges, 1))
 
 
 def _refined_classes(s: int, lmask: int, adj: list[list[int]]) -> list[list[int]]:
@@ -373,15 +344,17 @@ def canonical_code(num_vars: int, lmask: int, edges: Sequence[tuple[int, int]]) 
     return (s, tuple(lin), edge_code)
 
 
-def canonical_form(g: GPolynomial) -> tuple[CanonicalKey, GPolynomial]:
-    """Canonical key plus the relabelled representative that attains it.
+def canonical_form(f: MultilinearPoly) -> CanonicalKey:
+    """Canonical key of a 0/1 quadratic form with no unused variable slot.
 
     The key is the minimum encoding ``(num_vars, sorted L, sorted E)`` over
     the relabellings that map each colour-refinement class onto its fixed
     block of target labels.  Any relabelling between two forms must preserve
     the (label-invariant) refined colours, so two forms get equal keys
-    exactly when one is a relabelling of the other.  The representative is
-    the form the key spells out.
+    exactly when one is a relabelling of the other.  The representative,
+    the form the key spells out, is ``key.member``.  The key reads only which
+    terms are present, so a constant, a coefficient other than 1 or an
+    unused slot is an :class:`InputError`.
 
     Two reductions keep the search small.  Classes are wholly linear or
     wholly quadratic, and each occupies a fixed block of target labels, so
@@ -396,16 +369,13 @@ def canonical_form(g: GPolynomial) -> tuple[CanonicalKey, GPolynomial]:
     highly symmetric inputs that refinement cannot split (far outside the
     enumerated families) are rejected whatever pruning would have saved.
     """
-    s = g.num_vars
+    s = f.num_vars
     if s > CANONICAL_VAR_CAP:
         raise ResourceLimitError(f"canonical keys support at most {CANONICAL_VAR_CAP} variables")
-    lmask = sum(1 << i for i in g.poly.linear)
-    key = CanonicalKey(canonical_code(s, lmask, list(g.poly.quadratic)))
-    return key, key.member
-
-
-def canonical_key(g: GPolynomial) -> CanonicalKey:
-    return canonical_form(g)[0]
+    _require_unit_form(f)
+    if f.used_variables() != set(range(s)):
+        raise InputError("every variable slot must appear in some term")
+    return CanonicalKey(canonical_code(s, sum(1 << i for i in f.linear), list(f.quadratic)))
 
 
 # ---------------------------------------------------------------------------

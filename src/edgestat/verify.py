@@ -40,9 +40,8 @@ from .errors import InputError
 from .gm import GmFamily, enumerate_gm, var_bound
 from .poly import (
     CanonicalKey,
-    GPolynomial,
     MultilinearPoly,
-    canonical_key,
+    canonical_form,
     parse_poly,
     poly_to_json,
     value_weight_counts,
@@ -173,13 +172,13 @@ def verify_prop_033(workers: int = 1) -> VerificationReport:
     p = Fraction(1, 3)
     threshold = Fraction(3293, 10000)
     rb = reduction_bound(5, p, 2, workers=workers)
-    expected_key = canonical_key(GPolynomial(parse_poly(_WITNESS_POLY_TEXT)))
+    expected_key = canonical_form(parse_poly(_WITNESS_POLY_TEXT))
     witness = None
     if rb.witness_key is not None:
         witness = {
             "key": rb.witness_key.text,
             "ell": rb.witness_ell,
-            "poly": poly_to_json(rb.witness_key.member.poly),
+            "poly": poly_to_json(rb.witness_key.member),
         }
     checks = [
         check("bound_below_threshold", rb.bound, "<", threshold),
@@ -576,7 +575,7 @@ def suite_large_linear_part(seed: int, count: int) -> int:
     return violations
 
 
-def _random_unit_form(rng: random.Random) -> GPolynomial:
+def _random_unit_form(rng: random.Random) -> MultilinearPoly:
     s = rng.randint(1, 8)
     linear = {i for i in range(s) if rng.random() < 0.5}
     edges = {(a, b) for a in range(s) for b in range(a + 1, s) if rng.random() < 0.35}
@@ -585,7 +584,7 @@ def _random_unit_form(rng: random.Random) -> GPolynomial:
         used.add(a)
         used.add(b)
     linear |= set(range(s)) - used
-    return GPolynomial.from_sets(s, linear, edges)
+    return MultilinearPoly(s, 0, dict.fromkeys(linear, 1), dict.fromkeys(edges, 1))
 
 
 def suite_reduction_spot(seed: int, count: int) -> int:
@@ -595,8 +594,8 @@ def suite_reduction_spot(seed: int, count: int) -> int:
     bounds = {(m, p): reduction_bound(m, p, 1).bound for m in (2, 3, 4, 5) for p in ps}
     violations = 0
     for _ in range(count):
-        g = _random_unit_form(rng)
-        laws = {p: bernoulli_value_dist(g.poly, p) for p in ps}
+        f = _random_unit_form(rng)
+        laws = {p: bernoulli_value_dist(f, p) for p in ps}
         positive = [v for v in laws[ps[rng.randint(0, 1)]].support() if v >= 1]
         if positive:
             ell = rng.choice(positive)

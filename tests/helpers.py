@@ -12,7 +12,6 @@ from edgestat.errors import InputError
 from edgestat.gm import _bounded_degree_graphs, _sorted_columns
 from edgestat.poly import (
     CanonicalKey,
-    GPolynomial,
     MultilinearPoly,
     canonical_code,
     substitute,
@@ -35,6 +34,12 @@ def evaluate(f, assignment):
         if assignment[i] and assignment[j]:
             value += c
     return value
+
+
+def unit_form(num_vars, linear, edges):
+    """The 0/1 quadratic form with linear terms on ``linear`` and quadratic
+    terms on the pairs ``edges``."""
+    return MultilinearPoly(num_vars, 0, dict.fromkeys(linear, 1), dict.fromkeys(edges, 1))
 
 
 def permute_variables(f, perm):
@@ -110,12 +115,13 @@ def _refined_classes_oracle(s, L, nbrs):
     return [sorted(classes[c]) for c in sorted(classes)]
 
 
-def canonical_form_unpruned(g):
+def canonical_form_unpruned(f):
     """Oracle for ``canonical_form``: try every class-respecting placement of
-    the edge-touching members and keep the least ``(s, L, E)`` encoding."""
-    s = g.num_vars
-    L = frozenset(g.poly.linear)
-    edges = sorted(g.poly.quadratic)
+    the edge-touching members and keep the least ``(s, L, E)`` encoding.
+    Returns the key and ``f`` relabelled by the placement that attains it."""
+    s = f.num_vars
+    L = frozenset(f.linear)
+    edges = sorted(f.quadratic)
     nbrs = [set() for _ in range(s)]
     for a, b in edges:
         nbrs[a].add(b)
@@ -151,7 +157,7 @@ def canonical_form_unpruned(g):
             search(idx + 1)
 
     search(0)
-    return CanonicalKey(best), GPolynomial(permute_variables(g.poly, best_perm))
+    return CanonicalKey(best), permute_variables(f, best_perm)
 
 
 def bernoulli_value_dist_conditioning(f, p):
@@ -195,14 +201,13 @@ def poisson_tv_check_per_term(n, p):
     return tv, tv <= float(p) + 1e-12
 
 
-def gm_membership_derived(g, m):
+def gm_membership_derived(f, m):
     """Oracle for ``gm_membership``: the neighbourhood predicate.
 
     With ``L`` the linear support and ``N(i)`` the quadratic neighbours of
     ``i``: every slot must satisfy ``i in L or N(i) & L != {}`` and
     ``|(L | N(i)) - {i}| <= m - 1``.
     """
-    f = g.poly
     L = set(f.linear)
     nbrs = {i: set() for i in range(f.num_vars)}
     for a, b in f.quadratic:
@@ -223,7 +228,7 @@ def binmax_oracle(m, p):
 
 def member_profiles(family):
     """``value_weight_counts`` of every member, computed apart from the family."""
-    return [value_weight_counts(k.member.poly) for k in family.keys]
+    return [value_weight_counts(k.member) for k in family.keys]
 
 
 def max_structure_stats(family):
@@ -232,11 +237,11 @@ def max_structure_stats(family):
     max_lin = 0
     max_deg = 0
     for k in family.keys:
-        g = k.member
-        max_vars = max(max_vars, g.num_vars)
-        max_lin = max(max_lin, len(g.poly.linear))
+        f = k.member
+        max_vars = max(max_vars, f.num_vars)
+        max_lin = max(max_lin, len(f.linear))
         deg: dict[int, int] = {}
-        for a, b in g.poly.quadratic:
+        for a, b in f.quadratic:
             deg[a] = deg.get(a, 0) + 1
             deg[b] = deg.get(b, 0) + 1
         if deg:

@@ -24,7 +24,7 @@ from edgestat.constructions import (
 )
 from edgestat.dist import binmax
 from edgestat.gm import enumerate_gm
-from edgestat.poly import GPolynomial, canonical_form
+from edgestat.poly import canonical_form
 from edgestat.verify import (
     LEMMA_SUITES,
     check_better34_inequalities,
@@ -34,6 +34,8 @@ from edgestat.verify import (
     verify_prop_027,
     verify_table,
 )
+
+from helpers import unit_form
 
 F = Fraction
 
@@ -72,8 +74,7 @@ def test_criterion_02_point_mass_bound_certificate(capsys):
     _check(failures, "bound_below_threshold", rb.bound < F(3293, 10000))
     _check(failures, "witness_ell", rb.witness_ell == 2)
     # Expanded (1 + x1)(x2 + x3 + x4 + x5): four linear slots plus a star.
-    star = GPolynomial.from_sets(5, {1, 2, 3, 4}, {(0, 1), (0, 2), (0, 3), (0, 4)})
-    key, _ = canonical_form(star)
+    key = canonical_form(unit_form(5, {1, 2, 3, 4}, {(0, 1), (0, 2), (0, 3), (0, 4)}))
     _check(failures, "witness_key", rb.witness_key == key)
     _check(failures, "binmax_equals_family_max", rb.binmax_part == rb.gm_part)
     _conclude(capsys, 2, "bound(5, 1/3, 2) = 80/243 < 0.3293 with star witness", failures)

@@ -16,7 +16,13 @@ import pytest
 
 import edgestat
 from edgestat.cli import CERTIFICATES, build_parser, main
-from edgestat.constructions import build_host, clique_union_family, edge_count_dist
+from edgestat.constructions import (
+    bipartite_family,
+    build_host,
+    clique_union_family,
+    edge_count_dist,
+    limit_probability,
+)
 from edgestat.report import report_from_json, reverify
 
 
@@ -86,14 +92,36 @@ def test_dist_slice_subset_cap(capsys):
     assert out == "" and "error:" in err and "cap" in err
 
 
-@pytest.mark.parametrize("measure", [["--p", "1/2"], ["--slice", "40,20"]])
+@pytest.mark.parametrize(
+    "measure",
+    [
+        ["x25", "--p", "1/2"],
+        ["x1", "--slice", "40,20"],
+        ["x20000", "--p", "1/2"],
+        ["x100000000", "--p", "1/2"],
+        ["x1", "--slice", "40000,20000"],
+        ["x1", "--slice", "2000000,1000000"],
+    ],
+)
 def test_dist_oversized_input_fails_before_any_output(measure, capsys):
     # x25 has 2**25 assignments (cap 2**24); the 40,20 slice has C(40, 20)
-    # subsets (cap 10**7).  Both guards trip before any enumeration.
-    poly = "x25" if measure[0] == "--p" else "x1"
-    assert main(["dist", "--poly", poly, *measure]) == 2
+    # subsets (cap 10**7).  Every guard trips before any enumeration, and
+    # without building the oversized count: 2**20000 and C(40000, 20000)
+    # have more digits than Python prints by default, and weighing 2**100000000
+    # or C(2000000, 1000000) in full would take minutes.
+    start = time.perf_counter()
+    assert main(["dist", "--poly", *measure]) == 2
+    assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+def test_dist_slice_out_of_range_names_the_range(capsys):
+    # A well-formed N,K outside 0 <= k <= n is reported as such, not as a
+    # malformed --slice.
+    assert main(["dist", "--poly", "x1", "--slice", "3,5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "need 0 <= k <= n" in err
 
 
 def test_dist_poly_wider_than_slice(capsys):
@@ -392,6 +420,32 @@ def test_construct_finite_n_far_beyond_enumeration(capsys):
     assert time.perf_counter() - start < 5.0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "finite n=1000000: 207999200001200000/499997000005499997 = 0.4160008960"
+
+
+def test_construct_prints_exact_results_past_the_default_digit_limit(capsys):
+    # The limit's numerator and denominator have more than 4,300 digits,
+    # Python's default ceiling on int-to-text conversion; main lifts that
+    # ceiling only while the command runs.
+    digits = sys.get_int_max_str_digits()
+    assert main(["construct", "--family", "bipartite", "--a", "1", "--k", "1500", "--ell", "1499"]) == 0
+    assert sys.get_int_max_str_digits() == digits
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("limit: "))
+    sys.set_int_max_str_digits(0)
+    try:
+        printed = Fraction(line.split()[1])
+    finally:
+        sys.set_int_max_str_digits(digits)
+    assert printed == limit_probability(bipartite_family(1, 1500), 1500, 1499)
+    assert printed.denominator > 10**4300
+
+
+def test_construct_rejects_an_integer_past_the_digit_limit(capsys):
+    # argv is parsed under Python's default digit limit: a 5,000-digit --n
+    # stays a usage error.
+    argv = ["construct", "--family", "bipartite", "--a", "1", "--k", "5", "--ell", "4", "--n", "9" * 5000]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid int value" in err
 
 
 def test_construct_bipartite_rejects_oversized_a(capsys):

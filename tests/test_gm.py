@@ -14,9 +14,9 @@ from edgestat.gm import (
     enumerate_gm,
     var_bound,
 )
-from edgestat.poly import GPolynomial, canonical_form, gm_membership
+from edgestat.poly import canonical_form, gm_membership
 
-from helpers import canonical_form_unpruned, max_structure_stats, permute_variables, skeletons, uncut_codes
+from helpers import canonical_form_unpruned, max_structure_stats, permute_variables, skeletons, uncut_codes, unit_form
 
 REFERENCE_COUNTS = {1: 1, 2: 4, 3: 16, 4: 99, 5: 1653}
 
@@ -56,10 +56,10 @@ def naive_per_s_counts(m: int, max_s: int) -> dict[int, int]:
                 used = set(linear) | {v for pair in edges for v in pair}
                 if used != set(range(s)) or not used:
                     continue
-                g = GPolynomial.from_sets(s, linear, edges)
+                g = unit_form(s, linear, edges)
                 if not gm_membership(g, m):
                     continue
-                key = canonical_form(g)[0]
+                key = canonical_form(g)
                 if key not in seen:
                     seen.add(key)
                     per_s[s] = per_s.get(s, 0) + 1
@@ -98,9 +98,8 @@ def test_members_are_canonical_and_sound():
         for key in family.keys:
             g = key.member
             assert gm_membership(g, m)
-            key_again, rep = canonical_form(g)
+            key_again = canonical_form(g)
             assert key_again == key
-            assert rep.poly == g.poly
 
 
 @pytest.mark.parametrize("m, digest", list(KEY_DIGESTS.items()))
@@ -115,11 +114,11 @@ def test_canonical_form_matches_unpruned_oracle_on_relabelled_members():
         for _ in range(3):
             perm = list(range(g.num_vars))
             rng.shuffle(perm)
-            shuffled = GPolynomial(permute_variables(g.poly, perm))
-            key, rep = canonical_form(shuffled)
+            shuffled = permute_variables(g, perm)
+            key = canonical_form(shuffled)
             want_key, want_rep = canonical_form_unpruned(shuffled)
             assert key == want_key
-            assert rep.poly == want_rep.poly
+            assert key.member == want_rep
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -131,10 +130,10 @@ def test_skeleton_membership_equals_literal_for_every_ll_mask(m):
         for q in range(t * (m - t) + 1):
             for skeleton in skeletons(m, t, q):
                 for k in range(1, m + 1):
-                    skeleton_ok = gm_membership(GPolynomial.from_sets(t + q, range(t), skeleton), k)
+                    skeleton_ok = gm_membership(unit_form(t + q, range(t), skeleton), k)
                     for ll_mask in range(1 << len(ll_pairs)):
                         ll = [ll_pairs[i] for i in range(len(ll_pairs)) if ll_mask >> i & 1]
-                        g = GPolynomial.from_sets(t + q, range(t), skeleton + ll)
+                        g = unit_form(t + q, range(t), skeleton + ll)
                         assert gm_membership(g, k) == skeleton_ok
 
 
@@ -149,7 +148,7 @@ def test_skeleton_capacities_equal_literal_membership(m):
             accepted = {
                 tuple(sk)
                 for sk in skeletons(m + 1, t, q)
-                if gm_membership(GPolynomial.from_sets(t + q, range(t), sk), m)
+                if gm_membership(unit_form(t + q, range(t), sk), m)
             }
             assert emitted == accepted, (m, t, q)
 
@@ -178,7 +177,7 @@ def test_every_m5_skeleton_is_a_member():
     for t in range(1, 6):
         for q in range(t * (5 - t) + 1):
             for sk in skeletons(5, t, q):
-                assert gm_membership(GPolynomial.from_sets(t + q, range(t), sk), 5), (t, q, sk)
+                assert gm_membership(unit_form(t + q, range(t), sk), 5), (t, q, sk)
 
 
 def test_worker_merge_is_order_independent(monkeypatch):
@@ -186,7 +185,7 @@ def test_worker_merge_is_order_independent(monkeypatch):
     monkeypatch.setattr(gm, "_CACHE", {})
     multi = enumerate_gm(3, workers=2)
     assert multi.keys == solo.keys
-    assert [k.member.poly for k in multi.keys] == [k.member.poly for k in solo.keys]
+    assert [k.member for k in multi.keys] == [k.member for k in solo.keys]
 
 
 def test_pool_has_at_most_one_worker_per_branch(monkeypatch):

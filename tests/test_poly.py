@@ -8,10 +8,8 @@ import pytest
 from edgestat.errors import InputError, ResourceLimitError
 from edgestat.poly import (
     CanonicalKey,
-    GPolynomial,
     MultilinearPoly,
     canonical_form,
-    canonical_key,
     format_poly,
     gm_membership,
     parse_poly,
@@ -30,6 +28,7 @@ from helpers import (
     permute_variables,
     poly_from_json,
     random_poly,
+    unit_form,
     zero_poly,
 )
 
@@ -161,27 +160,27 @@ def test_achievable_values_of_expanded_product():
 
 
 def test_unit_form_gate():
-    GPolynomial(parse_poly("x1+x2+x1*x2"))
-    with pytest.raises(InputError):
-        GPolynomial(parse_poly("1+x1"))  # constant term
-    with pytest.raises(InputError):
-        GPolynomial(parse_poly("2x1"))  # coefficient 2
-    with pytest.raises(InputError):
-        GPolynomial(parse_poly("-x1+x2"))  # negative coefficient
+    canonical_form(parse_poly("x1+x2+x1*x2"))
+    # a constant term, a coefficient 2 and a negative coefficient
+    for text in ("1+x1", "2x1", "-x1+x2"):
+        with pytest.raises(InputError):
+            canonical_form(parse_poly(text))
+        with pytest.raises(InputError):
+            gm_membership(parse_poly(text), 2)
 
 
 def test_unit_form_requires_every_slot_used():
     lonely = MultilinearPoly(3, 0, {0: 1}, {})  # x2, x3 unused
     with pytest.raises(InputError):
-        GPolynomial(lonely)
-    assert GPolynomial.from_sets(3, {0}, {(1, 2)}).num_vars == 3
+        canonical_form(lonely)
+    assert canonical_form(unit_form(3, {0}, {(1, 2)})).code[0] == 3
 
 
 def test_membership_uses_used_variables_convention():
     # substitution can orphan a slot; the raw polynomial must still be testable
     f = parse_poly("x1+x2+x1*x3")
     g = substitute(f, 2, 0)  # x1 + x2 on 2 slots
-    assert gm_membership(g, 2) == gm_membership_derived(GPolynomial(g), 2)
+    assert gm_membership(g, 2) == gm_membership_derived(g, 2)
 
 
 def all_unit_forms(s):
@@ -194,14 +193,14 @@ def all_unit_forms(s):
         forced = set(range(s)) - covered
         for sub_mask in range(1 << len(free)):
             linear = forced | {free[i] for i in range(len(free)) if sub_mask >> i & 1}
-            yield GPolynomial.from_sets(s, linear, edges)
+            yield unit_form(s, linear, edges)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
 def test_membership_literal_equals_derived_exhaustive(s):
     for g in all_unit_forms(s):
         for m in range(1, 9):
-            assert gm_membership(g, m) == gm_membership_derived(g, m), (format_poly(g.poly), m)
+            assert gm_membership(g, m) == gm_membership_derived(g, m), (format_poly(g), m)
 
 
 def test_membership_literal_equals_derived_sampled_large():
@@ -211,7 +210,7 @@ def test_membership_literal_equals_derived_sampled_large():
         edges = {e for e in combinations(range(s), 2) if rng.random() < 0.3}
         covered = {v for e in edges for v in e}
         linear = {i for i in range(s) if rng.random() < 0.5} | (set(range(s)) - covered)
-        g = GPolynomial.from_sets(s, linear, edges)
+        g = unit_form(s, linear, edges)
         for m in (1, 3, 5, 8):
             assert gm_membership(g, m) == gm_membership_derived(g, m)
 
@@ -220,14 +219,14 @@ def test_canonical_form_is_permutation_invariant():
     rng = random.Random(106)
     forms = [g for g in all_unit_forms(4)]
     for g in rng.sample(forms, 40):
-        key, rep = canonical_form(g)
+        key = canonical_form(g)
         for _ in range(5):
             perm = list(range(g.num_vars))
             rng.shuffle(perm)
-            shuffled = GPolynomial(permute_variables(g.poly, perm))
-            assert canonical_key(shuffled) == key
+            shuffled = permute_variables(g, perm)
+            assert canonical_form(shuffled) == key
         # the relabelled representative canonicalizes to itself
-        assert canonical_key(rep) == key
+        assert canonical_form(key.member) == key
 
 
 def random_unit_form(rng, max_vars=8):
@@ -237,28 +236,28 @@ def random_unit_form(rng, max_vars=8):
     edges = {e for e in combinations(range(s), 2) if rng.random() < density}
     covered = {v for e in edges for v in e}
     linear = {i for i in range(s) if rng.random() < 0.5} | (set(range(s)) - covered)
-    return GPolynomial.from_sets(s, linear, edges)
+    return unit_form(s, linear, edges)
 
 
 def test_canonical_form_matches_unpruned_oracle_on_random_forms():
     rng = random.Random(109)
     for _ in range(500):
         g = random_unit_form(rng)
-        key, rep = canonical_form(g)
+        key = canonical_form(g)
         want_key, want_rep = canonical_form_unpruned(g)
-        assert key == want_key, format_poly(g.poly)
-        assert rep.poly == want_rep.poly
+        assert key == want_key, format_poly(g)
+        assert key.member == want_rep
 
 
 def test_canonical_key_text_format():
-    key = canonical_key(GPolynomial(parse_poly(PRODUCT_TEXT)))
+    key = canonical_form(parse_poly(PRODUCT_TEXT))
     assert key.text == "n5|L1,2,3,4|E1-5,2-5,3-5,4-5"
-    assert canonical_key(GPolynomial(parse_poly("x1"))).text == "n1|L1|E"
+    assert canonical_form(parse_poly("x1")).text == "n1|L1|E"
     assert isinstance(key, CanonicalKey) and key == key
 
 
 def test_canonical_form_var_cap():
-    g = GPolynomial.from_sets(13, set(range(13)), set())
+    g = unit_form(13, range(13), ())
     with pytest.raises(ResourceLimitError):
         canonical_form(g)
 
@@ -267,7 +266,7 @@ def test_canonical_form_placement_cap():
     # A 12-cycle is vertex-transitive: colour refinement leaves one class of
     # twelve edge-touching members, which would take 12! placements.
     cycle = {(i, i + 1) for i in range(11)} | {(0, 11)}
-    g = GPolynomial.from_sets(12, set(), cycle)
+    g = unit_form(12, (), cycle)
     with pytest.raises(ResourceLimitError):
         canonical_form(g)
 

@@ -111,7 +111,7 @@ def test_reduction_bound_matches_direct_distribution_scan():
     family = enumerate_gm(3)
     best = Fraction(0)
     for key in family.keys:
-        dist = bernoulli_value_dist(key.member.poly, p)
+        dist = bernoulli_value_dist(key.member, p)
         for value, prob in dist.probs.items():
             if value >= 1:
                 best = max(best, prob)
