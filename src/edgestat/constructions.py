@@ -24,7 +24,7 @@ from .poly import MultilinearPoly
 from .report import VerificationReport, check
 
 #: Guard on the number of explicit part-count vectors one walk may visit.
-DEFAULT_VECTOR_CAP = 2 * 10**6
+VECTOR_CAP = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,8 @@ def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None
                 hi += 1
         ranges.append(hi + 1)
     needed = math.prod(ranges)
-    if needed > DEFAULT_VECTOR_CAP:
-        raise ResourceLimitError(f"the sum would visit {needed} count vectors (cap {DEFAULT_VECTOR_CAP})")
+    if needed > VECTOR_CAP:
+        raise ResourceLimitError(f"the sum would visit {needed} count vectors (cap {VECTOR_CAP})")
     cross = sorted(family.cross)
     total = 0
 

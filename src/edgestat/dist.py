@@ -2,8 +2,9 @@
 
 Probabilities are `fractions.Fraction` at the API boundary and integers
 inside.  With p = a/b, a product-model mass is an integer numerator
-sum_w c_w a^w (b-a)^(n-w) over b^n, and a k-slice mass is a subset count over
-C(n, k); :meth:`ValueDist.from_numerators` checks such numerators on ints.
+sum_w c_w a^w (b-a)^(n-w) over b^n, and a k-slice mass of s read slots is
+sum_w c_w (k)_w (n-k)_(s-w) over the falling factorial (n)_s: both weigh one
+table c_w of :func:`edgestat.poly.value_weight_counts`.
 The one transcendental, e**x at a rational x >= 0, is enclosed between two
 integers over 2**EXP_BITS by :func:`exp_enclosure`; the Poisson comparison
 decides on the outer end of that enclosure, so no verdict rests on a float.
@@ -20,14 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .poly import MultilinearPoly, value_weight_counts
-
-#: Hard ceiling on C(n, k) for slice enumeration.
-DEFAULT_SUBSET_CAP = 10**7
 
 #: Fixed-point bits of :func:`exp_enclosure`.
 EXP_BITS = 160
@@ -111,15 +108,15 @@ def weight_scale(p: Fraction, n: int) -> list[int]:
     return [a**w * c ** (n - w) for w in range(n + 1)]
 
 
+def _weigh(counts: dict[int, dict[int, int]], scale: Mapping[int, int] | list[int]) -> dict[int, int]:
+    """``value -> sum_w count_w scale[w]`` over a value/weight table."""
+    return {value: sum(c * scale[w] for w, c in per_weight.items()) for value, per_weight in counts.items()}
+
+
 def _product_numerators(f: MultilinearPoly, p: Fraction) -> tuple[dict[int, int], int]:
     """Numerators of the product-model law of ``f`` over b^num_vars."""
     counts = value_weight_counts(f)  # checks the assignment cap before any work
-    scale = weight_scale(p, f.num_vars)
-    numerators = {
-        value: sum(count * scale[w] for w, count in per_weight.items())
-        for value, per_weight in counts.items()
-    }
-    return numerators, p.denominator**f.num_vars
+    return _weigh(counts, weight_scale(p, f.num_vars)), p.denominator**f.num_vars
 
 
 def bernoulli_value_dist(f: MultilinearPoly, p) -> ValueDist:
@@ -232,41 +229,19 @@ class SliceSpec:
 def slice_value_dist(f: MultilinearPoly, spec: SliceSpec) -> ValueDist:
     """Exact law of ``f`` on the indicator vector of a uniform k-subset.
 
-    ``f`` reads the first ``f.num_vars`` of the n slots, so it may be
-    narrower than the slice.  Each slot keeps one (coefficient, mask of lower
-    neighbours) pair per distinct quadratic coefficient, and the value of the
-    first k-1 chosen slots is shared by every choice of the last one.
+    ``f`` reads the first s = ``f.num_vars`` of the n slots.  One assignment
+    of weight w to them has probability (k)_w (n-k)_(s-w) / (n)_s, with the
+    falling factorial (x)_j = ``math.perm(x, j)``; cancelling (n-k)_(s-t) =
+    (n-t)_(s-t) for t = min(k, s) keeps every factorial at most t long.
     """
-    n, k = spec.n, spec.k
-    if f.num_vars > n:
-        raise InputError(f"polynomial uses {f.num_vars} variables but the slice has n={n}")
-    total = 1  # C(n, j) for j up to min(k, n - k), so C(n, k) if the cap holds
-    for j in range(min(k, n - k)):
-        total = total * (n - j) // (j + 1)
-        if total > DEFAULT_SUBSET_CAP:
-            raise ResourceLimitError(f"slice enumeration needs C({n}, {k}) subsets, cap is {DEFAULT_SUBSET_CAP}")
-    if k == 0:
-        return ValueDist.from_numerators({f.constant: 1}, 1)
-    below: list[dict[int, int]] = [{} for _ in range(n)]
-    for (a, b), c in f.quadratic.items():
-        below[b][c] = below[b].get(c, 0) | 1 << a
-    slots = [(f.linear.get(i, 0), tuple(below[i].items())) for i in range(n)]
-    counts: dict[int, int] = {}
-    for head in combinations(range(n), k - 1):
-        mask = 0
-        value = f.constant
-        for i in head:
-            lin, pairs = slots[i]
-            value += lin
-            for c, nbrs in pairs:
-                value += c * (nbrs & mask).bit_count()
-            mask |= 1 << i
-        for lin, pairs in slots[head[-1] + 1 if head else 0:]:
-            v = value + lin
-            for c, nbrs in pairs:
-                v += c * (nbrs & mask).bit_count()
-            counts[v] = counts.get(v, 0) + 1
-    return ValueDist.from_numerators(counts, total)
+    n, k, s = spec.n, spec.k, f.num_vars
+    if s > n:
+        raise InputError(f"polynomial uses {s} variables but the slice has n={n}")
+    t = min(k, s)
+    window = range(max(0, k - (n - s)), t + 1)  # the weights some k-subset gives
+    counts = value_weight_counts(f, window)  # checks the assignment cap before any work
+    scale = {w: math.perm(k, w) * math.perm(n - k - s + t, t - w) for w in window}
+    return ValueDist.from_numerators(_weigh(counts, scale), math.perm(n, t))
 
 
 def product_slice_tv(f: MultilinearPoly, spec: SliceSpec) -> tuple[Fraction, Fraction, bool]:

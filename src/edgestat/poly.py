@@ -30,8 +30,8 @@ from typing import Sequence
 
 from .errors import InputError, ResourceLimitError
 
-#: Hard ceiling on 2**num_vars for full assignment enumeration.
-DEFAULT_ASSIGNMENT_CAP = 1 << 24
+#: Hard ceiling on the assignments one value/weight table enumerates.
+ASSIGNMENT_CAP = 1 << 24
 
 #: Canonical keys are only defined for this many variables or fewer.
 CANONICAL_VAR_CAP = 12
@@ -117,38 +117,63 @@ def substitute(f: MultilinearPoly, i: int, bit: int) -> MultilinearPoly:
     return MultilinearPoly(f.num_vars - 1, constant, linear, quadratic)
 
 
-def value_weight_counts(f: MultilinearPoly) -> dict[int, dict[int, int]]:
-    """Exact table ``value -> {weight -> count}`` over all assignments.
+def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dict[int, dict[int, int]]:
+    """Exact table ``value -> {weight -> count}`` over the assignments with
+    weight in ``weights``, a step-1 range within 0..num_vars (default: all).
 
     Weight is the number of ones.  Variables are set one at a time; the state
     is ``(value, weight, frontier) -> count``, where the frontier holds the set
     bits a later variable still reads, and a bit leaves it once its last
     quadratic partner is placed, so assignments that agree on all three merge.
+    A state leaves once it cannot end in the window, and at its top weight the
+    frontier empties.  The cap bounds the sum of C(n, w) over the window: 2**n
+    for all weights, and at most C(N, k) for the weights a k-subset of N slots
+    gives, ``range(max(0, k - (N - n)), min(k, n) + 1)``, as each assignment
+    in that window extends to k-subsets no other assignment extends to.
     """
     n = f.num_vars
-    if n >= DEFAULT_ASSIGNMENT_CAP.bit_length():  # 2**n > cap, without building 2**n
-        raise ResourceLimitError(f"assignment enumeration needs 2**{n} assignments, "
-                                 f"cap is {DEFAULT_ASSIGNMENT_CAP}")
-    below: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    last = list(range(n))  # last variable that reads each bit
+    if weights is None:
+        weights = range(n + 1)
+    lo, hi = weights.start, weights.stop - 1
+    needed, term = 0, 1  # C(n, j) for j up to min(lo, n - lo), so C(n, lo) if the cap holds
+    for j in range(min(lo, n - lo)):
+        term = term * (n - j) // (j + 1)
+        if term > ASSIGNMENT_CAP:
+            break
+    for w in weights:  # term is C(n, w) while the sum stays within the cap
+        needed += term
+        if needed > ASSIGNMENT_CAP:
+            raise ResourceLimitError(f"{n} variables at weight {lo}..{hi} have more assignments "
+                                     f"than the cap of {ASSIGNMENT_CAP}")
+        term = term * (n - w) // (w + 1)
+    below: dict[int, dict[int, int]] = {}  # slot -> {coefficient: mask of lower neighbours}
+    last: dict[int, int] = {}  # bit -> last slot that reads it, for bits a later slot reads
     for (a, b), c in f.quadratic.items():
-        below[b].append((a, c))
-        last[a] = max(last[a], b)
+        nbrs = below.setdefault(b, {})
+        nbrs[c] = nbrs.get(c, 0) | 1 << a
+        last[a] = max(last.get(a, b), b)
+    release: dict[int, int] = {}  # slot -> bits no later slot reads
+    for a, b in last.items():
+        release[b] = release.get(b, 0) | 1 << a
     states: dict[tuple[int, int, int], int] = {(f.constant, 0, 0): 1}
     for v in range(n):
-        keep = ~sum(1 << j for j in range(v + 1) if last[j] == v)
-        bit = 1 << v & keep
+        keep = ~release.get(v, 0)
+        bit = 1 << v if v in last else 0
         lin = f.linear.get(v, 0)
+        pairs = below.get(v, {}).items()
+        floor = lo - (n - 1 - v)  # least weight that still reaches the window
         nxt: dict[tuple[int, int, int], int] = {}
-        for (value, weight, mask), count in states.items():
-            key = (value, weight, mask & keep)
-            nxt[key] = nxt.get(key, 0) + count
-            gain = lin
-            for j, c in below[v]:
-                if mask >> j & 1:
-                    gain += c
-            key = (value + gain, weight + 1, (mask & keep) | bit)
-            nxt[key] = nxt.get(key, 0) + count
+        while states:  # popping frees each entry for nxt to reuse
+            (value, weight, mask), count = states.popitem()
+            if weight >= floor:
+                key = (value, weight, mask & keep)
+                nxt[key] = nxt.get(key, 0) + count
+            if weight < hi:
+                for c, nbrs in pairs:
+                    value += c * (nbrs & mask).bit_count()
+                weight += 1
+                key = (value + lin, weight, (mask & keep) | bit if weight < hi else 0)
+                nxt[key] = nxt.get(key, 0) + count
         states = nxt
     counts: dict[int, dict[int, int]] = {}
     for (value, weight, _), count in states.items():

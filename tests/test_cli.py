@@ -86,8 +86,10 @@ def test_dist_malformed_slice(capsys):
 
 
 def test_dist_slice_subset_cap(capsys):
-    # C(40, 20) = 137,846,528,820 subsets exceed the fixed cap of 10**7.
-    assert main(["dist", "--poly", "x1", "--slice", "40,20"]) == 2
+    # x30 reads 30 of 40 slots, so 10 to 20 of them are ones: the sum of
+    # C(30, w) over w = 10..20, about 1.0 * 10**9 assignments, exceeds the
+    # fixed cap of 2**24.
+    assert main(["dist", "--poly", "x30", "--slice", "40,20"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error:" in err and "cap" in err
 
@@ -96,24 +98,42 @@ def test_dist_slice_subset_cap(capsys):
     "measure",
     [
         ["x25", "--p", "1/2"],
-        ["x1", "--slice", "40,20"],
+        ["x30", "--slice", "40,20"],
         ["x20000", "--p", "1/2"],
         ["x100000000", "--p", "1/2"],
-        ["x1", "--slice", "40000,20000"],
-        ["x1", "--slice", "2000000,1000000"],
+        ["x40000", "--slice", "40000,20000"],
+        ["x2000000", "--slice", "2000000,1000000"],
     ],
 )
 def test_dist_oversized_input_fails_before_any_output(measure, capsys):
-    # x25 has 2**25 assignments (cap 2**24); the 40,20 slice has C(40, 20)
-    # subsets (cap 10**7).  Every guard trips before any enumeration, and
-    # without building the oversized count: 2**20000 and C(40000, 20000)
-    # have more digits than Python prints by default, and weighing 2**100000000
-    # or C(2000000, 1000000) in full would take minutes.
+    # One guard bounds the assignments of the read slots, 2**24 of them:
+    # x25 has 2**25 under --p, and a slice counts only the weights some
+    # k-subset gives, here C(40000, 20000) or C(2000000, 1000000) for the
+    # wide ones.  The guard trips before any enumeration and without
+    # building the oversized count: 2**20000 and C(40000, 20000) have more
+    # digits than Python prints by default, and weighing 2**100000000 or
+    # C(2000000, 1000000) in full would take minutes.
     start = time.perf_counter()
     assert main(["dist", "--poly", *measure]) == 2
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "slice_, law",
+    [
+        ("10000000,1", ["0,9999999/10000000", "1,1/10000000"]),
+        ("2000000,1000000", ["0,1/2", "1,1/2"]),
+    ],
+)
+def test_dist_narrow_statistic_on_a_wide_slice(slice_, law, capsys):
+    # Slots the statistic does not read cost nothing: x1 on millions of
+    # slots is as quick as on two.
+    start = time.perf_counter()
+    assert main(["dist", "--poly", "x1", "--slice", slice_]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.splitlines() == ["value,probability", *law]
 
 
 def test_dist_slice_out_of_range_names_the_range(capsys):

@@ -248,8 +248,8 @@ def test_slice_dist_matches_brute_force():
         n = f.num_vars
         k = rng.randint(0, n)
         assert slice_value_dist(f, SliceSpec(n, k)).probs == _slice_brute_force(f, n, k)
-    # One uniform quadratic coefficient gives one (coefficient, neighbour
-    # mask) pair per slot; cover the k = 0 and k = n ends of the subset loop.
+    # One uniform quadratic coefficient gives each slot one (coefficient,
+    # neighbour mask) pair; k = 0 and k = n leave a one-weight window.
     rng = random.Random(207)
     for _ in range(40):
         n = rng.randint(0, 8)
@@ -269,6 +269,14 @@ def test_slice_dist_narrow_statistic_equals_padded():
         padded = MultilinearPoly(n, f.constant, dict(f.linear), dict(f.quadratic))
         assert slice_value_dist(f, SliceSpec(n, k)) == slice_value_dist(padded, SliceSpec(n, k))
         assert slice_value_dist(f, SliceSpec(n, k)).probs == _slice_brute_force(padded, n, k)
+    # More ones than zeros: the window starts above weight 0 once k > n - s.
+    rng = random.Random(209)
+    for _ in range(20):
+        f = random_poly(rng, max_vars=6)
+        n = f.num_vars + rng.randint(1, 3)
+        k = rng.randint(n // 2 + 1, n)
+        padded = MultilinearPoly(n, f.constant, dict(f.linear), dict(f.quadratic))
+        assert slice_value_dist(f, SliceSpec(n, k)).probs == _slice_brute_force(padded, n, k)
     with pytest.raises(InputError):
         slice_value_dist(parse_poly("x1*x5"), SliceSpec(3, 2))
 
@@ -286,7 +294,8 @@ def test_slice_dist_permutation_invariant():
 
 
 def test_slice_subset_cap():
-    # C(40, 20) = 137,846,528,820 subsets exceed the fixed cap of 10**7.
+    # 30 read slots of 40 hold 10 to 20 ones: the sum of C(30, w) over that
+    # window, about 1.0 * 10**9 assignments, exceeds the fixed cap of 2**24.
     f = MultilinearPoly(30, 0, {0: 1}, {})
     with pytest.raises(ResourceLimitError):
         slice_value_dist(f, SliceSpec(40, 20))

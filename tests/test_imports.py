@@ -1,5 +1,6 @@
 """Every name a module of the package imports is read somewhere in that
-module, and the package namespace holds only its modules."""
+module, every module-level constant is read somewhere in the package, and
+the package namespace holds only its modules."""
 
 import ast
 import os
@@ -42,6 +43,44 @@ def test_no_unused_imports(module):
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom fractions import Fraction\nos.sep\n") == ["Fraction (line 2)"]
     assert unused_imports("from x import y  # noqa: F401\n") == []
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level ALL-CAPS names that no module of ``sources`` reads, as a
+    bare name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper() and target.id not in read:
+                    unread.append(f"{target.id} ({module})")
+    return sorted(unread)
+
+
+def test_every_constant_is_read():
+    # A cap left behind after the loop it guarded fails here.
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unread_constants(sources) == []
+
+
+def test_scan_finds_an_unread_constant():
+    sources = {"a.py": "CAP = 1\nLIMIT: int = 2\nx = LIMIT\n", "b.py": "import a\nSEEN = a.CAP\nprint(SEEN)\n"}
+    assert unread_constants(sources) == []
+    assert unread_constants({"a.py": "CAP = 1\nLIMIT: int = 2\n_OPS = ()\nlower = 3\n"}) == [
+        "CAP (a.py)", "LIMIT (a.py)", "_OPS (a.py)",
+    ]
 
 
 def test_package_binds_only_its_modules():

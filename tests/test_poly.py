@@ -121,6 +121,21 @@ def test_value_weight_counts_matches_brute_force():
         assert value_weight_counts(f) == _brute_force_table(f)
 
 
+def test_value_weight_counts_window_restricts_the_full_table():
+    rng = random.Random(105)
+    for _ in range(30):
+        f = random_poly(rng, max_vars=10)
+        full = value_weight_counts(f)
+        for lo in range(f.num_vars + 1):
+            for hi in range(lo, f.num_vars + 1):
+                want = {}
+                for value, per_weight in full.items():
+                    kept = {w: c for w, c in per_weight.items() if lo <= w <= hi}
+                    if kept:
+                        want[value] = kept
+                assert value_weight_counts(f, range(lo, hi + 1)) == want, (f, lo, hi)
+
+
 #: Quadratic supports on n slots that move the frontier in different ways.
 _FRONTIER_SHAPES = {
     "path": lambda n: [(i, i + 1) for i in range(n - 1)],
