@@ -40,15 +40,13 @@ from .verify import (
 
 
 def _positive(text: str) -> int:
-    """The type of ``--workers``: an integer >= 1.  argparse also passes the
-    default through it."""
+    """The type of ``--workers``: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        source = " (from EDGESTAT_WORKERS)" if text == os.environ.get("EDGESTAT_WORKERS") else ""
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}{source}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -247,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "--json": {"dest": "json_path", "metavar": "PATH", "help": "write JSON output here"},
         "--csv": {"dest": "csv_path", "metavar": "PATH", "help": "write CSV output here"},
-        "--workers": {"type": _positive, "default": os.environ.get("EDGESTAT_WORKERS", "1"),
-                      "help": "worker process count (default: EDGESTAT_WORKERS, else 1)"},
+        "--workers": {"type": _positive, "default": 1, "help": "worker process count (default: 1)"},
     }
 
     def finish(p: argparse.ArgumentParser, handler: Callable[[argparse.Namespace], int], *names: str) -> None:

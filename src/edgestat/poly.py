@@ -121,15 +121,18 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
     """Exact table ``value -> {weight -> count}`` over the assignments with
     weight in ``weights``, a step-1 range within 0..num_vars (default: all).
 
-    Weight is the number of ones.  Variables are set one at a time; the state
-    is ``(value, weight, frontier) -> count``, where the frontier holds the set
-    bits a later variable still reads, and a bit leaves it once its last
-    quadratic partner is placed, so assignments that agree on all three merge.
-    A state leaves once it cannot end in the window, and at its top weight the
-    frontier empties.  The cap bounds the sum of C(n, w) over the window: 2**n
+    Weight is the number of ones.  The slots some term reads are set one at a
+    time; the state is ``(value, weight, frontier) -> count``, where the
+    frontier holds the set bits a later slot still reads, and a bit leaves it
+    once its last quadratic partner is placed, so assignments that agree on
+    all three merge.  A state leaves once it cannot end in the window, with
+    the u unread slots still to come, and at its top weight the frontier
+    empties.  The unread slots then come in one step: weight w goes to w + j
+    in C(u, j) ways.  The cap bounds the sum of C(n, w) over the window: 2**n
     for all weights, and at most C(N, k) for the weights a k-subset of N slots
     gives, ``range(max(0, k - (N - n)), min(k, n) + 1)``, as each assignment
-    in that window extends to k-subsets no other assignment extends to.
+    in that window extends to k-subsets no other assignment extends to; and
+    C(u, j) <= C(n, w + j) by Vandermonde, so no binomial built exceeds the cap.
     """
     n = f.num_vars
     if weights is None:
@@ -155,13 +158,14 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
     release: dict[int, int] = {}  # slot -> bits no later slot reads
     for a, b in last.items():
         release[b] = release.get(b, 0) | 1 << a
+    read = sorted(f.used_variables())
     states: dict[tuple[int, int, int], int] = {(f.constant, 0, 0): 1}
-    for v in range(n):
+    for i, v in enumerate(read):
         keep = ~release.get(v, 0)
         bit = 1 << v if v in last else 0
         lin = f.linear.get(v, 0)
         pairs = below.get(v, {}).items()
-        floor = lo - (n - 1 - v)  # least weight that still reaches the window
+        floor = lo - (n - 1 - i)  # least weight that still reaches the window, unread slots included
         nxt: dict[tuple[int, int, int], int] = {}
         while states:  # popping frees each entry for nxt to reuse
             (value, weight, mask), count = states.popitem()
@@ -175,10 +179,12 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
                 key = (value + lin, weight, (mask & keep) | bit if weight < hi else 0)
                 nxt[key] = nxt.get(key, 0) + count
         states = nxt
+    unread = n - len(read)
     counts: dict[int, dict[int, int]] = {}
     for (value, weight, _), count in states.items():
         per = counts.setdefault(value, {})
-        per[weight] = per.get(weight, 0) + count
+        for w in range(max(lo, weight), min(hi, weight + unread) + 1):
+            per[w] = per.get(w, 0) + count * math.comb(unread, w - weight)
     return counts
 
 

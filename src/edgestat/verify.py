@@ -60,6 +60,10 @@ TABLE_REFERENCE: dict[int, tuple[int, Fraction, Fraction]] = {
 TABLE_TOLERANCE = Fraction(1, 20000)
 
 
+#: The point p = 0.388 and the target 0.725 of the ``better34`` battery and the star search.
+BETTER34_P = Fraction(97, 250)
+BETTER34_TARGET = Fraction(29, 40)
+
 #: The points :func:`optimize_p` searches: the multiples of 1/300 strictly inside (0, 1).
 GRID = [Fraction(i, 300) for i in range(1, 300)]
 
@@ -271,7 +275,7 @@ def _two_layer_max(s: int, p: Fraction) -> Fraction:
     return Fraction(sum(numerators[:2]), p.denominator**s)
 
 
-def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
+def check_better34_inequalities(p=BETTER34_P) -> VerificationReport:
     """The exact inequality battery behind the 0.725 threshold at p=0.388.
 
     Three groups: the positive-binomial point-mass bound 19/40 (base cases
@@ -281,7 +285,6 @@ def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
     """
     p = as_probability(p)
     b = Fraction(19, 40)
-    target = Fraction(29, 40)
     two_layer_cap = Fraction(713, 1000)
     bp2 = binmaxplus(2, p)
     bm2 = binmax(2, p)
@@ -296,8 +299,8 @@ def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
         check("binmaxplus_m2", bp2, "<", b),
         check("binmaxplus_m2_equals_binmax", bp2, "==", bm2),
         check("binmaxplus_scan_m_le_64", belt, "<", b),
-        check("combined_bound", combined, "<", target),
-        check("multipartite_bound", multipartite, "<", target),
+        check("combined_bound", combined, "<", BETTER34_TARGET),
+        check("multipartite_bound", multipartite, "<", BETTER34_TARGET),
         check("two_layer_s1", _two_layer_max(1, p), "<", two_layer_cap),
         check("two_layer_s2", _two_layer_max(2, p), "<", two_layer_cap),
         check("two_layer_s3", two_layer_s3, "<", two_layer_cap),
@@ -314,7 +317,7 @@ def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
             "two_layer_s3": two_layer_s3,
             "two_layer_tail": two_layer_tail,
         },
-        threshold=target,
+        threshold=BETTER34_TARGET,
         checks=checks,
     )
 
@@ -324,62 +327,50 @@ def check_better34_inequalities(p=Fraction(97, 250)) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StarWitness:
-    ell: int
-    num_vars: int
-    edges: tuple[tuple[int, int], ...]
-    prob: Fraction
-
-
-def star_zero_probability_search(
-    max_s: int = 5, ell_values: Iterable[int] = (-2, -1, 1, 2), p=Fraction(97, 250)
-) -> tuple[Fraction, StarWitness]:
+def verify_star_search(
+    max_s: int = 5, ell_values: Iterable[int] = (-2, -1, 1, 2), p=BETTER34_P
+) -> VerificationReport:
     """Exhaustive max of P[f = 0] over f = ell(1 - sum x_i) + edge terms.
 
     Every graph on up to ``max_s`` labelled vertices is paired with every
-    requested ``ell``; the first maximizer in (ell, size, edge-mask) order is
-    the witness.
+    requested ``ell``.  At weight w, f = 0 exactly when the graph has
+    ell(w - 1) edges among the ones, so one value/weight table of the graph's
+    edge form serves every ell; its mass at p = a/b is an integer over b^s,
+    and the masses of all the weights must total b^s.  The witness is the
+    first maximizer in (ell, size, edge-mask) order.
     """
     if not 1 <= max_s <= 5:
         raise InputError("max_s must be in 1..5")
     p = as_probability(p)
-    ells = sorted(set(int(e) for e in ell_values))
+    ells = sorted({int(e) for e in ell_values})
     if not ells:
         raise InputError("need at least one ell value")
     if any(e == 0 or abs(e) > 4 for e in ells):
         raise InputError("ell values must be nonzero with |ell| <= 4")
-    best: tuple[Fraction, StarWitness] | None = None
-    for ell in ells:
-        for s in range(1, max_s + 1):
-            pairs = list(combinations(range(s), 2))
-            for mask in range(1 << len(pairs)):
-                edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-                f = MultilinearPoly(s, ell, {i: -ell for i in range(s)}, {e: 1 for e in edges})
-                pr = point_probability(f, p, 0)
-                if best is None or pr > best[0]:
-                    best = (pr, StarWitness(ell, s, edges, pr))
-    return best
-
-
-def verify_star_search(
-    max_s: int = 5, ell_values: Iterable[int] = (-2, -1, 1, 2), p=Fraction(97, 250)
-) -> VerificationReport:
-    target = Fraction(29, 40)
-    ells = sorted({int(e) for e in ell_values})
-    best, witness = star_zero_probability_search(max_s, ells, p)
+    b = p.denominator
+    best = dict.fromkeys(ells, (-1, 0, ()))  # ell -> (mass times b^max_s, size, edges)
+    for s in range(1, max_s + 1):
+        pairs = list(combinations(range(s), 2))
+        scale, lift = weight_scale(p, s), b ** (max_s - s)
+        for mask in range(1 << len(pairs)):
+            edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+            counts = value_weight_counts(MultilinearPoly(s, 0, {}, dict.fromkeys(edges, 1)))
+            if sum(c * scale[w] for per_w in counts.values() for w, c in per_w.items()) != b**s:
+                raise RuntimeError(f"the law of the edges {edges} on {s} vertices does not total 1")
+            for ell in ells:
+                num = lift * sum(counts.get(ell * (w - 1), {}).get(w, 0) * scale[w] for w in range(s + 1))
+                if num > best[ell][0]:
+                    best[ell] = (num, s, edges)
+    ell, (num, s, edges) = max(best.items(), key=lambda item: item[1][0])
+    prob = Fraction(num, b**max_s)
     return VerificationReport(
         name="star_search",
-        inputs={"max_vars": max_s, "ell_values": ells, "p": format_rational(as_probability(p))},
-        exact_values={"max_zero_probability": best},
-        threshold=target,
-        witness={
-            "ell": witness.ell,
-            "num_vars": witness.num_vars,
-            "edges": [[a + 1, b + 1] for a, b in witness.edges],
-            "prob": format_rational(witness.prob),
-        },
-        checks=[check("max_zero_probability", best, "<", target)],
+        inputs={"max_vars": max_s, "ell_values": ells, "p": format_rational(p)},
+        exact_values={"max_zero_probability": prob},
+        threshold=BETTER34_TARGET,
+        witness={"ell": ell, "num_vars": s,
+                 "edges": [[u + 1, v + 1] for u, v in edges], "prob": format_rational(prob)},
+        checks=[check("max_zero_probability", prob, "<", BETTER34_TARGET)],
     )
 
 

@@ -295,3 +295,33 @@ def uncut_codes(m, t, q):
     ]
     lmask = (1 << t) - 1
     return {canonical_code(t + q, lmask, skeleton + ll) for skeleton in skeletons(m, t, q) for ll in ll_sets}
+
+
+def star_search_oracle(max_s, ells, p):
+    """Independent exhaustive max of P[f = 0], f = ell(1 - sum x) + edges,
+    with its first maximizer ``(ell, s, edges)`` in (ell, s, edge-mask) order.
+
+    Plain bitmask enumeration: every variable count up to ``max_s``, every
+    edge subset, every ell, every 0/1 assignment.
+    """
+    p = Fraction(p)
+    best, witness = Fraction(-1), None
+    for ell in sorted(ells):
+        for v in range(1, max_s + 1):
+            pairs = list(combinations(range(v), 2))
+            pair_bits = [(1 << i) | (1 << j) for i, j in pairs]
+            ones = [bin(a).count("1") for a in range(1 << v)]
+            weight = [p ** ones[a] * (1 - p) ** (v - ones[a]) for a in range(1 << v)]
+            sat = [
+                sum(1 << t for t, bits in enumerate(pair_bits) if a & bits == bits)
+                for a in range(1 << v)
+            ]
+            for mask in range(1 << len(pairs)):
+                prob = Fraction(0)
+                for a in range(1 << v):
+                    if ell * (1 - ones[a]) + bin(mask & sat[a]).count("1") == 0:
+                        prob += weight[a]
+                if prob > best:
+                    edges = tuple(pair for t, pair in enumerate(pairs) if mask >> t & 1)
+                    best, witness = prob, (ell, v, edges)
+    return best, witness

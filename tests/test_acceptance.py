@@ -9,7 +9,6 @@ criterion states a decimal tolerance.
 import math
 import time
 from fractions import Fraction
-from itertools import combinations
 
 from edgestat import gm
 from edgestat.constructions import (
@@ -29,13 +28,13 @@ from edgestat.verify import (
     LEMMA_SUITES,
     check_better34_inequalities,
     reduction_bound,
-    star_zero_probability_search,
     verify_lemmas,
     verify_prop_027,
+    verify_star_search,
     verify_table,
 )
 
-from helpers import unit_form
+from helpers import star_search_oracle, unit_form
 
 F = Fraction
 
@@ -128,43 +127,21 @@ def test_criterion_05_inequality_battery_at_p_097_250(capsys):
     _conclude(capsys, 5, "0.725 and 0.713 inequality battery at p = 97/250", failures)
 
 
-def _star_search_oracle(p: Fraction) -> Fraction:
-    """Independent exhaustive max of P[f = 0], f = ell(1 - sum x) + edges.
-
-    Plain bitmask enumeration: every variable count up to 5, every edge
-    subset, every ell in {-2, -1, 1, 2}, every 0/1 assignment.
-    """
-    best = F(0)
-    for v in range(1, 6):
-        pairs = list(combinations(range(v), 2))
-        pair_bits = [(1 << i) | (1 << j) for i, j in pairs]
-        ones = [bin(a).count("1") for a in range(1 << v)]
-        weight = [p ** ones[a] * (1 - p) ** (v - ones[a]) for a in range(1 << v)]
-        sat = [
-            sum(1 << t for t, bits in enumerate(pair_bits) if a & bits == bits)
-            for a in range(1 << v)
-        ]
-        for mask in range(1 << len(pairs)):
-            for ell in (-2, -1, 1, 2):
-                prob = F(0)
-                for a in range(1 << v):
-                    if ell * (1 - ones[a]) + bin(mask & sat[a]).count("1") == 0:
-                        prob += weight[a]
-                if prob > best:
-                    best = prob
-    return best
-
-
 def test_criterion_06_star_family_search(capsys):
     failures: list[str] = []
     p = F(97, 250)
     start = time.perf_counter()
-    best, witness = star_zero_probability_search(p=p)
+    report = verify_star_search(p=p)
     elapsed = time.perf_counter() - start
+    best = report.exact_values["max_zero_probability"]
+    _check(failures, "report", report.passed)
     _check(failures, "below_threshold", best < F(29, 40))
     _check(failures, "exact_max_recorded", best == F(707307219, 976562500))
-    _check(failures, "witness_attains_max", witness.prob == best)
-    _check(failures, "oracle_agrees", _star_search_oracle(p) == best)
+    _check(failures, "witness_attains_max", F(report.witness["prob"]) == best)
+    oracle_best, (ell, s, edges) = star_search_oracle(5, (-2, -1, 1, 2), p)
+    _check(failures, "oracle_agrees", oracle_best == best)
+    witness = {"ell": ell, "num_vars": s, "edges": [[a + 1, b + 1] for a, b in edges]}
+    _check(failures, "oracle_witness_agrees", witness == {k: report.witness[k] for k in witness})
     _check(failures, "runtime", elapsed < 60.0)
     _conclude(capsys, 6, "exhaustive star-family zero-probability max < 0.725", failures)
 

@@ -25,10 +25,8 @@ from edgestat.constructions import (
 )
 from edgestat.report import report_from_json, reverify
 
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("EDGESTAT_WORKERS", raising=False)
+#: The reports ``reproduce --json`` must give, apart from ``wall_time``; read only.
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden", "reproduce.json")
 
 
 def _subcommands(parser=None) -> dict[str, argparse.ArgumentParser]:
@@ -121,17 +119,20 @@ def test_dist_oversized_input_fails_before_any_output(measure, capsys):
 
 
 @pytest.mark.parametrize(
-    "slice_, law",
+    "poly, slice_, law",
     [
-        ("10000000,1", ["0,9999999/10000000", "1,1/10000000"]),
-        ("2000000,1000000", ["0,1/2", "1,1/2"]),
+        ("x1", "10000000,1", ["0,9999999/10000000", "1,1/10000000"]),
+        ("x1", "2000000,1000000", ["0,1/2", "1,1/2"]),
+        ("x1000000", "1000000,1", ["0,999999/1000000", "1,1/1000000"]),
     ],
+    ids=["10000000,1-law0", "2000000,1000000-law1", "1000000,1-law2"],
 )
-def test_dist_narrow_statistic_on_a_wide_slice(slice_, law, capsys):
+def test_dist_narrow_statistic_on_a_wide_slice(poly, slice_, law, capsys):
     # Slots the statistic does not read cost nothing: x1 on millions of
-    # slots is as quick as on two.
+    # slots is as quick as on two, and so is x1000000, whose 999,999 unread
+    # slots enter the table in one binomial step.
     start = time.perf_counter()
-    assert main(["dist", "--poly", "x1", "--slice", slice_]) == 0
+    assert main(["dist", "--poly", poly, "--slice", slice_]) == 0
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out.splitlines() == ["value,probability", *law]
 
@@ -274,8 +275,7 @@ def test_verify_csv_needs_the_table(target, tmp_path, capsys):
 
 
 def test_registry_order_is_the_golden_report_order():
-    golden = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden", "reproduce.json")
-    with open(golden, encoding="utf-8") as fh:
+    with open(GOLDEN, encoding="utf-8") as fh:
         assert list(CERTIFICATES) == [r["name"] for r in json.load(fh)]
 
 
@@ -563,18 +563,6 @@ def test_non_positive_counts_rejected_before_any_output(flag, capsys):
     assert out == "" and "error:" in err and flag in err
 
 
-def test_env_worker_default_rejected_when_malformed(monkeypatch, capsys):
-    monkeypatch.setenv("EDGESTAT_WORKERS", "two")
-    assert main(["enumerate", "--m", "2"]) == 2
-    assert "EDGESTAT_WORKERS" in capsys.readouterr().err
-
-
-def test_env_worker_default_used(monkeypatch, capsys):
-    monkeypatch.setenv("EDGESTAT_WORKERS", "2")
-    assert main(["enumerate", "--m", "2"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith("2,4,2,")
-
-
 def test_zero_workers_rejected(capsys):
     assert main(["enumerate", "--m", "2", "--workers", "0"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -600,6 +588,10 @@ def test_reproduce_all_certificates(tmp_path, capsys):
     payload = json.loads(reports.read_text())
     assert [r["name"] for r in payload["reports"]] == list(CERTIFICATES)
     assert all(r["wall_time"] > 0 for r in payload["reports"])
+    # Every report equals the golden copy apart from its timing.
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert _strip_wall_time(payload["reports"]) == golden
 
 
 def test_cli_import_does_not_load_numpy():

@@ -69,8 +69,7 @@ def test_readme_has_command_examples():
 
 
 @pytest.mark.parametrize("command, expected", EXAMPLES, ids=[c for c, _ in EXAMPLES])
-def test_readme_command_example(command, expected, capsys, monkeypatch):
-    monkeypatch.delenv("EDGESTAT_WORKERS", raising=False)
+def test_readme_command_example(command, expected, capsys):
     assert main(shlex.split(command)) == 0
     assert _mask(capsys.readouterr().out.splitlines()) == _mask(expected)
 

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from edgestat import verify
 from edgestat.dist import bernoulli_value_dist, binmax
 from edgestat.errors import InputError
 from edgestat.gm import GmFamily, enumerate_gm
@@ -23,7 +24,6 @@ from edgestat.verify import (
     large_linear_part_check,
     optimize_p,
     reduction_bound,
-    star_zero_probability_search,
     suite_antichain_expectation,
     suite_blym,
     suite_elo,
@@ -37,7 +37,7 @@ from edgestat.verify import (
     verify_table,
 )
 
-from helpers import member_profiles, reduction_bound_unpruned
+from helpers import member_profiles, reduction_bound_unpruned, star_search_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -246,45 +246,70 @@ def test_better34_certificate():
 def test_star_search_two_vertices_by_hand():
     # On two vertices with ell=1 the candidates are 1-x1 (prob p),
     # 1-x1-x2 (prob 2pq) and (1-x1)(1-x2) (prob 1-q^2); the last wins.
-    best, witness = star_zero_probability_search(max_s=2, ell_values=(1,))
+    report = verify_star_search(max_s=2, ell_values=(1,))
+    best = report.exact_values["max_zero_probability"]
     assert best == Fraction(39091, 62500)
-    assert witness.ell == 1
-    assert witness.num_vars == 2
-    assert witness.edges == ((0, 1),)
-    assert witness.prob == best
+    assert report.witness == {"ell": 1, "num_vars": 2, "edges": [[1, 2]], "prob": "39091/62500"}
 
 
 def test_star_search_full_maximum_frozen():
-    best, witness = star_zero_probability_search()
-    assert best == Fraction(707307219, 976562500)
-    assert witness.ell == 1
-    assert witness.num_vars == 4
-    assert set(witness.edges) == {(0, 2), (0, 3), (1, 2), (1, 3)}
+    report = verify_star_search()
+    assert report.exact_values["max_zero_probability"] == Fraction(707307219, 976562500)
+    assert report.witness == {
+        "ell": 1,
+        "num_vars": 4,
+        "edges": [[1, 3], [1, 4], [2, 3], [2, 4]],
+        "prob": "707307219/976562500",
+    }
 
 
 def test_verify_star_search_report():
     report = verify_star_search()
     assert report.passed
-    assert report.exact_values["max_zero_probability"] == Fraction(707307219, 976562500)
+    assert report.inputs == {"max_vars": 5, "ell_values": [-2, -1, 1, 2], "p": "97/250"}
     assert report.threshold == Fraction(29, 40)
-    assert report.witness["edges"] == [[1, 3], [1, 4], [2, 3], [2, 4]]
+    assert [(c.name, c.op, c.rhs) for c in report.checks] == [("max_zero_probability", "<", "29/40")]
+
+
+@pytest.mark.parametrize("ells", [(1,), (-1,), (-2, 2), (-2, -1, 1, 2)])
+@pytest.mark.parametrize("max_s", [1, 2, 3, 4])
+def test_star_search_equals_oracle(max_s, ells):
+    p = Fraction(97, 250)
+    best, (ell, s, edges) = star_search_oracle(max_s, ells, p)
+    report = verify_star_search(max_s, ells, p)
+    assert report.exact_values["max_zero_probability"] == best
+    assert report.witness == {
+        "ell": ell,
+        "num_vars": s,
+        "edges": [[a + 1, b + 1] for a, b in edges],
+        "prob": f"{best.numerator}/{best.denominator}",
+    }
 
 
 def test_verify_star_search_records_iterator_ell_values():
     report = verify_star_search(max_s=2, ell_values=iter([1, -1, 1]))
     assert report.inputs["ell_values"] == [-1, 1]
-    assert report.exact_values["max_zero_probability"] == star_zero_probability_search(2, (-1, 1))[0]
+    expected = verify_star_search(2, (-1, 1))
+    assert report.exact_values == expected.exact_values
+    assert report.witness == expected.witness
+
+
+def test_star_search_rejects_a_law_that_does_not_total_one(monkeypatch):
+    # Weight 1 is missing from the one-vertex table, so its mass is b - a, not b.
+    monkeypatch.setattr(verify, "value_weight_counts", lambda f: {0: {0: 1}})
+    with pytest.raises(RuntimeError, match="does not total 1"):
+        verify_star_search(max_s=1)
 
 
 def test_star_search_input_validation():
     with pytest.raises(InputError):
-        star_zero_probability_search(max_s=6)
+        verify_star_search(max_s=6)
     with pytest.raises(InputError):
-        star_zero_probability_search(ell_values=(0,))
+        verify_star_search(ell_values=(0,))
     with pytest.raises(InputError):
-        star_zero_probability_search(ell_values=(5,))
+        verify_star_search(ell_values=(5,))
     with pytest.raises(InputError):
-        star_zero_probability_search(ell_values=[])
+        verify_star_search(ell_values=[])
 
 
 # ---------------------------------------------------------------------------
