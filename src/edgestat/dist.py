@@ -1,7 +1,8 @@
 """Exact value distributions and binomial/Poisson helpers.
 
-Probabilities are `fractions.Fraction` at the API boundary and integers
-inside.  With p = a/b, a product-model mass is an integer numerator
+A law is ``ValueDist(numerators, denominator)``: integer masses over one
+integer denominator, whose Fractions appear only through its ``prob`` and
+``probs``.  With p = a/b, a product-model mass is an integer numerator
 sum_w c_w a^w (b-a)^(n-w) over b^n, and a k-slice mass of s read slots is
 sum_w c_w (k)_w (n-k)_(s-w) over the falling factorial (n)_s: both weigh one
 table c_w of :func:`edgestat.poly.value_weight_counts`.
@@ -19,7 +20,7 @@ Two sampling models are covered:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -54,46 +55,45 @@ def format_rational(x: Fraction) -> str:
 
 @dataclass
 class ValueDist:
-    """Finite exact distribution on integers."""
+    """Finite exact law on integers: ``value -> numerators[value] / denominator``.
 
-    probs: dict[int, Fraction] = field(default_factory=dict)
+    The one law check: numerators are non-negative and sum to the denominator.
+    Zero masses are dropped and the law is reduced by the gcd, so equal laws
+    compare equal.
+    """
+
+    numerators: dict[int, int]
+    denominator: int
 
     def __post_init__(self) -> None:
-        probs = {int(v): Fraction(pr) for v, pr in self.probs.items()}
-        den = math.lcm(*(pr.denominator for pr in probs.values()))
-        _check_numerators({v: pr.numerator * (den // pr.denominator) for v, pr in probs.items()}, den)
-        self.probs = {v: pr for v, pr in sorted(probs.items()) if pr}
+        for v, c in self.numerators.items():
+            if c < 0:
+                raise InputError(f"negative probability at value {v}")
+        if self.denominator < 1 or sum(self.numerators.values()) != self.denominator:
+            raise InputError("probabilities must sum to exactly 1")
+        g = math.gcd(self.denominator, *self.numerators.values())
+        self.numerators = {v: c // g for v, c in sorted(self.numerators.items()) if c}
+        self.denominator //= g
 
-    @classmethod
-    def from_numerators(cls, numerators: Mapping[int, int], denominator: int) -> "ValueDist":
-        """The law ``value -> numerator / denominator``, checked on ints
-        instead of by summing Fractions as the constructor does."""
-        _check_numerators(numerators, denominator)
-        law = cls.__new__(cls)
-        law.probs = {v: Fraction(c, denominator) for v, c in sorted(numerators.items()) if c}
-        return law
+    @property
+    def probs(self) -> dict[int, Fraction]:
+        return {v: Fraction(c, self.denominator) for v, c in self.numerators.items()}
 
     def support(self) -> list[int]:
-        return list(self.probs)
+        return list(self.numerators)
 
     def prob(self, value: int) -> Fraction:
-        return self.probs.get(value, Fraction(0))
+        return Fraction(self.numerators.get(value, 0), self.denominator)
 
     def to_json(self) -> dict:
-        return {"support": [[v, format_rational(pr)] for v, pr in self.probs.items()]}
-
-
-def _check_numerators(numerators: Mapping[int, int], denominator: int) -> None:
-    for v, c in numerators.items():
-        if c < 0:
-            raise InputError(f"negative probability at value {v}")
-    if sum(numerators.values()) != denominator:
-        raise InputError("probabilities must sum to exactly 1")
+        return {"support": [[v, format_rational(self.prob(v))] for v in self.numerators]}
 
 
 def tv_distance(d1: ValueDist, d2: ValueDist) -> Fraction:
-    values = set(d1.probs) | set(d2.probs)
-    return sum((abs(d1.prob(v) - d2.prob(v)) for v in values), Fraction(0)) / 2
+    """Half the sum of |d1 - d2|, on numerators cross-multiplied to d1.den * d2.den."""
+    a, b = d1.denominator, d2.denominator
+    n1, n2 = d1.numerators, d2.numerators
+    return Fraction(sum(abs(n1.get(v, 0) * b - n2.get(v, 0) * a) for v in n1.keys() | n2.keys()), 2 * a * b)
 
 
 # ---------------------------------------------------------------------------
@@ -113,22 +113,17 @@ def _weigh(counts: dict[int, dict[int, int]], scale: Mapping[int, int] | list[in
     return {value: sum(c * scale[w] for w, c in per_weight.items()) for value, per_weight in counts.items()}
 
 
-def _product_numerators(f: MultilinearPoly, p: Fraction) -> tuple[dict[int, int], int]:
-    """Numerators of the product-model law of ``f`` over b^num_vars."""
-    counts = value_weight_counts(f)  # checks the assignment cap before any work
-    return _weigh(counts, weight_scale(p, f.num_vars)), p.denominator**f.num_vars
-
-
 def bernoulli_value_dist(f: MultilinearPoly, p) -> ValueDist:
-    """Exact law of ``f`` when every variable is an independent Bernoulli(p)."""
-    return ValueDist.from_numerators(*_product_numerators(f, as_probability(p)))
+    """Exact law of ``f`` when every variable is an independent Bernoulli(p):
+    numerators over b^num_vars with p = a/b."""
+    p = as_probability(p)
+    counts = value_weight_counts(f)  # checks the assignment cap before any work
+    return ValueDist(_weigh(counts, weight_scale(p, f.num_vars)), p.denominator**f.num_vars)
 
 
 def point_probability(f: MultilinearPoly, p, ell: int) -> Fraction:
     """P[f = ell] under the product model; 0 when ell is not achievable."""
-    numerators, denominator = _product_numerators(f, as_probability(p))
-    _check_numerators(numerators, denominator)
-    return Fraction(numerators.get(ell, 0), denominator)
+    return bernoulli_value_dist(f, p).prob(ell)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +139,9 @@ def binomial_numerators(m: int, p: Fraction) -> list[int]:
 
 
 def binmax(m: int, p) -> Fraction:
-    """Largest point mass of Binomial(m, p), attained at the mode floor((m+1)p)."""
+    """Largest point mass of Binomial(m, p)."""
     p = as_probability(p)
-    mode = min(math.floor((m + 1) * p), m)
-    return Fraction(binomial_numerators(m, p)[mode], p.denominator**m)
+    return Fraction(max(binomial_numerators(m, p)), p.denominator**m)
 
 
 def binmaxplus(m: int, p) -> Fraction:
@@ -241,7 +235,7 @@ def slice_value_dist(f: MultilinearPoly, spec: SliceSpec) -> ValueDist:
     window = range(max(0, k - (n - s)), t + 1)  # the weights some k-subset gives
     counts = value_weight_counts(f, window)  # checks the assignment cap before any work
     scale = {w: math.perm(k, w) * math.perm(n - k - s + t, t - w) for w in window}
-    return ValueDist.from_numerators(_weigh(counts, scale), math.perm(n, t))
+    return ValueDist(_weigh(counts, scale), math.perm(n, t))
 
 
 def product_slice_tv(f: MultilinearPoly, spec: SliceSpec) -> tuple[Fraction, Fraction, bool]:

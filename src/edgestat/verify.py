@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import le, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dist import (
     SliceSpec,
     as_probability,
+    as_rational,
     bernoulli_value_dist,
     binmax,
     binmaxplus,
@@ -415,7 +416,7 @@ def antichain_expectation_check(
     p = as_probability(p)
     support = []
     for a, w in phi.items():
-        w = Fraction(w)
+        w = as_rational(w)
         if not 0 <= w <= 1:
             raise InputError(f"weight {w} outside [0, 1]")
         if w:
@@ -436,7 +437,7 @@ def elo_max(coeffs: Sequence) -> tuple[Fraction, Fraction, bool]:
     The subset sums run on integers: scaling every coefficient by the LCM of
     the denominators is a bijection on the sums, so the counts are unchanged.
     """
-    values = [Fraction(c) for c in coeffs]
+    values = [as_rational(c) for c in coeffs]
     n = len(values)
     if n < 1:
         raise InputError("need at least one coefficient")
@@ -488,40 +489,46 @@ def _random_antichain(rng: random.Random, n: int) -> list[frozenset[int]]:
     return sets or [frozenset()]
 
 
-def suite_blym(seed: int, count: int) -> int:
+def _violations(seed: int, count: int, case: Callable[[random.Random], int]) -> int:
+    """Violations of ``count`` cases drawn from one ``Random(seed)`` stream;
+    a case returns its own count, a bool counting as 0 or 1."""
     rng = random.Random(seed)
-    violations = 0
-    for _ in range(count):
-        n = rng.randint(1, 12)
-        violations += not blym_check(n, _random_antichain(rng, n))[1]
-    return violations
+    return sum(case(rng) for _ in range(count))
+
+
+def _blym_case(rng: random.Random) -> bool:
+    n = rng.randint(1, 12)
+    return not blym_check(n, _random_antichain(rng, n))[1]
+
+
+def suite_blym(seed: int, count: int) -> int:
+    return _violations(seed, count, _blym_case)
+
+
+def _antichain_expectation_case(rng: random.Random) -> bool:
+    n = rng.randint(1, 12)
+    sets = _random_antichain(rng, n)
+    phi = {a: Fraction(rng.randint(0, 8), 8) for a in sets}
+    p = Fraction(rng.randint(1, 99), 100)
+    return not antichain_expectation_check(n, phi, p)[2]
 
 
 def suite_antichain_expectation(seed: int, count: int) -> int:
-    rng = random.Random(seed)
-    violations = 0
-    for _ in range(count):
-        n = rng.randint(1, 12)
-        sets = _random_antichain(rng, n)
-        phi = {a: Fraction(rng.randint(0, 8), 8) for a in sets}
-        p = Fraction(rng.randint(1, 99), 100)
-        violations += not antichain_expectation_check(n, phi, p)[2]
-    return violations
+    return _violations(seed, count, _antichain_expectation_case)
+
+
+def _elo_case(rng: random.Random) -> bool:
+    coeffs = []
+    for _ in range(rng.randint(1, 12)):
+        num = 0
+        while num == 0:
+            num = rng.randint(-9, 9)
+        coeffs.append(Fraction(num, rng.randint(1, 9)))
+    return not elo_max(coeffs)[2]
 
 
 def suite_elo(seed: int, count: int) -> int:
-    rng = random.Random(seed)
-    violations = 0
-    for _ in range(count):
-        n = rng.randint(1, 12)
-        coeffs = []
-        for _ in range(n):
-            num = 0
-            while num == 0:
-                num = rng.randint(-9, 9)
-            coeffs.append(Fraction(num, rng.randint(1, 9)))
-        violations += not elo_max(coeffs)[2]
-    return violations
+    return _violations(seed, count, _elo_case)
 
 
 def suite_poisson_tv(max_n: int = 50, denominators: int = 50, max_j: int = 25) -> int:
@@ -532,16 +539,16 @@ def suite_poisson_tv(max_n: int = 50, denominators: int = 50, max_j: int = 25) -
     )
 
 
+def _product_slice_case(rng: random.Random) -> bool:
+    n = rng.randint(2, 12)
+    k = rng.randint(1, n // 2)
+    s = rng.randint(1, min(n, 6))
+    f = _random_int_poly(rng, s, -3, 3)
+    return not product_slice_tv(f, SliceSpec(n, k))[2]
+
+
 def suite_product_slice(seed: int, count: int) -> int:
-    rng = random.Random(seed)
-    violations = 0
-    for _ in range(count):
-        n = rng.randint(2, 12)
-        k = rng.randint(1, n // 2)
-        s = rng.randint(1, min(n, 6))
-        f = _random_int_poly(rng, s, -3, 3)
-        violations += not product_slice_tv(f, SliceSpec(n, k))[2]
-    return violations
+    return _violations(seed, count, _product_slice_case)
 
 
 def _random_int_poly(rng: random.Random, n: int, lo: int, hi: int) -> MultilinearPoly:
@@ -550,20 +557,20 @@ def _random_int_poly(rng: random.Random, n: int, lo: int, hi: int) -> Multilinea
     return MultilinearPoly(n, rng.randint(lo, hi), lin, quad)
 
 
+def _large_linear_part_case(rng: random.Random) -> bool:
+    n = rng.randint(1, 10)
+    lin_support = rng.sample(range(n), rng.randint(1, n))
+    lin = {i: rng.randint(1, 3) for i in lin_support}
+    quad = {(a, b): rng.randint(0, 2) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3}
+    f = MultilinearPoly(n, rng.randint(0, 3), lin, quad)
+    m = rng.randint(1, len(lin))
+    p = Fraction(rng.randint(1, 99), 100)
+    ell = rng.choice(sorted(value_weight_counts(f)))
+    return not large_linear_part_check(f, m, p, ell)[2]
+
+
 def suite_large_linear_part(seed: int, count: int) -> int:
-    rng = random.Random(seed)
-    violations = 0
-    for _ in range(count):
-        n = rng.randint(1, 10)
-        lin_support = rng.sample(range(n), rng.randint(1, n))
-        lin = {i: rng.randint(1, 3) for i in lin_support}
-        quad = {(a, b): rng.randint(0, 2) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3}
-        f = MultilinearPoly(n, rng.randint(0, 3), lin, quad)
-        m = rng.randint(1, len(lin))
-        p = Fraction(rng.randint(1, 99), 100)
-        ell = rng.choice(sorted(value_weight_counts(f)))
-        violations += not large_linear_part_check(f, m, p, ell)[2]
-    return violations
+    return _violations(seed, count, _large_linear_part_case)
 
 
 def _random_unit_form(rng: random.Random) -> MultilinearPoly:
@@ -579,19 +586,21 @@ def _random_unit_form(rng: random.Random) -> MultilinearPoly:
 
 
 def suite_reduction_spot(seed: int, count: int) -> int:
-    """Random members of the unrestricted 0/1 family against reduction bounds."""
-    rng = random.Random(seed)
+    """Random members of the unrestricted 0/1 family against reduction bounds;
+    a case counts every bound its point mass exceeds."""
     ps = (Fraction(1, 3), Fraction(1, 2))
     bounds = {(m, p): reduction_bound(m, p, 1).bound for m in (2, 3, 4, 5) for p in ps}
-    violations = 0
-    for _ in range(count):
+
+    def case(rng: random.Random) -> int:
         f = _random_unit_form(rng)
         laws = {p: bernoulli_value_dist(f, p) for p in ps}
         positive = [v for v in laws[ps[rng.randint(0, 1)]].support() if v >= 1]
-        if positive:
-            ell = rng.choice(positive)
-            violations += sum(laws[p].prob(ell) > bound for (m, p), bound in bounds.items())
-    return violations
+        if not positive:
+            return 0
+        ell = rng.choice(positive)
+        return sum(laws[p].prob(ell) > bound for (m, p), bound in bounds.items())
+
+    return _violations(seed, count, case)
 
 
 #: (suite name, callable(seed) -> violations) with acceptance-scale sizes.

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 import mpmath
 
 from edgestat.constructions import HostGraph
-from edgestat.dist import ValueDist, as_probability
+from edgestat.dist import as_probability
 from edgestat.errors import InputError
 from edgestat.gm import _bounded_degree_graphs, _sorted_columns
 from edgestat.poly import (
@@ -178,7 +178,13 @@ def bernoulli_value_dist_conditioning(f, p):
             out[v] = out.get(v, Fraction(0)) + p * pr
         return out
 
-    return ValueDist(law(f))
+    return {v: pr for v, pr in sorted(law(f).items()) if pr}
+
+
+def tv_distance_oracle(d1, d2):
+    """Oracle for ``tv_distance``: half the sum of |d1(v) - d2(v)| in Fractions."""
+    values = set(d1.support()) | set(d2.support())
+    return sum((abs(d1.prob(v) - d2.prob(v)) for v in values), Fraction(0)) / 2
 
 
 def poisson_tv_check_per_term(n, p):

@@ -38,6 +38,7 @@ from helpers import (
     permute_variables,
     poisson_tv_check_per_term,
     random_poly,
+    tv_distance_oracle,
 )
 
 
@@ -54,32 +55,43 @@ def test_rational_parsing_is_exact():
 
 
 def test_value_dist_validation():
-    d = ValueDist({3: Fraction(1, 4), 0: Fraction(3, 4), 7: Fraction(0)})
+    d = ValueDist({3: 1, 0: 3, 7: 0}, 4)
     assert d.support() == [0, 3]
     assert d.prob(7) == 0 and d.prob(3) == Fraction(1, 4)
-    with pytest.raises(InputError):
-        ValueDist({0: Fraction(1, 2)})
-    with pytest.raises(InputError):
-        ValueDist({0: Fraction(-1, 2), 1: Fraction(3, 2)})
+    assert d.probs == {0: Fraction(3, 4), 3: Fraction(1, 4)}
     assert d.to_json() == {"support": [[0, "3/4"], [3, "1/4"]]}
+    with pytest.raises(InputError):
+        ValueDist({}, 0)
 
 
 def test_value_dist_from_numerators():
-    assert ValueDist.from_numerators({3: 1, 0: 3, 7: 0}, 4) == ValueDist({0: Fraction(3, 4), 3: Fraction(1, 4)})
-    assert ValueDist.from_numerators({5: 6}, 6).probs == {5: Fraction(1)}
-    with pytest.raises(InputError):
-        ValueDist.from_numerators({0: -1, 1: 5}, 4)
-    with pytest.raises(InputError):
-        ValueDist.from_numerators({0: 1, 1: 2}, 4)
-    with pytest.raises(InputError):
-        ValueDist.from_numerators({0: 3, 1: 2}, 4)
+    assert ValueDist({3: 1, 0: 3, 7: 0}, 4) == ValueDist({0: 3, 3: 1}, 4)
+    assert ValueDist({0: 6, 3: 2}, 8) == ValueDist({0: 3, 3: 1}, 4)
+    assert ValueDist({5: 6}, 6).probs == {5: Fraction(1)}
+    for numerators, denominator in (({0: -1, 1: 5}, 4), ({0: 1, 1: 2}, 4), ({0: 3, 1: 2}, 4)):
+        with pytest.raises(InputError):
+            ValueDist(numerators, denominator)
 
 
 def test_tv_distance():
-    d1 = ValueDist({0: Fraction(1, 2), 1: Fraction(1, 2)})
-    d2 = ValueDist({1: Fraction(1, 2), 2: Fraction(1, 2)})
+    d1 = ValueDist({0: 1, 1: 1}, 2)
+    d2 = ValueDist({1: 1, 2: 1}, 2)
     assert tv_distance(d1, d2) == Fraction(1, 2)
     assert tv_distance(d1, d1) == 0
+
+
+def test_tv_distance_equals_fraction_sum_oracle():
+    rng = random.Random(204)
+    for _ in range(40):
+        f = random_poly(rng, max_vars=5)
+        n = rng.randint(f.num_vars, 9)
+        laws = [
+            slice_value_dist(f, SliceSpec(n, rng.randint(0, n))),
+            bernoulli_value_dist(f, Fraction(rng.randint(1, 9), 10)),
+            bernoulli_value_dist(f, Fraction(rng.randint(1, 6), 7)),
+        ]
+        for d1, d2 in combinations(laws, 2):
+            assert tv_distance(d1, d2) == tv_distance(d2, d1) == tv_distance_oracle(d1, d2)
 
 
 def test_bernoulli_dist_small_cases():
@@ -112,7 +124,7 @@ def test_two_routes_agree():
     for _ in range(40):
         f = random_poly(rng, max_vars=7)
         p = Fraction(rng.randint(1, 99), 100)
-        assert bernoulli_value_dist(f, p) == bernoulli_value_dist_conditioning(f, p)
+        assert bernoulli_value_dist(f, p).probs == bernoulli_value_dist_conditioning(f, p)
 
 
 def test_point_probability_consistent_with_dist():

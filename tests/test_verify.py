@@ -1,19 +1,22 @@
 """Tests for the certificate layer: reduction bounds, the named certificates,
 the finite lemma oracles, and self-checking report plumbing."""
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from edgestat import verify
-from edgestat.dist import bernoulli_value_dist, binmax
+from edgestat.dist import SliceSpec, ValueDist, bernoulli_value_dist, binmax
 from edgestat.errors import InputError
 from edgestat.gm import GmFamily, enumerate_gm
-from edgestat.poly import parse_poly
+from edgestat.poly import MultilinearPoly, parse_poly
 from edgestat.report import check, report_from_json, reverify
 from edgestat.verify import (
+    DEFAULT_SUITE_SEED,
     GRID,
     LEMMA_SUITES,
     _value_rows,
@@ -354,6 +357,11 @@ def test_antichain_expectation_validation():
         antichain_expectation_check(21, {}, Fraction(1, 4))
 
 
+def test_antichain_expectation_rejects_float_weights():
+    with pytest.raises(InputError):
+        antichain_expectation_check(2, {frozenset({0}): 0.5}, "1/3")
+
+
 def test_elo_examples():
     assert elo_max([1, 1]) == (Fraction(1, 2), Fraction(1, 2), True)
     max_prob, bound, ok = elo_max([1, 2, 4])
@@ -364,6 +372,11 @@ def test_elo_examples():
         elo_max([1, 0, 2])
     with pytest.raises(InputError):
         elo_max([])
+
+
+def test_elo_rejects_float_coefficients():
+    with pytest.raises(InputError):
+        elo_max([0.1, 0.2])
 
 
 def test_large_linear_part_examples():
@@ -398,6 +411,23 @@ def test_lemma_suites_report_no_violations_on_small_runs():
     assert suite_reduction_spot(7, 25) == 0
 
 
+def test_lemma_suites_count_failing_cases(monkeypatch):
+    monkeypatch.setattr(verify, "blym_check", lambda n, antichain: (Fraction(2), False))
+    assert LEMMA_SUITES["blym"](DEFAULT_SUITE_SEED) == 1000
+    for name in LEMMA_SUITES.keys() - {"blym"}:
+        monkeypatch.setitem(LEMMA_SUITES, name, lambda seed: 0)
+    report = verify.verify_lemmas()
+    assert not report.passed
+    assert [(c.name, c.lhs) for c in report.checks if not c.ok] == [("blym_violations", "1000/1")]
+
+
+def test_reduction_spot_counts_every_bound_a_case_exceeds(monkeypatch):
+    # A unit form always has a positive value, and every value has mass > 0 at
+    # p = 1/3 and 1/2, so each case exceeds all eight zero bounds (m = 2..5 at both p).
+    monkeypatch.setattr(verify, "reduction_bound", lambda m, p, ell_min: SimpleNamespace(bound=Fraction(0)))
+    assert suite_reduction_spot(7, 25) == 25 * 8
+
+
 def test_lemma_suite_registry_is_complete():
     assert set(LEMMA_SUITES) == {
         "blym",
@@ -408,3 +438,61 @@ def test_lemma_suite_registry_is_complete():
         "large_linear_part",
         "reduction_spot",
     }
+
+
+def _canonical_text(x) -> str:
+    """An argument or result as text that does not depend on ``repr``."""
+    if isinstance(x, bool):
+        return "T" if x else "F"
+    if isinstance(x, (int, Fraction)):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, MultilinearPoly):
+        lin = sorted(x.linear.items())
+        quad = sorted((a, b, c) for (a, b), c in x.quadratic.items())
+        return f"P({x.num_vars};{x.constant};{lin};{quad})"
+    if isinstance(x, SliceSpec):
+        return f"S({x.n},{x.k})"
+    if isinstance(x, ValueDist):
+        return "L(" + ",".join(f"{v}:{_canonical_text(x.prob(v))}" for v in x.support()) + ")"
+    if isinstance(x, frozenset):
+        return "{" + ",".join(map(str, sorted(x))) + "}"
+    if isinstance(x, dict):
+        return "{" + ",".join(f"{_canonical_text(k)}:{_canonical_text(v)}" for k, v in x.items()) + "}"
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(map(_canonical_text, x)) + "]"
+    raise TypeError(f"no canonical text for {type(x).__name__}")
+
+
+def test_lemma_suite_case_streams_are_pinned(monkeypatch):
+    # Each check the seeded suites call, with its arguments and result, over
+    # the small runs above: a change to which cases a suite draws shows here.
+    lines: list[str] = []
+    calls: dict[str, int] = {}
+    checks = ("blym_check", "antichain_expectation_check", "elo_max",
+              "product_slice_tv", "large_linear_part_check", "bernoulli_value_dist")
+    for name in checks:
+        def recorded(*args, _name=name, _inner=getattr(verify, name)):
+            result = _inner(*args)
+            calls[_name] = calls.get(_name, 0) + 1
+            lines.append(f"{_name}{_canonical_text(args)}->{_canonical_text(result)}")
+            return result
+
+        monkeypatch.setattr(verify, name, recorded)
+    suite_blym(7, 50)
+    suite_antichain_expectation(7, 50)
+    suite_elo(7, 50)
+    suite_product_slice(7, 25)
+    suite_large_linear_part(7, 50)
+    suite_reduction_spot(7, 25)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert calls == {
+        "blym_check": 50,
+        "antichain_expectation_check": 50,
+        "elo_max": 50,
+        "product_slice_tv": 25,
+        "large_linear_part_check": 50,
+        "bernoulli_value_dist": 50,
+    }
+    assert digest == "f768e1f47fecb2dbcde300c63e8e059704b743e2451a7de250925b77131ca7a1"
