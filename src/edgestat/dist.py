@@ -41,6 +41,14 @@ def as_rational(value) -> Fraction:
         raise InputError(f"cannot interpret {value!r} as a rational") from exc
 
 
+def as_integer(value) -> int:
+    """Coerce an integral int, Fraction or exact string to int."""
+    x = as_rational(value)
+    if x.denominator != 1:
+        raise InputError(f"{value!r} is not an integer")
+    return x.numerator
+
+
 def as_probability(value) -> Fraction:
     p = as_rational(value)
     if not 0 <= p <= 1:
@@ -57,7 +65,8 @@ def format_rational(x: Fraction) -> str:
 class ValueDist:
     """Finite exact law on integers: ``value -> numerators[value] / denominator``.
 
-    The one law check: numerators are non-negative and sum to the denominator.
+    The one law check: the numerators and the denominator are ints, and the
+    numerators are non-negative and sum to the denominator.
     Zero masses are dropped and the law is reduced by the gcd, so equal laws
     compare equal.
     """
@@ -66,6 +75,8 @@ class ValueDist:
     denominator: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(c, int) for c in (self.denominator, *self.numerators.values())):
+            raise InputError("numerators and denominator must be integers")
         for v, c in self.numerators.items():
             if c < 0:
                 raise InputError(f"negative probability at value {v}")

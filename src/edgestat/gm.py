@@ -53,16 +53,17 @@ nothing more: each class's representative is its key's ``member``, a
 needs it.  The emitted family is therefore sound and isomorph-free by
 construction.
 
-Families are cached by ``m`` alone: a family is identical for every worker
-count.
+Families are cached by ``m`` alone, each with the one row table the reduction
+bound scans, :attr:`GmFamily.value_rows`; both are the same for every worker count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import le
 
 from .errors import InputError
 from .poly import CanonicalKey, canonical_code, value_weight_counts
@@ -86,17 +87,15 @@ class GmFamily:
     """Complete family at threshold ``m``: the sorted canonical keys, one per class.
 
     A class's representative is its key's ``member``, the form the key spells
-    out, and its variable count is ``key.code[0]``.  ``profiles`` and
-    ``value_rows`` (the pruned rows of :func:`edgestat.verify._value_rows`, by
-    ``ell_min``) are computed on first use and live as long as the cached
-    family.  ``searches`` is the number of canonical searches the generator
-    ran, the same for every worker count.
+    out, and its variable count is ``key.code[0]``.  ``value_rows`` is computed
+    on first use and lives as long as the cached family.  ``searches`` is the
+    number of canonical searches the generator ran, the same for every worker
+    count.
     """
 
     m: int
     keys: list[CanonicalKey]
     searches: int = 0
-    value_rows: dict[int, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -108,9 +107,31 @@ class GmFamily:
         return dict(sorted(Counter(k.code[0] for k in self.keys).items()))
 
     @cached_property
-    def profiles(self) -> list[dict[int, dict[int, int]]]:
-        """``value_weight_counts`` of every class representative, in key order."""
-        return [value_weight_counts(k.member) for k in self.keys]
+    def value_rows(self) -> dict[int, list[tuple[tuple[int, ...], CanonicalKey]]]:
+        """``value -> [(counts, key), ...]`` in increasing value order: the rows
+        that can be the family's largest point mass at that value.
+
+        Each member is read on N = ``var_bound(m)`` slots (a free slot changes
+        no mass), so ``counts[w]`` counts the weight-w assignments that give the
+        value, and at p = a/b the mass times b^N is sum_w counts[w] a^w (b-a)^(N-w).
+        Of equal counts at one value only the first key seen is kept, the
+        smallest, as ``keys`` is sorted.  A row that another of its value
+        dominates componentwise is strictly lighter on (0, 1).  Rows are visited
+        by descending total count and domination is transitive, so every
+        dropped row is dominated by a row already kept.
+        """
+        width = var_bound(self.m)
+        first: dict[int, dict[tuple[int, ...], CanonicalKey]] = {}
+        for key in self.keys:
+            for value, per_w in value_weight_counts(replace(key.member, num_vars=width)).items():
+                counts = tuple(per_w.get(w, 0) for w in range(width + 1))
+                first.setdefault(value, {}).setdefault(counts, key)
+        rows = {value: [] for value in sorted(first)}
+        for value, kept in rows.items():
+            for counts, key in sorted(first[value].items(), key=lambda row: -sum(row[0])):
+                if not any(all(map(le, counts, other)) for other, _ in kept):
+                    kept.append((counts, key))
+        return rows
 
 
 def _sorted_columns(t: int, q: int, cap_row: int) -> list[tuple[int, ...]]:

@@ -53,7 +53,7 @@ def check(name: str, lhs, op: str, rhs) -> CheckRecord:
     if op == "==s":
         lhs_s, rhs_s = str(lhs), str(rhs)
     else:
-        lhs_s, rhs_s = format_rational(Fraction(lhs)), format_rational(Fraction(rhs))
+        lhs_s, rhs_s = format_rational(as_rational(lhs)), format_rational(as_rational(rhs))
     return CheckRecord(name, lhs_s, op, rhs_s, _apply_op(lhs_s, op, rhs_s))
 
 

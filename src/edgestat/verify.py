@@ -2,11 +2,10 @@
 and the supporting finite oracles.
 
 Every verdict is decided in exact rational arithmetic.  :func:`reduction_bound`
-is the one computation of the reduction bound: it compares family point
-masses as integer numerators over a common power of the denominator of p, on
-value rows pruned once per family, and :func:`optimize_p` and the
-``reduction_spot`` suite read their bounds from it.  A witness is a canonical
-key, and its polynomial is the key's ``member``.
+is the one computation of the reduction bound: it weighs the family's value
+rows, all on one width, by one scale, so the masses compare as integers, and
+:func:`optimize_p` and the ``reduction_spot`` suite read their bounds from
+it.  A witness is a canonical key, and its polynomial is the key's ``member``.
 Floats appear only in decimal annotations.  Where a side is transcendental
 (antichain expectation, Poisson TV), e^x is enclosed in integers by
 :func:`dist.exp_enclosure` and a check passes only if the whole enclosure clears its bound.
@@ -19,11 +18,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import le, mul
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .dist import (
     SliceSpec,
+    as_integer,
     as_probability,
     as_rational,
     bernoulli_value_dist,
@@ -38,7 +38,7 @@ from .dist import (
     weight_scale,
 )
 from .errors import InputError
-from .gm import GmFamily, enumerate_gm, var_bound
+from .gm import enumerate_gm, var_bound
 from .poly import (
     CanonicalKey,
     MultilinearPoly,
@@ -83,70 +83,35 @@ class ReductionBound:
     witness_ell: int | None
 
 
-#: One family value: (width n, counts by weight 0..n, key, value).
-ValueRow = tuple[int, tuple[int, ...], CanonicalKey, int]
-
-
-def _value_rows(family: GmFamily, ell_min: int) -> list[ValueRow]:
-    """Rows of the member values ``>= ell_min`` that can be the family maximum.
-
-    A row's mass at p is sum_w counts[w] p^w (1-p)^(n-w).  Of equal
-    ``(n, counts)`` only the smallest ``(key, value)`` is kept.  A row that
-    another of the same width dominates componentwise is strictly lighter for
-    every p in (0, 1) and is dropped.  Rows are visited by descending total
-    count, and domination is transitive, so every dropped row is dominated by
-    a row already kept.  The rows are built once per ``(family, ell_min)`` and
-    kept on the family.
-    """
-    if ell_min in family.value_rows:
-        return family.value_rows[ell_min]
-    first: dict[tuple[int, tuple[int, ...]], ValueRow] = {}
-    for key, profile in zip(family.keys, family.profiles):
-        n = key.code[0]
-        for value, per_w in sorted(profile.items()):
-            if value >= ell_min:
-                counts = tuple(per_w.get(w, 0) for w in range(n + 1))
-                # keys are sorted, so the first row seen has the smallest (key, value)
-                first.setdefault((n, counts), (n, counts, key, value))
-    kept: dict[int, list[tuple[int, ...]]] = {}
-    rows: list[ValueRow] = []
-    for row in sorted(first.values(), key=lambda r: -sum(r[1])):
-        n, counts = row[0], row[1]
-        frontier = kept.setdefault(n, [])
-        if not any(all(map(le, counts, other)) for other in frontier):
-            frontier.append(counts)
-            rows.append(row)
-    family.value_rows[ell_min] = rows
-    return rows
-
-
 def reduction_bound(m: int, p, ell_min: int, *, workers: int = 1) -> ReductionBound:
     """max(binmax(m, p), family point-mass max over values >= ell_min).
 
-    The family part is maximized over the pruned value rows of the cached
-    ``enumerate_gm(m, workers)``, that is over every member and every
-    achievable value at least ``ell_min``; ties are broken toward the
-    lexicographically smallest canonical key, then the smallest value.  With
-    p = a/b a row's mass times b^N, N = ``var_bound(m)``, is the integer
-    sum_w counts[w] a^w (b-a)^(n-w) b^(N-n), so rows compare as integers.
+    The family part is maximized over the rows of the cached
+    ``enumerate_gm(m, workers).value_rows`` at values at least ``ell_min``,
+    that is over every member and every achievable value that large; ties
+    are broken toward the lexicographically smallest canonical key, then the
+    smallest value.  Every row counts assignments on the same N =
+    ``var_bound(m)`` slots, so with p = a/b one scale ``weight_scale(p, N)``
+    turns each row into its mass times b^N, and rows compare as integers.
     The witness is reported whenever the family part attains the overall
     bound; with no rows the family part is 0.
     """
     p = as_probability(p)
     if not 0 < p < 1:
         raise InputError("p must lie strictly between 0 and 1")
+    ell_min = as_integer(ell_min)
     if ell_min < 1:
         raise InputError("ell_min must be >= 1")
-    rows = _value_rows(enumerate_gm(m, workers), ell_min)
-    max_n, b = var_bound(m), p.denominator
-    scale = [[s * b ** (max_n - n) for s in weight_scale(p, n)] for n in range(max_n + 1)]
+    family, width = enumerate_gm(m, workers), var_bound(m)
+    scale = weight_scale(p, width)
     best: tuple[int, CanonicalKey, int] | None = None
-    for n, counts, key, value in rows:
-        num = sum(map(mul, counts, scale[n]))
-        if best is None or num > best[0] or (num == best[0] and (key, value) < best[1:]):
-            best = (num, key, value)
+    for value, rows in family.value_rows.items():
+        for counts, key in rows if value >= ell_min else ():
+            num = sum(map(mul, counts, scale))
+            if best is None or num > best[0] or (num == best[0] and (key, value) < best[1:]):
+                best = (num, key, value)
     num, key, value = best or (0, None, None)
-    gm_part = Fraction(num, b**max_n)
+    gm_part = Fraction(num, p.denominator**width)
     binmax_part = binmax(m, p)
     bound = max(binmax_part, gm_part)
     if gm_part < bound:
@@ -343,7 +308,7 @@ def verify_star_search(
     if not 1 <= max_s <= 5:
         raise InputError("max_s must be in 1..5")
     p = as_probability(p)
-    ells = sorted({int(e) for e in ell_values})
+    ells = sorted({as_integer(e) for e in ell_values})
     if not ells:
         raise InputError("need at least one ell value")
     if any(e == 0 or abs(e) > 4 for e in ells):

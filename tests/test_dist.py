@@ -68,7 +68,9 @@ def test_value_dist_from_numerators():
     assert ValueDist({3: 1, 0: 3, 7: 0}, 4) == ValueDist({0: 3, 3: 1}, 4)
     assert ValueDist({0: 6, 3: 2}, 8) == ValueDist({0: 3, 3: 1}, 4)
     assert ValueDist({5: 6}, 6).probs == {5: Fraction(1)}
-    for numerators, denominator in (({0: -1, 1: 5}, 4), ({0: 1, 1: 2}, 4), ({0: 3, 1: 2}, 4)):
+    # the last three, non-integer masses, used to reach math.gcd and raise TypeError
+    for numerators, denominator in (({0: -1, 1: 5}, 4), ({0: 1, 1: 2}, 4), ({0: 3, 1: 2}, 4),
+                                    ({0: 0.5, 1: 0.5}, 1), ({0: 1}, 1.0), ({0: Fraction(1, 2), 1: 1}, 1)):
         with pytest.raises(InputError):
             ValueDist(numerators, denominator)
 

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is read somewhere in that
-module, every module-level constant is read somewhere in the package, and
-the package namespace holds only its modules."""
+module, every module-level constant, private function or class and type
+alias is read somewhere in the package, and the package namespace holds
+only its modules."""
 
 import ast
 import os
@@ -45,17 +46,31 @@ def test_scan_finds_an_unused_import():
     assert unused_imports("from x import y  # noqa: F401\n") == []
 
 
-def unread_constants(sources: dict[str, str]) -> list[str]:
-    """Module-level ALL-CAPS names that no module of ``sources`` reads, as a
-    bare name or as an attribute."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def read_names(trees) -> set[str]:
+    """Names the trees read, as a bare name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def package_sources() -> dict[str, str]:
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    return sources
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level ALL-CAPS names that no module of ``sources`` reads, as a
+    bare name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = read_names(trees.values())
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -68,11 +83,7 @@ def unread_constants(sources: dict[str, str]) -> list[str]:
 
 def test_every_constant_is_read():
     # A cap left behind after the loop it guarded fails here.
-    sources = {}
-    for module in MODULES:
-        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
-            sources[module] = fh.read()
-    assert unread_constants(sources) == []
+    assert unread_constants(package_sources()) == []
 
 
 def test_scan_finds_an_unread_constant():
@@ -80,6 +91,51 @@ def test_scan_finds_an_unread_constant():
     assert unread_constants(sources) == []
     assert unread_constants({"a.py": "CAP = 1\nLIMIT: int = 2\n_OPS = ()\nlower = 3\n"}) == [
         "CAP (a.py)", "LIMIT (a.py)", "_OPS (a.py)",
+    ]
+
+
+def module_helpers(tree):
+    """Module-level ``_``-prefixed functions and classes, and module-level type
+    aliases: ``X = tuple[...]``, ``X = A | B`` and ``X: TypeAlias = ...``
+    (the package supports Python 3.10, which has no ``type`` statement)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                yield node.name
+        elif isinstance(node, ast.AnnAssign) and ast.unparse(node.annotation).endswith("TypeAlias"):
+            yield node.target.id
+        elif isinstance(node, ast.Assign) and (
+            isinstance(node.value, ast.Subscript)
+            or isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.BitOr)
+        ):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def unread_helpers(sources: dict[str, str]) -> list[str]:
+    """The ``module_helpers`` that no module of ``sources`` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = read_names(trees.values())
+    return sorted(f"{name} ({module})" for module, tree in trees.items()
+                  for name in module_helpers(tree) if name not in read)
+
+
+def test_every_private_helper_and_type_alias_is_read():
+    # A row type or a private helper left behind after its last caller went fails here.
+    assert unread_helpers(package_sources()) == []
+
+
+def test_scan_finds_an_unread_private_helper_and_type_alias():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\nclass _Seen:\n    pass\n\n\nRow = tuple[int, str]\n",
+        "b.py": "import a\na._used()\nx: a.Row = a._Seen()\n",
+    }
+    assert unread_helpers(sources) == []
+    dead = (
+        "def _dead():\n    pass\n\n\nclass _Gone:\n    pass\n\n\ndef public():\n    pass\n\n\n"
+        "Row = tuple[int, str]\nPair = int | str\nMaybe: TypeAlias = int\nlimit = 3\n"
+    )
+    assert unread_helpers({"a.py": dead}) == [
+        "Maybe (a.py)", "Pair (a.py)", "Row (a.py)", "_Gone (a.py)", "_dead (a.py)",
     ]
 
 

@@ -3,6 +3,7 @@ the finite lemma oracles, and self-checking report plumbing."""
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -12,14 +13,13 @@ import pytest
 from edgestat import verify
 from edgestat.dist import SliceSpec, ValueDist, bernoulli_value_dist, binmax
 from edgestat.errors import InputError
-from edgestat.gm import GmFamily, enumerate_gm
+from edgestat.gm import GmFamily, enumerate_gm, var_bound
 from edgestat.poly import MultilinearPoly, parse_poly
 from edgestat.report import check, report_from_json, reverify
 from edgestat.verify import (
     DEFAULT_SUITE_SEED,
     GRID,
     LEMMA_SUITES,
-    _value_rows,
     antichain_expectation_check,
     blym_check,
     check_better34_inequalities,
@@ -57,6 +57,11 @@ def test_check_operators():
         check("a", 0.5, "<=~", 0.5)
     with pytest.raises(InputError):
         check("a", Fraction(1), "!=", Fraction(2))
+    # 0.1 used to pass as the rounded double 3602879701896397/36028797018963968.
+    for lhs, rhs in ((0.1, 1), (Fraction(1, 10), 0.5)):
+        with pytest.raises(InputError):
+            check("x", lhs, "<", rhs)
+    assert check("x", "1/10", "<", 1).lhs == "1/10"
 
 
 def test_report_round_trip_and_reverify():
@@ -109,7 +114,7 @@ def test_reduction_bound_reference_points():
 
 def test_reduction_bound_matches_direct_distribution_scan():
     # Independent route: full value distributions via the distribution
-    # module instead of the cached weight profiles.
+    # module instead of the family's value rows.
     p = Fraction(2, 5)
     family = enumerate_gm(3)
     best = Fraction(0)
@@ -130,6 +135,9 @@ def test_reduction_bound_input_validation(monkeypatch):
         reduction_bound(3, Fraction(1), 1)
     with pytest.raises(InputError):
         reduction_bound(3, Fraction(1, 2), 0)
+    for ell_min in (1.5, Fraction(3, 2)):
+        with pytest.raises(InputError):
+            reduction_bound(2, Fraction(1, 2), ell_min)
 
     # ell_min is checked before G(m) is enumerated.
     def no_enumeration(*args, **kwargs):
@@ -173,14 +181,32 @@ def test_optimize_p_equals_unpruned_argmin():
         assert optimize_p(m) == (p_star, least)
 
 
-def test_value_rows_are_built_once_per_family_and_ell_min():
+def test_value_rows_are_built_once_per_family():
     family = enumerate_gm(4)
-    for ell_min in (1, 2):
-        rows = _value_rows(family, ell_min)
-        assert _value_rows(family, ell_min) is rows
-        fresh = GmFamily(family.m, family.keys)
-        assert _value_rows(fresh, ell_min) == rows
-    assert _value_rows(family, 1) != _value_rows(family, 2)
+    rows = family.value_rows
+    assert family.value_rows is rows
+    assert list(rows) == sorted(rows) and sum(map(len, rows.values())) == 30
+    assert GmFamily(family.m, family.keys).value_rows == rows
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_value_rows_cover_every_member_and_weigh_its_law(m):
+    # Lift each unlifted profile to N slots here: a free slot adds j ones in C(N - s, j) ways.
+    family = enumerate_gm(m)
+    rows, width = family.value_rows, var_bound(m)
+    for key, profile in zip(family.keys, member_profiles(family)):
+        free = width - key.code[0]
+        for value, per_w in profile.items():
+            lifted = [
+                sum(c * math.comb(free, w - v) for v, c in per_w.items() if 0 <= w - v <= free)
+                for w in range(width + 1)
+            ]
+            assert any(all(a <= b for a, b in zip(lifted, counts)) for counts, _ in rows[value]), (key, value)
+    for p in (Fraction(1, 3), Fraction(1, 2), Fraction(97, 250)):
+        for value, kept in rows.items():
+            for counts, key in kept:
+                mass = sum(c * p**w * (1 - p) ** (width - w) for w, c in enumerate(counts))
+                assert mass == bernoulli_value_dist(key.member, p).prob(value), (p, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +339,11 @@ def test_star_search_input_validation():
         verify_star_search(ell_values=(5,))
     with pytest.raises(InputError):
         verify_star_search(ell_values=[])
+    # 1.5 used to be searched as ell = 1 and recorded as [1].
+    for ell in (1.5, Fraction(3, 2), "1/2"):
+        with pytest.raises(InputError):
+            verify_star_search(max_s=2, ell_values=(ell,))
+    assert verify_star_search(max_s=2, ell_values=(Fraction(2), "1")).inputs["ell_values"] == [1, 2]
 
 
 # ---------------------------------------------------------------------------
