@@ -8,6 +8,9 @@ only on how many of its vertices fall in each part, so
 :func:`limit_probability` makes one walk over part-count vectors for both
 cases and changes only the term: the hypergeometric one on an n-vertex host,
 and in the n -> infinity limit the multinomial one with the part fractions.
+The walk carries the free slots and the edges so far down to each node and
+ends a part's loop at the first overshoot; one closed form for the largest
+clique under ell serves it and :func:`clique_decomposition`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .dist import SliceSpec, ValueDist, as_probability, poisson_peak_lower, slice_value_dist
+from .dist import SliceSpec, ValueDist, as_integer, as_probability, poisson_peak_lower, slice_value_dist
 from .errors import InputError, ResourceLimitError
 from .poly import MultilinearPoly
 from .report import VerificationReport, check
@@ -80,15 +83,11 @@ class PartFamily:
         object.__setattr__(self, "clique", clique)
         object.__setattr__(self, "cross", frozenset(normalized))
 
-    @property
-    def num_parts(self) -> int:
-        """Number of explicit (non-background) parts."""
-        return len(self.fractions)
-
 
 def bipartite_family(a: int, k: int, with_clique: bool = False) -> PartFamily:
     """A part of fraction a/k joined completely to the rest of the vertices,
     optionally also a clique inside."""
+    a, k = as_integer(a), as_integer(k)
     if not 1 <= a < k:
         raise InputError("need 1 <= a < k")
     tag = f"bipartite-plus-clique(a={a},k={k})" if with_clique else f"bipartite(a={a},k={k})"
@@ -97,7 +96,7 @@ def bipartite_family(a: int, k: int, with_clique: bool = False) -> PartFamily:
 
 def clique_union_family(sizes: Sequence[int], k: int) -> PartFamily:
     """Disjoint cliques of fractions m_i/k plus isolated background."""
-    sizes = tuple(int(m) for m in sizes)
+    sizes, k = tuple(as_integer(m) for m in sizes), as_integer(k)
     if not sizes or any(m < 2 for m in sizes):
         raise InputError("clique sizes must all be >= 2")
     if sum(sizes) > k:
@@ -109,6 +108,7 @@ def clique_union_family(sizes: Sequence[int], k: int) -> PartFamily:
 def crossed_clique_family(a: int, m: int, k: int) -> PartFamily:
     """A part of fraction a/k joined to everything else, plus a disjoint
     clique part of fraction m/k."""
+    a, m, k = as_integer(a), as_integer(m), as_integer(k)
     if a < 1 or m < 2 or a + m > k:
         raise InputError("need a >= 1, m >= 2, a + m <= k")
     return PartFamily(
@@ -122,6 +122,7 @@ def crossed_clique_family(a: int, m: int, k: int) -> PartFamily:
 def blocker_with_buffer_family(a: int, m: int, k: int) -> PartFamily:
     """A part of fraction (a+1)/k joined only to the background, next to an
     edgeless buffer part of fraction m/k that soaks up vertices."""
+    a, m, k = as_integer(a), as_integer(m), as_integer(k)
     if a < 0 or m < 1 or (a + 1) + m > k:
         raise InputError("need a >= 0, m >= 1, (a+1) + m <= k")
     return PartFamily(
@@ -167,18 +168,31 @@ def edge_count_dist(host: HostGraph, k: int) -> ValueDist:
     return slice_value_dist(edge_polynomial(host), SliceSpec(host.n, k))
 
 
+def _largest_clique(ell: int) -> int:
+    """Largest m with C(m, 2) <= ell, for an integer ell >= 0."""
+    return (1 + math.isqrt(8 * ell + 1)) // 2
+
+
 def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None) -> Fraction:
     """Exact probability that a uniform k-subset induces ell edges: on the
     n-vertex host when n is given, else in the n -> infinity limit.
 
     The sum runs over the part-count vectors c (background last) whose
-    induced edge count is ell.  With s_i the :func:`_part_sizes`, the
-    finite term is prod C(s_i, c_i) over C(n, k).  For fixed k the part
-    counts converge to a multinomial draw, so with part fractions a_i / D the
-    limit term is prod C(rem, c_i) a_i^c_i over D^k, rem counting the slots
-    not yet given to earlier parts.
+    induced edge count is ell.  The walk carries the free slots and the edges
+    so far: c vertices of the next part add c times the counts of the earlier
+    parts joined to it, plus C(c, 2) for a clique, and no later part removes
+    an edge, so the loop ends at the first c past ell.  The background takes
+    the free slots at the leaf.  :func:`_largest_clique` bounds the clique
+    parts, which also sizes the :data:`VECTOR_CAP` guard.
+
+    With s_i the :func:`_part_sizes`, the finite term is prod C(s_i, c_i)
+    over C(n, k).  For fixed k the part counts converge to a multinomial draw,
+    so with part fractions a_i / D the limit term is prod C(rem, c_i) a_i^c_i
+    over D^k, rem counting the slots not yet given to earlier parts.
     """
-    if family.num_parts > 6:
+    k, ell = as_integer(k), as_integer(ell)
+    t = len(family.fractions)
+    if t > 6:
         raise InputError("at most 6 explicit parts supported")
     if not 0 <= k <= 10**4:
         raise InputError("need 0 <= k <= 10**4")
@@ -188,39 +202,27 @@ def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None
         weights.append(den - sum(weights))
         denominator = den**k
     else:
+        n = as_integer(n)
         weights = _part_sizes(family, n)
         if k > n:
             raise InputError(f"need k <= n, got n={n} k={k}")
         denominator = math.comb(n, k)
     if ell < 0:
         return Fraction(0)
-    t = family.num_parts
-    ranges = []
-    for i in range(t):
-        hi = k
-        if family.clique[i]:
-            hi = 0
-            while math.comb(hi + 1, 2) <= ell and hi < k:
-                hi += 1
-        ranges.append(hi + 1)
+    ranges = [min(_largest_clique(ell), k) + 1 if q else k + 1 for q in family.clique]
     needed = math.prod(ranges)
     if needed > VECTOR_CAP:
         raise ResourceLimitError(f"the sum would visit {needed} count vectors (cap {VECTOR_CAP})")
-    cross = sorted(family.cross)
     total = 0
 
-    def induced(counts: list[int]) -> int:
-        """Edges among the parts counted so far (cross pairs are sorted, i < j)."""
-        e = sum(math.comb(c, 2) for c, q in zip(counts, family.clique) if q)
-        return e + sum(counts[i] * counts[j] for i, j in cross if j < len(counts))
-
-    def walk(i: int, counts: list[int]) -> None:
+    def walk(counts: list[int], left: int, edges: int) -> None:
         nonlocal total
-        used = sum(counts)
+        i = len(counts)
+        joined = sum(c for j, c in enumerate(counts) if (j, i) in family.cross)
         if i == t:
-            counts = counts + [k - used]
-            if induced(counts) != ell:
+            if edges + left * joined != ell:
                 return
+            counts = counts + [left]
             if n is not None:
                 term = math.prod(math.comb(s, c) for s, c in zip(weights, counts))
             else:
@@ -230,35 +232,34 @@ def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None
                     rem -= c
             total += term
             return
-        for c in range(min(ranges[i] - 1, k - used) + 1):
-            counts.append(c)
-            if induced(counts) <= ell:
-                walk(i + 1, counts)
-            counts.pop()
+        for c in range(min(ranges[i] - 1, left) + 1):
+            grown = edges + c * joined + (math.comb(c, 2) if family.clique[i] else 0)
+            if grown > ell:
+                break
+            walk(counts + [c], left - c, grown)
 
-    walk(0, [])
+    walk([], k, 0)
     return Fraction(total, denominator)
 
 
 def clique_decomposition(ell: int) -> tuple:
     """Greedy decomposition of ell into triangular numbers C(m_i, 2), m_i >= 2,
     taking the largest piece first."""
+    ell = as_integer(ell)
     if ell < 1:
         raise InputError("ell must be >= 1")
     pieces = []
     rem = ell
     while rem:
-        m = 2
-        while math.comb(m + 1, 2) <= rem:
-            m += 1
-        pieces.append(m)
-        rem -= math.comb(m, 2)
+        pieces.append(_largest_clique(rem))
+        rem -= math.comb(pieces[-1], 2)
     return tuple(pieces)
 
 
 def clique_decomposition_bound(k: int, ell: int) -> tuple:
     """(decomposition, product of piece sizes, exact limit probability of the
     matching clique-union family at this k)."""
+    k, ell = as_integer(k), as_integer(ell)
     if not 1 <= ell or 2 * ell > k:
         raise InputError("need 1 <= ell <= k/2")
     pieces = clique_decomposition(ell)
@@ -269,6 +270,7 @@ def clique_decomposition_bound(k: int, ell: int) -> tuple:
 
 def poisson_reference(a: int) -> float:
     """a^a / (e^a a!), the Poisson(a) point mass at a: the double nearest its enclosure's lower end."""
+    a = as_integer(a)
     if not 0 <= a <= 10**4:
         raise InputError("need 0 <= a <= 10**4")
     return float(poisson_peak_lower(a))

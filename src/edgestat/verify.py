@@ -73,9 +73,6 @@ GRID = [Fraction(i, 300) for i in range(1, 300)]
 class ReductionBound:
     """Exact reduction bound together with the attaining family witness."""
 
-    m: int
-    p: Fraction
-    ell_min: int
     bound: Fraction
     binmax_part: Fraction
     gm_part: Fraction
@@ -116,7 +113,7 @@ def reduction_bound(m: int, p, ell_min: int, *, workers: int = 1) -> ReductionBo
     bound = max(binmax_part, gm_part)
     if gm_part < bound:
         key = value = None
-    return ReductionBound(m, p, ell_min, bound, binmax_part, gm_part, key, value)
+    return ReductionBound(bound, binmax_part, gm_part, key, value)
 
 
 def optimize_p(m: int, *, workers: int = 1) -> tuple[Fraction, Fraction]:

@@ -2,11 +2,11 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import mpmath
 
-from edgestat.constructions import HostGraph
+from edgestat.constructions import HostGraph, PartFamily
 from edgestat.dist import as_probability
 from edgestat.errors import InputError
 from edgestat.gm import _bounded_degree_graphs, _sorted_columns
@@ -68,6 +68,33 @@ def complement(host):
     """The host graph on the same vertices with exactly the missing edges."""
     missing = frozenset(pair for pair in combinations(range(host.n), 2) if pair not in host.edges)
     return HostGraph(host.n, missing)
+
+
+def random_part_family(rng, parts=3):
+    """A family of ``parts`` parts a_i/D (D <= 6) with random clique flags and
+    cross pairs.  Part 0 is always joined to the background and to the last
+    part, which is a clique, so a clique part comes after a joined one."""
+    top = rng.randint(parts + 1, 6)
+    cuts = sorted(rng.sample(range(1, top + 1), parts))  # part i is cuts[i-1]..cuts[i] of den
+    den = rng.randint(cuts[-1], 6)
+    fractions = tuple(Fraction(b - a, den) for a, b in zip([0] + cuts, cuts))
+    clique = tuple(rng.random() < 0.5 for _ in range(parts - 1)) + (True,)
+    cross = {pair for pair in combinations(range(parts + 1), 2) if rng.random() < 0.5}
+    return PartFamily(fractions, clique, frozenset(cross | {(0, parts), (0, parts - 1)}))
+
+
+def limit_law_by_words(family, k):
+    """{edges: probability} of a k-subset in the n -> infinity limit, summed
+    over all (t+1)^k words of part labels (background last): a word has
+    probability prod a_w, and its edges depend only on its part counts."""
+    weights = list(family.fractions) + [1 - sum(family.fractions)]
+    law = {}
+    for word in product(range(len(weights)), repeat=k):
+        counts = [word.count(i) for i in range(len(weights))]
+        edges = sum(math.comb(c, 2) for c, q in zip(counts, family.clique) if q)
+        edges += sum(counts[i] * counts[j] for i, j in family.cross)
+        law[edges] = law.get(edges, 0) + math.prod(weights[i] for i in word)
+    return law
 
 
 def poly_from_json(data):

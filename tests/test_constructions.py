@@ -1,7 +1,13 @@
 """Tests for host-graph families, exact edge-count laws, and their limits."""
 
 import math
+import os
+import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -25,7 +31,7 @@ from edgestat.constructions import (
 )
 from edgestat.errors import InputError, ResourceLimitError
 
-from helpers import complement
+from helpers import complement, limit_law_by_words, random_part_family
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +208,57 @@ def test_limit_probability_validation_and_caps():
         limit_probability(wide, 300, 600)  # 301**3 count vectors
 
 
-#: The walk's oracle grid: every family shape the paper uses, at hosts small
-#: enough for ``edge_count_dist`` to enumerate all C(n, k) subsets.
+def test_construction_inputs_are_exact_integers():
+    bipartite = bipartite_family(1, 5)
+    assert limit_probability(bipartite, "5", "4") == Fraction(52, 125)
+    assert limit_probability(bipartite, 5, 4, "30") == Fraction(274, 609)
+    for k, ell, n in ((5, 4.0, None), (5.0, 4, None), (5, "9/2", None), (5, 4, 30.0)):
+        with pytest.raises(InputError):
+            limit_probability(bipartite, k, ell, n)
+    for sizes, k in (((2.7, 3), 6), ((2, 3), 6.0)):
+        with pytest.raises(InputError):
+            clique_union_family(sizes, k)
+    for build, args in ((bipartite_family, (1.5, 5)), (crossed_clique_family, (1, 2.5, 6)),
+                        (blocker_with_buffer_family, (1, 2, 6.0)), (poisson_reference, (4.5,))):
+        with pytest.raises(InputError):
+            build(*args)
+
+
+def test_clique_decomposition_rejects_fractional_ell_within_bounds():
+    # A fractional ell that reached the greedy loop would never end (rem 4.5,
+    # 1.5, 0.5, -0.5, ...), so a child with capped time and address space runs
+    # it: a regression fails here instead of exhausting memory.
+    code = (
+        "from edgestat.constructions import clique_decomposition, clique_decomposition_bound\n"
+        "from edgestat.errors import InputError\n"
+        "for call in (lambda: clique_decomposition(4.5), lambda: clique_decomposition_bound(40, 6.5)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InputError:\n"
+        "        print('InputError')\n"
+    )
+    cap = 1 << 28
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit_memory, env=env)
+    assert done.stdout.split() == ["InputError", "InputError"], done.stderr
+
+
+#: The walk's oracle grid: every family shape the paper uses, plus seeded
+#: random three-part families (cross pairs with the background, a clique part
+#: after a joined one), at hosts small enough for ``edge_count_dist``.
 ORACLE_FAMILIES = {
     "cliques": clique_union_family((3, 3), 6),
     "bipartite": bipartite_family(1, 5),
     "bipartite-plus-clique": bipartite_family(2, 7, with_clique=True),
     "crossed": crossed_clique_family(1, 3, 6),
     "blocker": blocker_with_buffer_family(1, 2, 6),
+    **{f"random-{seed}": random_part_family(random.Random(seed)) for seed in (1, 2, 3)},
 }
 
 
@@ -220,6 +269,15 @@ def test_limit_probability_finite_n_matches_edge_count_dist(name, n, k):
     family = ORACLE_FAMILIES[name]
     law = edge_count_dist(build_host(family, n), k)
     assert [limit_probability(family, k, ell, n) for ell in range(12)] == [law.prob(ell) for ell in range(12)]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FAMILIES))
+def test_limit_probability_matches_word_sum_oracle(name):
+    family = ORACLE_FAMILIES[name]
+    for k in range(7):
+        law = limit_law_by_words(family, k)
+        ells = range(-1, math.comb(k, 2) + 2)
+        assert [limit_probability(family, k, ell) for ell in ells] == [law.get(ell, 0) for ell in ells], k
 
 
 def test_limit_probability_finite_n_reference_points():

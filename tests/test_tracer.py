@@ -1,30 +1,52 @@
-"""The benchmark's tracer can wrap and restore every name it traces.
+"""The benchmark's child module, imported from ``perfbench/`` as a run does.
 
 ``perfbench/child.py`` replaces each traced function under the name its
 calling module bound it to.  A change to the package that unbinds one of
-those names fails here, not only in a traced benchmark run.
+those names fails here, not only in a traced benchmark run.  Its ``slice``
+check only bounds each limit to [0, 1], so the full digests of two seeds are
+pinned here: a wrong exact law or limit changes them.
 """
 
 import os
 import sys
 
-from edgestat import constructions, dist, gm, verify
+import pytest
+
+from edgestat import constructions, dist, gm, poly, verify
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def test_tracer_wraps_and_restores_every_traced_name(monkeypatch, tmp_path):
+@pytest.fixture
+def child(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing under perfbench/
     monkeypatch.syspath_prepend(PERFBENCH)
     try:
         import child
 
-        tracer = child.Tracer(str(tmp_path))
-        try:
-            child.install_tracer(tracer, gm, verify, dist, constructions)
-        finally:
-            not_restored = tracer.unwrap()
+        yield child
     finally:
         for name in ("child", "tracer"):
             sys.modules.pop(name, None)
+
+
+def test_tracer_wraps_and_restores_every_traced_name(child, tmp_path):
+    tracer = child.Tracer(str(tmp_path))
+    try:
+        child.install_tracer(tracer, gm, verify, dist, constructions)
+    finally:
+        not_restored = tracer.unwrap()
     assert not_restored == []
+
+
+#: ``check_slice`` digests of the ``slice`` workload, by seed.
+SLICE_DIGESTS = {
+    1: "e8106752afea86765a89c2adac2fce4f170978a05e772efc0fb3a516c71e099c",
+    2: "ceb987450172694f384ae45c160fdcbb472a14fc87199e7f7db72eecd741c4f7",
+}
+
+
+@pytest.mark.parametrize("seed", list(SLICE_DIGESTS))
+def test_slice_workload_digest(child, seed):
+    outcome = child.run_slice(constructions, dist, child.make_slice_inputs(constructions, poly, seed))
+    assert child.check_slice(constructions, outcome) == (len(outcome), [], SLICE_DIGESTS[seed])
