@@ -144,6 +144,7 @@ def _part_sizes(family: PartFamily, n: int) -> list[int]:
 
 def build_host(family: PartFamily, n: int) -> HostGraph:
     """Realize the family at n vertices with :func:`_part_sizes`."""
+    n = as_integer(n)
     blocks = []
     start = 0
     for s in _part_sizes(family, n):

@@ -221,12 +221,14 @@ def poisson_tv_check(n: int, p) -> tuple[float, bool]:
 
 @dataclass(frozen=True)
 class SliceSpec:
-    """Uniformly random k-subset of n slots."""
+    """Uniformly random k-subset of n slots; n and k are read by :func:`as_integer`."""
 
     n: int
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_integer(self.n))
+        object.__setattr__(self, "k", as_integer(self.k))
         if self.n < 0 or not 0 <= self.k <= self.n:
             raise InputError(f"need 0 <= k <= n, got n={self.n} k={self.k}")
 

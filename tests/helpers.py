@@ -8,9 +8,10 @@ import mpmath
 
 from edgestat.constructions import HostGraph, PartFamily
 from edgestat.dist import as_probability
-from edgestat.errors import InputError
+from edgestat.errors import InputError, ResourceLimitError
 from edgestat.gm import _bounded_degree_graphs, _sorted_columns
 from edgestat.poly import (
+    ASSIGNMENT_CAP,
     CanonicalKey,
     MultilinearPoly,
     canonical_code,
@@ -54,6 +55,64 @@ def permute_variables(f, perm):
 def achievable_values(f):
     """Sorted list of values ``f`` attains on {0,1}^num_vars."""
     return sorted(value_weight_counts(f))
+
+
+def value_weight_counts_label_order(f, weights=None):
+    """Oracle for ``value_weight_counts``: the same frontier table with the
+    read slots always set in label order, as it was before the slot order
+    was chosen by frontier width.  Same guard, same message."""
+    n = f.num_vars
+    if weights is None:
+        weights = range(n + 1)
+    lo, hi = weights.start, weights.stop - 1
+    needed, term = 0, 1
+    for j in range(min(lo, n - lo)):
+        term = term * (n - j) // (j + 1)
+        if term > ASSIGNMENT_CAP:
+            break
+    for w in weights:
+        needed += term
+        if needed > ASSIGNMENT_CAP:
+            raise ResourceLimitError(f"{n} variables at weight {lo}..{hi} have more assignments "
+                                     f"than the cap of {ASSIGNMENT_CAP}")
+        term = term * (n - w) // (w + 1)
+    below = {}  # slot -> {coefficient: mask of lower neighbours}
+    last = {}  # bit -> last slot that reads it, for bits a later slot reads
+    for (a, b), c in f.quadratic.items():
+        nbrs = below.setdefault(b, {})
+        nbrs[c] = nbrs.get(c, 0) | 1 << a
+        last[a] = max(last.get(a, b), b)
+    release = {}  # slot -> bits no later slot reads
+    for a, b in last.items():
+        release[b] = release.get(b, 0) | 1 << a
+    read = sorted(f.used_variables())
+    states = {(f.constant, 0, 0): 1}
+    for i, v in enumerate(read):
+        keep = ~release.get(v, 0)
+        bit = 1 << v if v in last else 0
+        lin = f.linear.get(v, 0)
+        pairs = below.get(v, {}).items()
+        floor = lo - (n - 1 - i)
+        nxt = {}
+        while states:
+            (value, weight, mask), count = states.popitem()
+            if weight >= floor:
+                key = (value, weight, mask & keep)
+                nxt[key] = nxt.get(key, 0) + count
+            if weight < hi:
+                for c, nbrs in pairs:
+                    value += c * (nbrs & mask).bit_count()
+                weight += 1
+                key = (value + lin, weight, (mask & keep) | bit if weight < hi else 0)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    unread = n - len(read)
+    counts = {}
+    for (value, weight, _), count in states.items():
+        per = counts.setdefault(value, {})
+        for w in range(max(lo, weight), min(hi, weight + unread) + 1):
+            per[w] = per.get(w, 0) + count * math.comb(unread, w - weight)
+    return counts
 
 
 def zero_poly(num_vars=0):

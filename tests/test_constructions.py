@@ -219,9 +219,12 @@ def test_construction_inputs_are_exact_integers():
         with pytest.raises(InputError):
             clique_union_family(sizes, k)
     for build, args in ((bipartite_family, (1.5, 5)), (crossed_clique_family, (1, 2.5, 6)),
-                        (blocker_with_buffer_family, (1, 2, 6.0)), (poisson_reference, (4.5,))):
+                        (blocker_with_buffer_family, (1, 2, 6.0)), (poisson_reference, (4.5,)),
+                        (build_host, (bipartite, 12.0)), (edge_count_dist, (build_host(bipartite, 12), 4.0))):
         with pytest.raises(InputError):
             build(*args)
+    assert build_host(bipartite, "12") == build_host(bipartite, 12)
+    assert edge_count_dist(build_host(bipartite, 12), "4") == edge_count_dist(build_host(bipartite, 12), 4)
 
 
 def test_clique_decomposition_rejects_fractional_ell_within_bounds():

@@ -245,6 +245,10 @@ def test_slice_spec_validation():
         SliceSpec(-1, 0)
     with pytest.raises(InputError):
         SliceSpec(5, -1)
+    for n, k in ((12, 4.0), (12.0, 4), (12, "9/2")):
+        with pytest.raises(InputError):
+            SliceSpec(n, k)
+    assert SliceSpec("12", "4") == SliceSpec(12, 4)
 
 
 def _slice_brute_force(f, n, k):

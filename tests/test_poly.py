@@ -1,6 +1,7 @@
 """Polynomial core: normalization, evaluation, substitution, canonical forms."""
 
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -9,6 +10,7 @@ from edgestat.errors import InputError, ResourceLimitError
 from edgestat.poly import (
     CanonicalKey,
     MultilinearPoly,
+    _slot_order,
     canonical_form,
     format_poly,
     gm_membership,
@@ -29,6 +31,7 @@ from helpers import (
     poly_from_json,
     random_poly,
     unit_form,
+    value_weight_counts_label_order,
     zero_poly,
 )
 
@@ -162,6 +165,63 @@ def test_value_weight_counts_respects_cap():
     f = zero_poly(25)  # 2**25 assignments, over the fixed cap of 2**24
     with pytest.raises(ResourceLimitError):
         value_weight_counts(f)
+
+
+def _mixed_sign_form(rng, n, density):
+    linear = {i: rng.randint(-2, 2) for i in range(n)}
+    quadratic = {e: rng.choice((-2, -1, 1, 2)) for e in combinations(range(n), 2) if rng.random() < density}
+    return MultilinearPoly(n, rng.randint(-3, 3), linear, quadratic)
+
+
+def _small_window(rng, n):
+    """A random weight window, topped at weight 6 above 12 slots."""
+    top = n if n <= 12 else 6
+    lo = rng.randint(0, top)
+    return range(lo, rng.randint(lo, top) + 1)
+
+
+def test_value_weight_counts_equals_label_order_oracle():
+    rng = random.Random(106)
+    for _ in range(200):
+        n = rng.randint(0, 22)
+        f = _mixed_sign_form(rng, n, rng.choice((0.1, 0.2, 0.4)))
+        window = _small_window(rng, n) if n > 12 or rng.random() < 0.7 else None
+        assert value_weight_counts(f, window) == value_weight_counts_label_order(f, window), (f, window)
+
+
+@pytest.mark.parametrize("shape", sorted(_FRONTIER_SHAPES))
+def test_value_weight_counts_frontier_shapes_equal_label_order_oracle(shape):
+    rng = random.Random(shape)
+    for n in range(11, 23):
+        linear = {i: rng.randint(-4, 4) for i in range(n)}
+        quadratic = {e: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for e in _FRONTIER_SHAPES[shape](n)}
+        f = MultilinearPoly(n, rng.randint(-4, 4), linear, quadratic)
+        window = _small_window(rng, n)
+        assert value_weight_counts(f, window) == value_weight_counts_label_order(f, window), (shape, n, window)
+
+
+def test_slot_order_rule():
+    # L = {x1, x2}, x1 read by x3 and x4, x2 by x5 and x6: label order holds
+    # x1 and x2 open together (estimate 2+4+4+2+2+1 = 15); the greedy order
+    # x1, x3, x4, x2, x5, x6 closes x1 first (2+2+1+2+2+1 = 10).
+    split = unit_form(6, [0, 1], [(0, 2), (0, 3), (1, 4), (1, 5)])
+    assert _slot_order(split, 6) == [0, 2, 3, 1, 4, 5]
+    assert _slot_order(split, 0) == list(range(6))  # every mask is empty at weight 0: equal estimates
+    path = unit_form(10, [], [(i, i + 1) for i in range(9)])
+    assert _slot_order(path, 10) == list(range(10))  # label order already keeps one bit open
+    assert _slot_order(unit_form(8, range(8), []), 8) == list(range(8))  # no quadratic term
+    assert _slot_order(unit_form(4, [], [(0, 3), (1, 2)]), 4) == [0, 1, 2, 3]  # 2**4 <= 4 * (4 + 2)
+
+
+def test_value_weight_counts_guard_equals_label_order_oracle():
+    rng = random.Random(107)
+    signed = _mixed_sign_form(rng, 40, 0.1)
+    assert value_weight_counts(zero_poly(24)) == value_weight_counts_label_order(zero_poly(24))  # 2**24, the cap
+    for f, window in ((zero_poly(25), None), (signed, None), (signed, range(0, 8)), (signed, range(33, 41))):
+        with pytest.raises(ResourceLimitError) as want:
+            value_weight_counts_label_order(f, window)
+        with pytest.raises(ResourceLimitError, match=re.escape(str(want.value))):
+            value_weight_counts(f, window)
 
 
 def test_achievable_values_of_expanded_product():

@@ -3,8 +3,8 @@
 ``perfbench/child.py`` replaces each traced function under the name its
 calling module bound it to.  A change to the package that unbinds one of
 those names fails here, not only in a traced benchmark run.  Its ``slice``
-check only bounds each limit to [0, 1], so the full digests of two seeds are
-pinned here: a wrong exact law or limit changes them.
+check only bounds each limit to [0, 1], so the full digests of three seeds
+are pinned here: a wrong exact law or limit changes them.
 """
 
 import os
@@ -13,6 +13,8 @@ import sys
 import pytest
 
 from edgestat import constructions, dist, gm, poly, verify
+
+from helpers import value_weight_counts_label_order
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -43,6 +45,7 @@ def test_tracer_wraps_and_restores_every_traced_name(child, tmp_path):
 SLICE_DIGESTS = {
     1: "e8106752afea86765a89c2adac2fce4f170978a05e772efc0fb3a516c71e099c",
     2: "ceb987450172694f384ae45c160fdcbb472a14fc87199e7f7db72eecd741c4f7",
+    3: "be1e381ff289b5347616d66721240953a5b6fc6ea02d912b3d72ba516491bbb2",
 }
 
 
@@ -50,3 +53,15 @@ SLICE_DIGESTS = {
 def test_slice_workload_digest(child, seed):
     outcome = child.run_slice(constructions, dist, child.make_slice_inputs(constructions, poly, seed))
     assert child.check_slice(constructions, outcome) == (len(outcome), [], SLICE_DIGESTS[seed])
+
+
+def test_slice_law_tables_equal_label_order_oracle(child):
+    """The host and signed statistics of seeds 1-3 have 40 and 44 slots, out
+    of brute force's reach; at the k-slice window their tables must equal
+    the label-order oracle's, whatever order the kernel picks."""
+    window = range(child.SLICE_K + 1)
+    for seed in (1, 2, 3):
+        for family, n, signed in child.make_slice_inputs(constructions, poly, seed)["laws"]:
+            host = constructions.edge_polynomial(constructions.build_host(family, n))
+            for f in (host, signed):
+                assert poly.value_weight_counts(f, window) == value_weight_counts_label_order(f, window)
