@@ -66,7 +66,7 @@ from functools import cached_property
 from operator import le
 
 from .errors import InputError
-from .poly import CanonicalKey, MultilinearPoly, canonical_code, value_weight_counts
+from .poly import CanonicalKey, canonical_code, value_weight_counts
 # perfbench/child.py wraps these two names on this module when it traces a run.
 from .poly import canonical_form, gm_membership  # noqa: F401
 
@@ -111,10 +111,9 @@ class GmFamily:
         """``value -> [(counts, key), ...]`` in increasing value order: the rows
         that can be the family's largest point mass at that value.
 
-        Each member is built from its key's code on N = ``var_bound(m)`` slots
-        (a free slot changes no mass), so ``counts[w]`` counts the weight-w
-        assignments that give the value, and at p = a/b the mass times b^N is
-        sum_w counts[w] a^w (b-a)^(N-w).
+        Each member is read on N = ``var_bound(m)`` slots (a free slot changes
+        no mass), so ``counts[w]`` counts the weight-w assignments that give the
+        value, and at p = a/b the mass times b^N is sum_w counts[w] a^w (b-a)^(N-w).
         Of equal counts at one value only the first key seen is kept, the
         smallest, as ``keys`` is sorted.  A row that another of its value
         dominates componentwise is strictly lighter on (0, 1).  Rows are visited
@@ -124,9 +123,7 @@ class GmFamily:
         width = var_bound(self.m)
         first: dict[int, dict[tuple[int, ...], CanonicalKey]] = {}
         for key in self.keys:
-            _, lin, edges = key.code
-            member = MultilinearPoly(width, 0, dict.fromkeys(lin, 1), dict.fromkeys(edges, 1))
-            for value, per_w in value_weight_counts(member).items():
+            for value, per_w in value_weight_counts(key.member_on(width)).items():
                 counts = tuple(per_w.get(w, 0) for w in range(width + 1))
                 first.setdefault(value, {}).setdefault(counts, key)
         rows = {value: [] for value in sorted(first)}

@@ -117,56 +117,83 @@ def substitute(f: MultilinearPoly, i: int, bit: int) -> MultilinearPoly:
     return MultilinearPoly(f.num_vars - 1, constant, linear, quadratic)
 
 
-def _slot_order(f: MultilinearPoly, hi: int) -> list[int]:
-    """The read slots in the order :func:`value_weight_counts` sets them.
+def _frontier_tables(f: MultilinearPoly) -> tuple[dict, dict, dict]:
+    """``below``, ``last`` and ``release`` of :func:`value_weight_counts`, which
+    sets the read slots of ``f`` in label order."""
+    below: dict[int, dict[int, int]] = {}  # slot -> {coefficient: mask of lower neighbours}
+    last: dict[int, int] = {}  # bit -> last slot that reads it, for bits a later slot reads
+    for (a, b), c in f.quadratic.items():
+        nbrs = below.setdefault(b, {})
+        nbrs[c] = nbrs.get(c, 0) | 1 << a
+        last[a] = max(last.get(a, b), b)
+    release: dict[int, int] = {}  # slot -> bits no later slot reads
+    for a, b in last.items():
+        release[b] = release.get(b, 0) | 1 << a
+    return below, last, release
 
-    Label order, unless the greedy order below is estimated strictly cheaper.
-    The estimate of an order sums, over its steps, the frontier masks of at
-    most ``hi`` bits: sum_{j <= min(hi, F)} C(F, j) for a frontier of F bits.
-    The greedy order places next the slot that leaves the fewest frontier
-    bits, the lowest label on ties.  Placing v adds v to the frontier if it
-    has an unplaced neighbour, and drops each frontier neighbour whose only
-    unplaced neighbour is v (the ``single`` mask).  When 2**s <= s (s + q),
-    for s read slots and q quadratic terms, the whole table costs no more
-    than the search, so label order stands without one; with q = 0 every
-    order has the same empty frontier, so it stands too.
-    """
-    read = sorted(f.used_variables())
-    s = len(read)
-    if not f.quadratic or 2**s <= s * (s + len(f.quadratic)):
-        return read
+
+def _state_estimate(read: Sequence[int], last: dict[int, int], release: dict[int, int], hi: int) -> int:
+    """Sum over the steps of the label order of the frontier masks of at most
+    ``hi`` bits: sum_{j <= min(hi, F)} C(F, j) for a frontier of F bits."""
+    total = width = 0
+    for v in read:
+        width += (v in last) - release.get(v, 0).bit_count()
+        total += 2**width if width <= hi else sum(math.comb(width, j) for j in range(hi + 1))
+    return total
+
+
+def _greedy_order(f: MultilinearPoly, read: list[int]) -> list[int]:
+    """The read slots, next always the one that leaves the fewest frontier
+    bits, the lowest label on ties.  Placing v adds v to the frontier if it has
+    an unplaced neighbour, and drops each frontier neighbour whose only
+    unplaced neighbour is v (the ``single`` mask)."""
     nbr = dict.fromkeys(read, 0)
     for a, b in f.quadratic:
         nbr[a] |= 1 << b
         nbr[b] |= 1 << a
+    todo, order = read.copy(), []
+    placed = frontier = single = 0
+    while todo:
+        best = 2  # above any score; todo is in label order, so ties keep the lowest label
+        for u in todo:
+            score = bool(nbr[u] & ~placed) - (nbr[u] & single).bit_count()
+            if score < best:
+                best, v = score, u
+        todo.remove(v)
+        order.append(v)
+        placed |= 1 << v
+        touched = nbr[v] & frontier | 1 << v
+        while touched:
+            u = touched.bit_length() - 1
+            touched ^= 1 << u
+            left = (nbr[u] & ~placed).bit_count()
+            frontier = frontier | 1 << u if left else frontier & ~(1 << u)
+            single = single | 1 << u if left == 1 else single & ~(1 << u)
+    return order
 
-    def walk(greedy: bool) -> tuple[int, list[int]]:
-        """Place every read slot, in label order or greedily: the estimate and the order."""
-        todo, order = read.copy(), []
-        placed = frontier = single = total = 0
-        for v in read:
-            if greedy:
-                best = 2  # above any score; todo is in label order, so ties keep the lowest label
-                for u in todo:
-                    score = bool(nbr[u] & ~placed) - (nbr[u] & single).bit_count()
-                    if score < best:
-                        best, v = score, u
-                todo.remove(v)
-            order.append(v)
-            placed |= 1 << v
-            touched = nbr[v] & frontier | 1 << v
-            while touched:
-                u = touched.bit_length() - 1
-                touched ^= 1 << u
-                left = (nbr[u] & ~placed).bit_count()
-                frontier = frontier | 1 << u if left else frontier & ~(1 << u)
-                single = single | 1 << u if left == 1 else single & ~(1 << u)
-            width = frontier.bit_count()
-            total += 2**width if width <= hi else sum(math.comb(width, j) for j in range(hi + 1))
-        return total, order
 
-    (label_cost, _), (greedy_cost, greedy) = walk(False), walk(True)
-    return greedy if greedy_cost < label_cost else read
+def _order_slots(f: MultilinearPoly, hi: int) -> tuple[MultilinearPoly, list[int], tuple[dict, dict, dict]]:
+    """``f`` relabelled so that :func:`value_weight_counts` sets its read
+    slots in the order chosen, with those slots and their tables.
+
+    Label order, kept as ``f`` itself, unless its state estimate exceeds
+    s (s + q) for s read slots and q quadratic terms and the greedy order's
+    estimate is strictly lower; then the greedy order's i-th slot becomes slot
+    i.  The search takes s steps, each scoring at most s slots and updating at
+    most q frontier neighbours, so below that estimate it cannot pay for itself.
+    """
+    read = sorted(f.used_variables())
+    tables = _frontier_tables(f)
+    s = len(read)
+    cost = _state_estimate(read, tables[1], tables[2], hi)
+    if cost > s * (s + len(f.quadratic)):
+        pos = {v: i for i, v in enumerate(_greedy_order(f, read))}
+        g = MultilinearPoly(f.num_vars, f.constant, {pos[v]: c for v, c in f.linear.items()},
+                            {(pos[a], pos[b]): c for (a, b), c in f.quadratic.items()})
+        g_tables = _frontier_tables(g)
+        if _state_estimate(range(s), g_tables[1], g_tables[2], hi) < cost:
+            return g, list(range(s)), g_tables
+    return f, read, tables
 
 
 def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dict[int, dict[int, int]]:
@@ -174,21 +201,24 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
     weight in ``weights``, a step-1 range within 0..num_vars (default: all).
 
     Weight is the number of ones.  The slots some term reads are set one at a
-    time, in the order :func:`_slot_order` picks: label order, unless a greedy
-    order that keeps the frontier narrow has a strictly lower estimate of the
-    states.  The table does not depend on that order, only the number of
-    states does.  The state is ``(value, weight, frontier) -> count``, where
-    the frontier holds the set bits (by position in the order) a later slot
-    still reads, and a bit leaves it once its last quadratic partner is
-    placed, so assignments that agree on all three merge.  A state leaves once it cannot end in the window, with
-    the u unread slots still to come, and at its top weight the frontier
-    empties.  The unread slots then come in one step: weight w goes to w + j
-    in C(u, j) ways.  The cap bounds the sum of C(n, w) over the window: 2**n
-    for all weights, and at most C(N, k) for the weights a k-subset of N slots
-    gives, ``range(max(0, k - (N - n)), min(k, n) + 1)``, as each assignment
-    in that window extends to k-subsets no other assignment extends to; and
-    C(u, j) <= C(n, w + j) by Vandermonde, so no binomial built exceeds the cap.
-    The cap counts assignments, so it holds whatever the order.
+    time in label order; the state is ``(value, weight, frontier) -> count``,
+    where the frontier holds the set bits a later slot still reads, and a bit
+    leaves it once its last quadratic partner is placed, so assignments that
+    agree on all three merge.  The table does not depend on the labels, but
+    the number of states does, so the slots are first relabelled by
+    :func:`_order_slots`: labels stand unless the label order's estimate of
+    the states (per step, the frontier masks of at most ``hi`` bits) exceeds
+    s (s + q) for s read slots and q quadratic terms, and a greedy order that
+    keeps the frontier narrow has a strictly lower estimate.  A state leaves
+    once it cannot end in the window, with the u unread slots still to come,
+    and at its top weight the frontier empties.  The unread slots then come in
+    one step: weight w goes to w + j in C(u, j) ways.  The cap bounds the sum
+    of C(n, w) over the window: 2**n for all weights, and at most C(N, k) for
+    the weights a k-subset of N slots gives,
+    ``range(max(0, k - (N - n)), min(k, n) + 1)``, as each assignment in that
+    window extends to k-subsets no other assignment extends to; and
+    C(u, j) <= C(n, w + j) by Vandermonde, so no binomial built exceeds the
+    cap.  The cap counts assignments, so it holds whatever the labels.
     """
     n = f.num_vars
     if weights is None:
@@ -205,24 +235,13 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
             raise ResourceLimitError(f"{n} variables at weight {lo}..{hi} have more assignments "
                                      f"than the cap of {ASSIGNMENT_CAP}")
         term = term * (n - w) // (w + 1)
-    order = _slot_order(f, hi)
-    pos = {v: i for i, v in enumerate(order)}
-    below: dict[int, dict[int, int]] = {}  # position -> {coefficient: mask of earlier neighbours}
-    last: dict[int, int] = {}  # position -> last position that reads it, for slots a later slot reads
-    for (a, b), c in f.quadratic.items():
-        i, j = sorted((pos[a], pos[b]))
-        nbrs = below.setdefault(j, {})
-        nbrs[c] = nbrs.get(c, 0) | 1 << i
-        last[i] = max(last.get(i, j), j)
-    release: dict[int, int] = {}  # position -> bits no later slot reads
-    for i, j in last.items():
-        release[j] = release.get(j, 0) | 1 << i
+    f, read, (below, last, release) = _order_slots(f, hi)
     states: dict[tuple[int, int, int], int] = {(f.constant, 0, 0): 1}
-    for i, v in enumerate(order):
-        keep = ~release.get(i, 0)
-        bit = 1 << i if i in last else 0
+    for i, v in enumerate(read):
+        keep = ~release.get(v, 0)
+        bit = 1 << v if v in last else 0
         lin = f.linear.get(v, 0)
-        pairs = below.get(i, {}).items()
+        pairs = below.get(v, {}).items()
         floor = lo - (n - 1 - i)  # least weight that still reaches the window, unread slots included
         nxt: dict[tuple[int, int, int], int] = {}
         while states:  # popping frees each entry for nxt to reuse
@@ -237,7 +256,7 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
                 key = (value + lin, weight, (mask & keep) | bit if weight < hi else 0)
                 nxt[key] = nxt.get(key, 0) + count
         states = nxt
-    unread = n - len(order)
+    unread = n - len(read)
     counts: dict[int, dict[int, int]] = {}
     for (value, weight, _), count in states.items():
         per = counts.setdefault(value, {})
@@ -309,8 +328,12 @@ class CanonicalKey:
     @property
     def member(self) -> MultilinearPoly:
         """The class representative: the form the key spells out."""
-        s, lin, edges = self.code
-        return MultilinearPoly(s, 0, dict.fromkeys(lin, 1), dict.fromkeys(edges, 1))
+        return self.member_on(self.code[0])
+
+    def member_on(self, num_vars: int) -> MultilinearPoly:
+        """The class representative on ``num_vars`` slots, at least its own."""
+        _, lin, edges = self.code
+        return MultilinearPoly(num_vars, 0, dict.fromkeys(lin, 1), dict.fromkeys(edges, 1))
 
 
 def _refined_classes(s: int, lmask: int, adj: list[list[int]]) -> list[list[int]]:

@@ -10,7 +10,10 @@ from edgestat.errors import InputError, ResourceLimitError
 from edgestat.poly import (
     CanonicalKey,
     MultilinearPoly,
-    _slot_order,
+    _frontier_tables,
+    _greedy_order,
+    _order_slots,
+    _state_estimate,
     canonical_form,
     format_poly,
     gm_membership,
@@ -205,12 +208,23 @@ def test_slot_order_rule():
     # x1 and x2 open together (estimate 2+4+4+2+2+1 = 15); the greedy order
     # x1, x3, x4, x2, x5, x6 closes x1 first (2+2+1+2+2+1 = 10).
     split = unit_form(6, [0, 1], [(0, 2), (0, 3), (1, 4), (1, 5)])
-    assert _slot_order(split, 6) == [0, 2, 3, 1, 4, 5]
-    assert _slot_order(split, 0) == list(range(6))  # every mask is empty at weight 0: equal estimates
+    assert _greedy_order(split, list(range(6))) == [0, 2, 3, 1, 4, 5]
+    assert _state_estimate(range(6), *_frontier_tables(split)[1:], 6) == 15
+    narrow = unit_form(6, [0, 3], [(0, 1), (0, 2), (3, 4), (3, 5)])  # split in the greedy order
+    assert _state_estimate(range(6), *_frontier_tables(narrow)[1:], 6) == 10
+    assert _order_slots(split, 6)[0] is split  # 15 <= 6 * (6 + 4): the search cannot pay
+    # Eight hubs x1..x8, hub i read by x(9+2i) and x(10+2i): label order opens
+    # all eight hubs (estimate 1,275 > 24 * (24 + 16)), the greedy order one at a time.
+    hubs = unit_form(24, [], [(i, 8 + 2 * i + t) for i in range(8) for t in (0, 1)])
+    relabelled = unit_form(24, [], [(3 * i, 3 * i + t) for i in range(8) for t in (1, 2)])
+    assert _order_slots(hubs, 24) == (relabelled, list(range(24)), _frontier_tables(relabelled))
+    assert _state_estimate(range(24), *_frontier_tables(relabelled)[1:], 24) == 40
+    assert _order_slots(hubs, 1)[0] is hubs  # masks of at most one bit: 124 <= 24 * (24 + 16)
+    assert value_weight_counts(hubs) == value_weight_counts_label_order(hubs)
     path = unit_form(10, [], [(i, i + 1) for i in range(9)])
-    assert _slot_order(path, 10) == list(range(10))  # label order already keeps one bit open
-    assert _slot_order(unit_form(8, range(8), []), 8) == list(range(8))  # no quadratic term
-    assert _slot_order(unit_form(4, [], [(0, 3), (1, 2)]), 4) == [0, 1, 2, 3]  # 2**4 <= 4 * (4 + 2)
+    assert _order_slots(path, 10)[0] is path  # label order already keeps one bit open
+    no_pairs = unit_form(8, range(8), [])
+    assert _order_slots(no_pairs, 8)[0] is no_pairs
 
 
 def test_value_weight_counts_guard_equals_label_order_oracle():
