@@ -134,7 +134,7 @@ def bernoulli_value_dist(f: MultilinearPoly, p) -> ValueDist:
 
 def point_probability(f: MultilinearPoly, p, ell: int) -> Fraction:
     """P[f = ell] under the product model; 0 when ell is not achievable."""
-    return bernoulli_value_dist(f, p).prob(ell)
+    return bernoulli_value_dist(f, p).prob(as_integer(ell))
 
 
 # ---------------------------------------------------------------------------

@@ -117,83 +117,49 @@ def substitute(f: MultilinearPoly, i: int, bit: int) -> MultilinearPoly:
     return MultilinearPoly(f.num_vars - 1, constant, linear, quadratic)
 
 
-def _frontier_tables(f: MultilinearPoly) -> tuple[dict, dict, dict]:
-    """``below``, ``last`` and ``release`` of :func:`value_weight_counts`, which
-    sets the read slots of ``f`` in label order."""
-    below: dict[int, dict[int, int]] = {}  # slot -> {coefficient: mask of lower neighbours}
-    last: dict[int, int] = {}  # bit -> last slot that reads it, for bits a later slot reads
+def _slot_steps(f: MultilinearPoly) -> list[tuple[int, int, int, dict[int, int]]]:
+    """The read slots of ``f`` in the order :func:`value_weight_counts` sets
+    them, each as ``(slot, keep, bit, pairs)``: ``keep`` is the frontier after
+    the step, so masking with it clears the bits the step releases; ``bit`` is
+    the slot's own frontier bit, or 0; ``pairs`` maps each coefficient to the
+    mask of the slot's neighbours placed before it.
+
+    The slots with a quadratic term come first, next always the one that
+    leaves the fewest frontier bits, the lowest label on ties.  Placing v adds
+    v to the frontier if it has an unplaced neighbour, and drops each frontier
+    neighbour whose only unplaced neighbour is v (the ``single`` mask).  The
+    slots read only linearly come last; they never touch the frontier.
+    """
+    by_coef: dict[int, dict[int, int]] = {}  # slot -> {coefficient: mask of the neighbours with it}
     for (a, b), c in f.quadratic.items():
-        nbrs = below.setdefault(b, {})
-        nbrs[c] = nbrs.get(c, 0) | 1 << a
-        last[a] = max(last.get(a, b), b)
-    release: dict[int, int] = {}  # slot -> bits no later slot reads
-    for a, b in last.items():
-        release[b] = release.get(b, 0) | 1 << a
-    return below, last, release
-
-
-def _state_estimate(read: Sequence[int], last: dict[int, int], release: dict[int, int], hi: int) -> int:
-    """Sum over the steps of the label order of the frontier masks of at most
-    ``hi`` bits: sum_{j <= min(hi, F)} C(F, j) for a frontier of F bits."""
-    total = width = 0
-    for v in read:
-        width += (v in last) - release.get(v, 0).bit_count()
-        total += 2**width if width <= hi else sum(math.comb(width, j) for j in range(hi + 1))
-    return total
-
-
-def _greedy_order(f: MultilinearPoly, read: list[int]) -> list[int]:
-    """The read slots, next always the one that leaves the fewest frontier
-    bits, the lowest label on ties.  Placing v adds v to the frontier if it has
-    an unplaced neighbour, and drops each frontier neighbour whose only
-    unplaced neighbour is v (the ``single`` mask)."""
-    nbr = dict.fromkeys(read, 0)
-    for a, b in f.quadratic:
-        nbr[a] |= 1 << b
-        nbr[b] |= 1 << a
-    todo, order = read.copy(), []
+        masks = by_coef.setdefault(a, {})
+        masks[c] = masks.get(c, 0) | 1 << b
+        masks = by_coef.setdefault(b, {})
+        masks[c] = masks.get(c, 0) | 1 << a
+    nbr = {u: sum(masks.values()) for u, masks in by_coef.items()}  # disjoint masks: one coefficient a pair
+    todo, steps = sorted(nbr.items()), []
     placed = frontier = single = 0
+    unplaced = -1
     while todo:
         best = 2  # above any score; todo is in label order, so ties keep the lowest label
-        for u in todo:
-            score = bool(nbr[u] & ~placed) - (nbr[u] & single).bit_count()
+        for u, m in todo:
+            score = (m & unplaced != 0) - (m & single).bit_count()
             if score < best:
-                best, v = score, u
-        todo.remove(v)
-        order.append(v)
+                best, v, mv = score, u, m
+        todo.remove((v, mv))
+        pairs = {c: m & placed for c, m in by_coef[v].items() if m & placed}
         placed |= 1 << v
-        touched = nbr[v] & frontier | 1 << v
+        unplaced = ~placed
+        touched = mv & frontier | 1 << v
         while touched:
             u = touched.bit_length() - 1
             touched ^= 1 << u
-            left = (nbr[u] & ~placed).bit_count()
+            left = (nbr[u] & unplaced).bit_count()
             frontier = frontier | 1 << u if left else frontier & ~(1 << u)
             single = single | 1 << u if left == 1 else single & ~(1 << u)
-    return order
-
-
-def _order_slots(f: MultilinearPoly, hi: int) -> tuple[MultilinearPoly, list[int], tuple[dict, dict, dict]]:
-    """``f`` relabelled so that :func:`value_weight_counts` sets its read
-    slots in the order chosen, with those slots and their tables.
-
-    Label order, kept as ``f`` itself, unless its state estimate exceeds
-    s (s + q) for s read slots and q quadratic terms and the greedy order's
-    estimate is strictly lower; then the greedy order's i-th slot becomes slot
-    i.  The search takes s steps, each scoring at most s slots and updating at
-    most q frontier neighbours, so below that estimate it cannot pay for itself.
-    """
-    read = sorted(f.used_variables())
-    tables = _frontier_tables(f)
-    s = len(read)
-    cost = _state_estimate(read, tables[1], tables[2], hi)
-    if cost > s * (s + len(f.quadratic)):
-        pos = {v: i for i, v in enumerate(_greedy_order(f, read))}
-        g = MultilinearPoly(f.num_vars, f.constant, {pos[v]: c for v, c in f.linear.items()},
-                            {(pos[a], pos[b]): c for (a, b), c in f.quadratic.items()})
-        g_tables = _frontier_tables(g)
-        if _state_estimate(range(s), g_tables[1], g_tables[2], hi) < cost:
-            return g, list(range(s)), g_tables
-    return f, read, tables
+        steps.append((v, frontier, frontier & 1 << v, pairs))
+    steps += [(v, 0, 0, {}) for v in f.linear if v not in nbr]
+    return steps
 
 
 def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dict[int, dict[int, int]]:
@@ -201,24 +167,21 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
     weight in ``weights``, a step-1 range within 0..num_vars (default: all).
 
     Weight is the number of ones.  The slots some term reads are set one at a
-    time in label order; the state is ``(value, weight, frontier) -> count``,
-    where the frontier holds the set bits a later slot still reads, and a bit
-    leaves it once its last quadratic partner is placed, so assignments that
-    agree on all three merge.  The table does not depend on the labels, but
-    the number of states does, so the slots are first relabelled by
-    :func:`_order_slots`: labels stand unless the label order's estimate of
-    the states (per step, the frontier masks of at most ``hi`` bits) exceeds
-    s (s + q) for s read slots and q quadratic terms, and a greedy order that
-    keeps the frontier narrow has a strictly lower estimate.  A state leaves
-    once it cannot end in the window, with the u unread slots still to come,
-    and at its top weight the frontier empties.  The unread slots then come in
-    one step: weight w goes to w + j in C(u, j) ways.  The cap bounds the sum
-    of C(n, w) over the window: 2**n for all weights, and at most C(N, k) for
-    the weights a k-subset of N slots gives,
-    ``range(max(0, k - (N - n)), min(k, n) + 1)``, as each assignment in that
-    window extends to k-subsets no other assignment extends to; and
-    C(u, j) <= C(n, w + j) by Vandermonde, so no binomial built exceeds the
-    cap.  The cap counts assignments, so it holds whatever the labels.
+    time; the state is ``(value, weight, frontier) -> count``, where the
+    frontier holds the set bits a later slot still reads, and a bit leaves it
+    once its last quadratic partner is placed, so assignments that agree on
+    all three merge.  The table does not depend on the order the slots are
+    set in, but the number of states does, so :func:`_slot_steps` sets it by a
+    greedy walk that keeps the frontier narrow.  A state leaves once it cannot
+    end in the window, with the u unread slots still to come, and at its top
+    weight the frontier empties.  The unread slots then come in one step:
+    weight w goes to w + j in C(u, j) ways.  The cap bounds the sum of C(n, w)
+    over the window: 2**n for all weights, and at most C(N, k) for the weights
+    a k-subset of N slots gives, ``range(max(0, k - (N - n)), min(k, n) + 1)``,
+    as each assignment in that window extends to k-subsets no other
+    assignment extends to; and C(u, j) <= C(n, w + j) by Vandermonde, so no
+    binomial built exceeds the cap.  The cap counts assignments, so it holds
+    whatever the order.
     """
     n = f.num_vars
     if weights is None:
@@ -235,13 +198,11 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
             raise ResourceLimitError(f"{n} variables at weight {lo}..{hi} have more assignments "
                                      f"than the cap of {ASSIGNMENT_CAP}")
         term = term * (n - w) // (w + 1)
-    f, read, (below, last, release) = _order_slots(f, hi)
+    steps = _slot_steps(f)
     states: dict[tuple[int, int, int], int] = {(f.constant, 0, 0): 1}
-    for i, v in enumerate(read):
-        keep = ~release.get(v, 0)
-        bit = 1 << v if v in last else 0
+    for i, (v, keep, bit, below) in enumerate(steps):
         lin = f.linear.get(v, 0)
-        pairs = below.get(v, {}).items()
+        pairs = below.items()
         floor = lo - (n - 1 - i)  # least weight that still reaches the window, unread slots included
         nxt: dict[tuple[int, int, int], int] = {}
         while states:  # popping frees each entry for nxt to reuse
@@ -256,7 +217,7 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
                 key = (value + lin, weight, (mask & keep) | bit if weight < hi else 0)
                 nxt[key] = nxt.get(key, 0) + count
         states = nxt
-    unread = n - len(read)
+    unread = n - len(steps)
     counts: dict[int, dict[int, int]] = {}
     for (value, weight, _), count in states.items():
         per = counts.setdefault(value, {})

@@ -355,9 +355,10 @@ def _require_antichain(n: int, sets: Sequence[frozenset[int]]) -> None:
 
 def blym_check(n: int, antichain: Iterable[Iterable[int]]) -> tuple[Fraction, bool]:
     """Layer-weighted sum of an antichain in 2^[n]; must be <= 1."""
+    n = as_integer(n)
     if n < 0:
         raise InputError("n must be >= 0")
-    sets = [frozenset(int(v) for v in a) for a in antichain]
+    sets = [frozenset(as_integer(v) for v in a) for a in antichain]
     _require_antichain(n, sets)
     total = sum((Fraction(1, math.comb(n, len(a))) for a in sets), Fraction(0))
     return total, total <= 1
@@ -373,6 +374,7 @@ def antichain_expectation_check(
     The left side is exact; it must be at most the lower end of the right
     side's enclosure (from the upper end of e^|A|'s), returned as a float.
     """
+    ground_size = as_integer(ground_size)
     if not 0 <= ground_size <= 20:
         raise InputError("ground_size must be in 0..20")
     p = as_probability(p)
@@ -382,7 +384,7 @@ def antichain_expectation_check(
         if not 0 <= w <= 1:
             raise InputError(f"weight {w} outside [0, 1]")
         if w:
-            support.append((frozenset(int(v) for v in a), w))
+            support.append((frozenset(as_integer(v) for v in a), w))
     _require_antichain(ground_size, [a for a, _ in support])
     lhs = sum(
         (w * p ** len(a) * (1 - p) ** (ground_size - len(a)) for a, w in support),

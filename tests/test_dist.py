@@ -137,6 +137,14 @@ def test_point_probability_consistent_with_dist():
     assert point_probability(f, p, 5) == 0
 
 
+def test_point_probability_reads_ell_exactly():
+    f = parse_poly("x1+x2")
+    assert point_probability(f, Fraction(1, 2), "1") == point_probability(f, Fraction(1, 2), 1) == Fraction(1, 2)
+    for ell in (1.0, Fraction(3, 2), "x"):
+        with pytest.raises(InputError):
+            point_probability(f, Fraction(1, 2), ell)
+
+
 def test_assignment_cap():
     # 2**25 assignments exceed the fixed cap of 2**24.
     f = MultilinearPoly(25, 0, {i: 1 for i in range(25)}, {})

@@ -10,10 +10,7 @@ from edgestat.errors import InputError, ResourceLimitError
 from edgestat.poly import (
     CanonicalKey,
     MultilinearPoly,
-    _frontier_tables,
-    _greedy_order,
-    _order_slots,
-    _state_estimate,
+    _slot_steps,
     canonical_form,
     format_poly,
     gm_membership,
@@ -203,28 +200,50 @@ def test_value_weight_counts_frontier_shapes_equal_label_order_oracle(shape):
         assert value_weight_counts(f, window) == value_weight_counts_label_order(f, window), (shape, n, window)
 
 
-def test_slot_order_rule():
-    # L = {x1, x2}, x1 read by x3 and x4, x2 by x5 and x6: label order holds
-    # x1 and x2 open together (estimate 2+4+4+2+2+1 = 15); the greedy order
-    # x1, x3, x4, x2, x5, x6 closes x1 first (2+2+1+2+2+1 = 10).
+def _steps_from_order(f, order):
+    """``_slot_steps``' tuples recomputed from the order alone."""
+    nbrs = {v: {} for v in order}  # slot -> {neighbour: coefficient}
+    for (a, b), c in f.quadratic.items():
+        nbrs[a][b] = nbrs[b][a] = c
+    steps = []
+    for i, v in enumerate(order):
+        later = set(order[i + 1:])
+        keep = sum(1 << u for u in order[:i + 1] if later & nbrs[u].keys())
+        pairs = {}
+        for u in order[:i]:
+            if u in nbrs[v]:
+                pairs[nbrs[v][u]] = pairs.get(nbrs[v][u], 0) | 1 << u
+        steps.append((v, keep, keep & 1 << v, pairs))
+    return steps
+
+
+def test_slot_steps():
+    # L = {x1, x2}, x1 read by x3 and x4, x2 by x5 and x6: the walk closes x1
+    # before it opens x2, where label order holds both open.
     split = unit_form(6, [0, 1], [(0, 2), (0, 3), (1, 4), (1, 5)])
-    assert _greedy_order(split, list(range(6))) == [0, 2, 3, 1, 4, 5]
-    assert _state_estimate(range(6), *_frontier_tables(split)[1:], 6) == 15
-    narrow = unit_form(6, [0, 3], [(0, 1), (0, 2), (3, 4), (3, 5)])  # split in the greedy order
-    assert _state_estimate(range(6), *_frontier_tables(narrow)[1:], 6) == 10
-    assert _order_slots(split, 6)[0] is split  # 15 <= 6 * (6 + 4): the search cannot pay
-    # Eight hubs x1..x8, hub i read by x(9+2i) and x(10+2i): label order opens
-    # all eight hubs (estimate 1,275 > 24 * (24 + 16)), the greedy order one at a time.
+    # Eight hubs x1..x8, hub i read by x(9+2i) and x(10+2i): one hub open at a time.
     hubs = unit_form(24, [], [(i, 8 + 2 * i + t) for i in range(8) for t in (0, 1)])
-    relabelled = unit_form(24, [], [(3 * i, 3 * i + t) for i in range(8) for t in (1, 2)])
-    assert _order_slots(hubs, 24) == (relabelled, list(range(24)), _frontier_tables(relabelled))
-    assert _state_estimate(range(24), *_frontier_tables(relabelled)[1:], 24) == 40
-    assert _order_slots(hubs, 1)[0] is hubs  # masks of at most one bit: 124 <= 24 * (24 + 16)
-    assert value_weight_counts(hubs) == value_weight_counts_label_order(hubs)
-    path = unit_form(10, [], [(i, i + 1) for i in range(9)])
-    assert _order_slots(path, 10)[0] is path  # label order already keeps one bit open
-    no_pairs = unit_form(8, range(8), [])
-    assert _order_slots(no_pairs, 8)[0] is no_pairs
+    linear_last = unit_form(5, [0, 2, 4], [(1, 3)])
+    path = unit_form(10, [], [(i, i + 1) for i in range(9)])  # label order already keeps one bit open
+    signed = MultilinearPoly(5, 1, {0: 2, 4: -1}, {(0, 1): 3, (0, 2): -2, (1, 2): 3, (2, 3): 3})
+    orders = {
+        "split": (split, [0, 2, 3, 1, 4, 5]),
+        "hubs": (hubs, [w for i in range(8) for w in (i, 8 + 2 * i, 9 + 2 * i)]),
+        "linear_last": (linear_last, [1, 3, 0, 2, 4]),
+        "path": (path, list(range(10))),
+        "no_pairs": (unit_form(8, range(8), []), list(range(8))),
+        "signed": (signed, None),
+    }
+    for name, (f, order) in orders.items():
+        steps = _slot_steps(f)
+        got = [v for v, *_ in steps]
+        assert sorted(got) == sorted(f.used_variables()), name
+        if order is not None:
+            assert got == order, name
+        assert steps == _steps_from_order(f, got), name
+        assert value_weight_counts(f) == value_weight_counts_label_order(f), name
+    # x3 reads x1 with coefficient -2 and x2 with 3; x1 and x2 leave the frontier, x3 joins it.
+    assert _slot_steps(signed)[2] == (2, 1 << 2, 1 << 2, {-2: 1 << 0, 3: 1 << 1})
 
 
 def test_value_weight_counts_guard_equals_label_order_oracle():

@@ -366,6 +366,13 @@ def test_blym_examples():
         blym_check(3, [{0}, {0}])
 
 
+def test_blym_reads_integers_exactly():
+    assert blym_check("3", [["1"], [0]]) == (Fraction(2, 3), True)
+    for n, antichain in ((3, [[0.5], [1]]), (3.0, [[0], [1]]), (3, [[Fraction(1, 2)], [1]])):
+        with pytest.raises(InputError):
+            blym_check(n, antichain)
+
+
 def test_antichain_expectation_examples():
     lhs, _, ok = antichain_expectation_check(5, {}, Fraction(1, 5))
     assert lhs == 0 and ok
@@ -391,6 +398,14 @@ def test_antichain_expectation_validation():
 def test_antichain_expectation_rejects_float_weights():
     with pytest.raises(InputError):
         antichain_expectation_check(2, {frozenset({0}): 0.5}, "1/3")
+
+
+def test_antichain_expectation_reads_integers_exactly():
+    lhs, _, ok = antichain_expectation_check("2", {frozenset({"1"}): Fraction(1)}, "1/3")
+    assert lhs == Fraction(2, 9) and ok
+    for ground_size, a in ((2, frozenset({0.5})), (2.0, frozenset({0})), (2, frozenset({Fraction(1, 2)}))):
+        with pytest.raises(InputError):
+            antichain_expectation_check(ground_size, {a: Fraction(1)}, "1/3")
 
 
 def test_elo_examples():
@@ -426,6 +441,13 @@ def test_large_linear_part_validation():
         large_linear_part_check(parse_poly("x1-x2"), 1, Fraction(1, 2), 1)
     with pytest.raises(InputError):
         large_linear_part_check(parse_poly("x1+x1*x2"), 2, Fraction(1, 2), 1)
+
+
+def test_large_linear_part_reads_ell_exactly():
+    # P[x1 + x2 = 1] = 1/2 at p = 1/2; a string ell used to read as an absent value, mass 0
+    assert large_linear_part_check(parse_poly("x1+x2"), 2, "1/2", "1") == (Fraction(1, 2), Fraction(1, 2), True)
+    with pytest.raises(InputError):
+        large_linear_part_check(parse_poly("x1+x2"), 2, "1/2", 1.0)
 
 
 # ---------------------------------------------------------------------------
