@@ -444,7 +444,7 @@ def test_large_linear_part_validation():
 
 
 def test_large_linear_part_reads_ell_exactly():
-    # P[x1 + x2 = 1] = 1/2 at p = 1/2; a string ell used to read as an absent value, mass 0
+    # P[x1 + x2 = 1] = 1/2 at p = 1/2, with ell given as a string
     assert large_linear_part_check(parse_poly("x1+x2"), 2, "1/2", "1") == (Fraction(1, 2), Fraction(1, 2), True)
     with pytest.raises(InputError):
         large_linear_part_check(parse_poly("x1+x2"), 2, "1/2", 1.0)
