@@ -23,8 +23,8 @@ from .constructions import (
     verify_goodman,
     verify_poisson_emergence,
 )
-from .dist import SliceSpec, as_rational, bernoulli_value_dist, format_rational, slice_value_dist
-from .errors import InputError, ResourceLimitError
+from .dist import SliceSpec, bernoulli_value_dist, format_rational, slice_value_dist
+from .errors import InputError, ResourceLimitError, as_rational
 from .gm import enumerate_gm
 from .poly import format_poly, parse_poly
 from .report import VerificationReport

@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .dist import SliceSpec, ValueDist, as_integer, as_probability, poisson_peak_lower, slice_value_dist
-from .errors import InputError, ResourceLimitError
+from .dist import SliceSpec, ValueDist, poisson_peak_lower, slice_value_dist
+from .errors import InputError, ResourceLimitError, as_integer, as_probability
 from .poly import MultilinearPoly
 from .report import VerificationReport, check
 
@@ -32,12 +32,13 @@ VECTOR_CAP = 2 * 10**6
 
 @dataclass(frozen=True)
 class HostGraph:
-    """A concrete simple graph on vertices 0..n-1."""
+    """A concrete simple graph on vertices 0..n-1; n is read by :func:`as_integer`."""
 
     n: int
     edges: frozenset = frozenset()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_integer(self.n))
         if self.n < 1:
             raise InputError("a host graph needs at least one vertex")
         normalized = set()

@@ -24,36 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InputError
+from .errors import InputError, as_integer, as_probability, as_rational
 from .poly import MultilinearPoly, value_weight_counts
 
 #: Fixed-point bits of :func:`exp_enclosure`.
 EXP_BITS = 160
-
-
-def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions and exact decimal/ratio strings to Fraction."""
-    if isinstance(value, float):
-        raise InputError("floats are not accepted where exact rationals are required")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError(f"cannot interpret {value!r} as a rational") from exc
-
-
-def as_integer(value) -> int:
-    """Coerce an integral int, Fraction or exact string to int."""
-    x = as_rational(value)
-    if x.denominator != 1:
-        raise InputError(f"{value!r} is not an integer")
-    return x.numerator
-
-
-def as_probability(value) -> Fraction:
-    p = as_rational(value)
-    if not 0 <= p <= 1:
-        raise InputError(f"probability {p} outside [0, 1]")
-    return p
 
 
 def format_rational(x: Fraction) -> str:
@@ -144,6 +119,7 @@ def point_probability(f: MultilinearPoly, p, ell: int) -> Fraction:
 
 def binomial_numerators(m: int, p: Fraction) -> list[int]:
     """P[Binomial(m, p) = k] times b^m for k = 0..m, with p = a/b."""
+    m = as_integer(m)
     if m < 0:
         raise InputError("m must be >= 0")
     return [math.comb(m, k) * s for k, s in enumerate(weight_scale(p, m))]
@@ -151,13 +127,13 @@ def binomial_numerators(m: int, p: Fraction) -> list[int]:
 
 def binmax(m: int, p) -> Fraction:
     """Largest point mass of Binomial(m, p)."""
-    p = as_probability(p)
+    m, p = as_integer(m), as_probability(p)
     return Fraction(max(binomial_numerators(m, p)), p.denominator**m)
 
 
 def binmaxplus(m: int, p) -> Fraction:
     """Largest point mass of Binomial(m, p) over the strictly positive values."""
-    p = as_probability(p)
+    m, p = as_integer(m), as_probability(p)
     return Fraction(max(binomial_numerators(m, p)[1:], default=0), p.denominator**m)
 
 
@@ -197,9 +173,9 @@ def poisson_tv_check(n: int, p) -> tuple[float, bool]:
     D = b^n 2^EXP_BITS; the Poisson ones are enclosures stepped by np/(m + 1)
     and rounded outward, and each |binomial - Poisson| takes the farther end.
     """
+    n, p = as_integer(n), as_probability(p)
     if n < 1:
         raise InputError("n must be >= 1")
-    p = as_probability(p)
     lam = p * n
     denominator = p.denominator**n << EXP_BITS
     e_lo, e_hi = exp_enclosure(lam)

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import le
 
-from .errors import InputError
+from .errors import InputError, as_integer
 from .poly import CanonicalKey, canonical_code, value_weight_counts
 # perfbench/child.py wraps these two names on this module when it traces a run.
 from .poly import canonical_form, gm_membership  # noqa: F401
@@ -77,6 +77,7 @@ _CACHE: dict[int, "GmFamily"] = {}
 
 def var_bound(m: int) -> int:
     """Largest variable count any member at threshold ``m`` can have."""
+    m = as_integer(m)
     if m < 1:
         raise InputError("m must be >= 1")
     return (m + 1) ** 2 // 4
@@ -228,6 +229,7 @@ def _enumerate_branch(args: tuple[int, int, int]) -> tuple[set[CanonicalKey], in
 
 def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
     """Enumerate the complete family at threshold ``m`` (supported up to 6)."""
+    m, workers = as_integer(m), as_integer(workers)
     if not 1 <= m <= MAX_SUPPORTED_M:
         raise InputError(f"m must be in 1..{MAX_SUPPORTED_M}")
     if workers < 1:

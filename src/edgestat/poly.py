@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, as_integer
 
 #: Hard ceiling on the assignments one value/weight table enumerates.
 ASSIGNMENT_CAP = 1 << 24
@@ -44,7 +44,12 @@ CANONICAL_PLACEMENT_CAP = 4_000_000
 
 @dataclass
 class MultilinearPoly:
-    """Sparse multilinear polynomial of degree <= 2 with integer coefficients."""
+    """Sparse multilinear polynomial of degree <= 2 with integer coefficients.
+
+    The variable count, indices, coefficients and constant are read by
+    :func:`~edgestat.errors.as_integer`, so a float or a non-integral value is
+    an :class:`InputError`, never truncated.
+    """
 
     num_vars: int
     constant: int = 0
@@ -52,31 +57,31 @@ class MultilinearPoly:
     quadratic: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.num_vars < 0:
+        n = self.num_vars = as_integer(self.num_vars)
+        if n < 0:
             raise InputError("num_vars must be non-negative")
         lin: dict[int, int] = {}
         for i, c in self.linear.items():
-            i, c = int(i), int(c)
-            if not 0 <= i < self.num_vars:
-                raise InputError(f"linear index {i} out of range for {self.num_vars} variables")
+            i, c = as_integer(i), as_integer(c)
+            if not 0 <= i < n:
+                raise InputError(f"linear index {i} out of range for {n} variables")
             if c:
                 lin[i] = c
         quad: dict[tuple[int, int], int] = {}
         for pair, c in self.quadratic.items():
-            i, j = int(pair[0]), int(pair[1])
-            c = int(c)
+            i, j, c = as_integer(pair[0]), as_integer(pair[1]), as_integer(c)
             if i == j:
                 raise InputError("quadratic terms must pair two distinct variables")
             if i > j:
                 i, j = j, i
-            if not 0 <= i < j < self.num_vars:
-                raise InputError(f"quadratic pair ({i},{j}) out of range for {self.num_vars} variables")
+            if not 0 <= i < j < n:
+                raise InputError(f"quadratic pair ({i},{j}) out of range for {n} variables")
             if c == 0:
                 continue
             if (i, j) in quad:
                 raise InputError(f"duplicate quadratic pair ({i},{j})")
             quad[(i, j)] = c
-        self.constant = int(self.constant)
+        self.constant = as_integer(self.constant)
         self.linear = dict(sorted(lin.items()))
         self.quadratic = dict(sorted(quad.items()))
 
@@ -455,71 +460,37 @@ def canonical_form(f: MultilinearPoly) -> CanonicalKey:
 # Text and JSON forms
 # ---------------------------------------------------------------------------
 
-_TERM_HEAD_RE = re.compile(r"^(?P<sign>[+-])?(?P<coeff>\d+)?(?P<var>x\d+)?$")
-_TERM_VAR_RE = re.compile(r"^x(\d+)$")
-
-
-def _parse_term(chunk: str) -> tuple[int, list[int]]:
-    """Split one ``-2*x1*x3``-style product into (coefficient, 1-based indices)."""
-    parts = chunk.split("*")
-    head = _TERM_HEAD_RE.match(parts[0])
-    if not head or (head.group("coeff") is None and head.group("var") is None):
-        raise InputError(f"cannot parse term {chunk!r}")
-    coeff = int(head.group("coeff") or 1)
-    if head.group("sign") == "-":
-        coeff = -coeff
-    var_texts = ([head.group("var")] if head.group("var") else []) + parts[1:]
-    indices = []
-    for text in var_texts:
-        m = _TERM_VAR_RE.match(text or "")
-        if not m:
-            raise InputError(f"cannot parse term {chunk!r}")
-        indices.append(int(m.group(1)))
-    return coeff, indices
+#: One term of :func:`parse_poly`: an optional sign, then a coefficient, its
+#: ``x<i>`` factors joined by ``*``, or both, the coefficient joined to the
+#: first factor directly or by ``*``.  The lookahead rejects a bare sign.
+_TERM_RE = re.compile(r"(-?)(?=[\dx])(\d*)(?:\*?(x\d+(?:\*x\d+)*))?")
 
 
 def parse_poly(text: str) -> MultilinearPoly:
     """Parse ``"x2+x3+x1*x2"``-style text (also signs, integer coefficients).
 
-    The variable count is the largest index mentioned.
+    The variable count is the largest index mentioned.  Repeated terms add
+    up, a pair in either order being one term.
     """
     compact = text.replace(" ", "")
     if not compact:
         raise InputError("empty polynomial text")
-    chunks = compact.replace("+-", "-").replace("-", "+-").split("+")
-    constant = 0
-    linear: dict[int, int] = {}
-    quadratic: dict[tuple[int, int], int] = {}
-    max_index = 0
-    seen_term = False
-    for pos, chunk in enumerate(chunks):
-        if not chunk:
-            if pos == 0:
-                continue  # leading sign produced an empty head
-            raise InputError(f"dangling operator in {text!r}")
-        seen_term = True
-        coeff, indices = _parse_term(chunk)
-        if any(v < 1 for v in indices):
-            raise InputError("variable indices are 1-based")
-        if indices:
-            max_index = max(max_index, *indices)
-        if len(indices) == 0:
-            constant += coeff
-        elif len(indices) == 1:
-            i = indices[0] - 1
-            linear[i] = linear.get(i, 0) + coeff
-        elif len(indices) == 2:
-            a, b = indices[0] - 1, indices[1] - 1
-            if a == b:
-                raise InputError("quadratic terms must pair two distinct variables")
-            if a > b:
-                a, b = b, a
-            quadratic[(a, b)] = quadratic.get((a, b), 0) + coeff
-        else:
+    terms: dict[tuple[int, ...], int] = {}  # sorted 0-based indices -> coefficient
+    for chunk in compact.replace("+-", "-").replace("-", "+-").removeprefix("+").split("+"):
+        m = _TERM_RE.fullmatch(chunk)
+        if not m:
+            raise InputError(f"cannot parse term {chunk!r} in {text!r}")
+        sign, coeff, factors = m.groups()
+        key = tuple(sorted(int(v) - 1 for v in factors[1:].split("*x"))) if factors else ()
+        if len(key) > 2:
             raise InputError(f"term {chunk!r} has degree > 2")
-    if not seen_term:
-        raise InputError("empty polynomial text")
-    return MultilinearPoly(max_index, constant, linear, quadratic)
+        if key and key[0] < 0:
+            raise InputError("variable indices are 1-based")
+        terms[key] = terms.get(key, 0) + int(sign + (coeff or "1"))
+    constant = terms.pop((), 0)
+    linear = {key[0]: c for key, c in terms.items() if len(key) == 1}
+    quadratic = {key: c for key, c in terms.items() if len(key) == 2}
+    return MultilinearPoly(max((key[-1] + 1 for key in terms), default=0), constant, linear, quadratic)
 
 
 def _format_term(coeff: int, vars_text: str) -> str:

@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dist import as_rational, format_rational
-from .errors import InputError
+from .dist import format_rational
+from .errors import InputError, as_rational
 
 #: check operators: exact rational comparisons and string equality.
 _OPS = ("<", "<=", "==", "==s")

@@ -23,9 +23,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .dist import (
     SliceSpec,
-    as_integer,
-    as_probability,
-    as_rational,
     bernoulli_value_dist,
     binmax,
     binmaxplus,
@@ -37,7 +34,7 @@ from .dist import (
     product_slice_tv,
     weight_scale,
 )
-from .errors import InputError
+from .errors import InputError, as_integer, as_probability, as_rational
 from .gm import enumerate_gm, var_bound
 from .poly import (
     CanonicalKey,
@@ -302,6 +299,7 @@ def verify_star_search(
     and the masses of all the weights must total b^s.  The witness is the
     first maximizer in (ell, size, edge-mask) order.
     """
+    max_s = as_integer(max_s)
     if not 1 <= max_s <= 5:
         raise InputError("max_s must be in 1..5")
     p = as_probability(p)
@@ -424,6 +422,7 @@ def elo_max(coeffs: Sequence) -> tuple[Fraction, Fraction, bool]:
 
 def large_linear_part_check(f: MultilinearPoly, m: int, p, ell: int) -> tuple[Fraction, Fraction, bool]:
     """Point mass of a non-negative polynomial with >= m linear terms vs binmax(m, p)."""
+    m = as_integer(m)
     if m < 1:
         raise InputError("m must be >= 1")
     if f.num_vars > 20:

@@ -1,14 +1,14 @@
 """Shared generators and oracles for the test suite."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import mpmath
 
 from edgestat.constructions import HostGraph, PartFamily
-from edgestat.dist import as_probability
-from edgestat.errors import InputError, ResourceLimitError
+from edgestat.errors import InputError, ResourceLimitError, as_probability
 from edgestat.gm import _bounded_degree_graphs, _sorted_columns
 from edgestat.poly import (
     ASSIGNMENT_CAP,
@@ -161,6 +161,78 @@ def poly_from_json(data):
     linear = {i - 1: c for i, c in data["lin"]}
     quadratic = {(a - 1, b - 1): c for a, b, c in data["quad"]}
     return MultilinearPoly(data["n"], data["c"], linear, quadratic)
+
+
+_TERM_HEAD_RE = re.compile(r"^(?P<sign>[+-])?(?P<coeff>\d+)?(?P<var>x\d+)?$")
+_TERM_VAR_RE = re.compile(r"^x(\d+)$")
+
+
+def _parse_term(chunk):
+    """Split one ``-2*x1*x3``-style product into (coefficient, 1-based indices)."""
+    parts = chunk.split("*")
+    head = _TERM_HEAD_RE.match(parts[0])
+    if not head or (head.group("coeff") is None and head.group("var") is None):
+        raise InputError(f"cannot parse term {chunk!r}")
+    coeff = int(head.group("coeff") or 1)
+    if head.group("sign") == "-":
+        coeff = -coeff
+    var_texts = ([head.group("var")] if head.group("var") else []) + parts[1:]
+    indices = []
+    for text in var_texts:
+        m = _TERM_VAR_RE.match(text or "")
+        if not m:
+            raise InputError(f"cannot parse term {chunk!r}")
+        indices.append(int(m.group(1)))
+    return coeff, indices
+
+
+def parse_poly_split(text):
+    """Oracle for ``poly.parse_poly``: the parser as it was before one term
+    pattern replaced it, which splits each term on ``*``, reads the head and
+    the factors with two patterns, and orders and checks each pair itself."""
+    compact = text.replace(" ", "")
+    if not compact:
+        raise InputError("empty polynomial text")
+    chunks = compact.replace("+-", "-").replace("-", "+-").split("+")
+    constant = 0
+    linear = {}
+    quadratic = {}
+    max_index = 0
+    seen_term = False
+    for pos, chunk in enumerate(chunks):
+        if not chunk:
+            if pos == 0:
+                continue  # leading sign produced an empty head
+            raise InputError(f"dangling operator in {text!r}")
+        seen_term = True
+        coeff, indices = _parse_term(chunk)
+        if any(v < 1 for v in indices):
+            raise InputError("variable indices are 1-based")
+        if indices:
+            max_index = max(max_index, *indices)
+        if len(indices) == 0:
+            constant += coeff
+        elif len(indices) == 1:
+            i = indices[0] - 1
+            linear[i] = linear.get(i, 0) + coeff
+        elif len(indices) == 2:
+            a, b = indices[0] - 1, indices[1] - 1
+            if a == b:
+                raise InputError("quadratic terms must pair two distinct variables")
+            if a > b:
+                a, b = b, a
+            quadratic[(a, b)] = quadratic.get((a, b), 0) + coeff
+        else:
+            raise InputError(f"term {chunk!r} has degree > 2")
+    if not seen_term:
+        raise InputError("empty polynomial text")
+    return MultilinearPoly(max_index, constant, linear, quadratic)
+
+
+def random_poly_text(rng, max_len=12):
+    """A random string over the characters and tokens of polynomial text."""
+    pieces = ("x", "x", "0", "1", "2", "3", "9", "+", "+", "-", "-", "*", "*", " ", "x0", "x1", "x2", "x10", "x3")
+    return "".join(rng.choice(pieces) for _ in range(rng.randint(0, max_len)))
 
 
 def random_poly(rng, max_vars=8, coeff_range=(-4, 4)):

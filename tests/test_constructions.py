@@ -49,6 +49,9 @@ def test_host_graph_validation():
         HostGraph(3, frozenset({(1, 1)}))
     with pytest.raises(InputError):
         HostGraph(3, frozenset({(0, 3)}))
+    with pytest.raises(InputError):
+        HostGraph(4.5, frozenset({(0, 4)}))
+    assert HostGraph("3", frozenset({(2, 0)})) == HostGraph(3, frozenset({(0, 2)}))
 
 
 def test_part_family_validation():

@@ -16,11 +16,10 @@ from edgestat.dist import (
     EXP_BITS,
     SliceSpec,
     ValueDist,
-    as_probability,
-    as_rational,
     bernoulli_value_dist,
     binmax,
     binmaxplus,
+    binomial_numerators,
     exp_enclosure,
     format_rational,
     point_probability,
@@ -29,7 +28,7 @@ from edgestat.dist import (
     slice_value_dist,
     tv_distance,
 )
-from edgestat.errors import InputError, ResourceLimitError
+from edgestat.errors import InputError, ResourceLimitError, as_probability, as_rational
 from edgestat.poly import MultilinearPoly, parse_poly
 from helpers import (
     bernoulli_value_dist_conditioning,
@@ -179,6 +178,20 @@ def test_binmax_monotone_in_m():
     for p in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
         values = [binmax(m, p) for m in range(30)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def test_binomial_integers_read_exactly():
+    assert binomial_numerators("2", Fraction(1, 2)) == binomial_numerators(Fraction(2), Fraction(1, 2)) == [1, 2, 1]
+    assert binmax("2", "1/2") == binmaxplus("2", "1/2") == Fraction(1, 2)
+    assert poisson_tv_check("10", "1/10") == poisson_tv_check(10, Fraction(1, 10))
+    for call in (
+        lambda: binomial_numerators(2.0, Fraction(1, 2)),
+        lambda: binmax(2.0, "1/2"),
+        lambda: binmaxplus(Fraction(5, 2), "1/2"),
+        lambda: poisson_tv_check(10.0, "1/10"),
+    ):
+        with pytest.raises(InputError):
+            call()
 
 
 def test_binmaxplus():

@@ -70,6 +70,23 @@ def test_var_bound_values():
     assert [var_bound(m) for m in range(1, 7)] == [1, 2, 4, 6, 9, 12]
     with pytest.raises(InputError):
         var_bound(0)
+    assert var_bound("5") == 9
+    with pytest.raises(InputError):
+        var_bound(5.0)
+
+
+def test_float_m_rejected_on_a_cold_and_a_warm_cache(monkeypatch):
+    # enumerate_gm(3.0) used to raise TypeError on a cold cache and return
+    # G(3) once enumerate_gm(3) had filled it, as 3.0 == 3.
+    monkeypatch.setattr(gm, "_CACHE", {})
+    with pytest.raises(InputError):
+        enumerate_gm(3.0)
+    family = enumerate_gm(3)
+    with pytest.raises(InputError):
+        enumerate_gm(3.0)
+    assert enumerate_gm("3") is family
+    with pytest.raises(InputError):
+        enumerate_gm(2, workers=1.5)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -27,9 +28,11 @@ from helpers import (
     evaluate,
     gm_membership_derived,
     is_zero,
+    parse_poly_split,
     permute_variables,
     poly_from_json,
     random_poly,
+    random_poly_text,
     unit_form,
     value_weight_counts_label_order,
     zero_poly,
@@ -55,6 +58,22 @@ def test_invalid_polynomials_rejected():
         MultilinearPoly(3, 0, {}, {(0, 1): 1, (1, 0): 1})
     # substitution can leave a variable-free constant; that stays legal
     assert is_zero(MultilinearPoly(0, 7, {}, {})) is False
+
+
+def test_non_integer_parts_rejected():
+    # Each of these used to be truncated by int(): x1/2 became the zero form,
+    # the 0.9 pair was dropped and 2.5 variables were read as 2.
+    for args in (
+        (1, 0, {0: Fraction(1, 2)}),
+        (2, 0, {}, {(0, 1): 0.9}),
+        (1, 0.5),
+        (2.5,),
+        (2, 0, {1.0: 1}),
+        (2, 0, {}, {(0, 1.0): 1}),
+    ):
+        with pytest.raises(InputError):
+            MultilinearPoly(*args)
+    assert MultilinearPoly("3", Fraction(3), {Fraction(1): "2"}) == MultilinearPoly(3, 3, {1: 2})
 
 
 def test_evaluate_matches_direct_sum():
@@ -388,9 +407,30 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_malformed_text():
-    for text in ("", "x1+", "x1++x2", "x1*", "*x1", "x1x2", "x1*x1", "x1*x2*x3", "x0", "y1", "2*"):
+    # The split parser ignored a newline after a term or factor ("x1\n+x2"),
+    # as its patterns ended in ``$``.
+    for text in ("", "x1+", "x1++x2", "x1*", "*x1", "x1x2", "x1*x1", "x1*x2*x3", "x0", "y1", "2*", "x1\n+x2", "2\n*x1"):
         with pytest.raises(InputError):
             parse_poly(text)
+
+
+def test_parse_matches_split_parser():
+    """Accepts and rejects what the split parser did, with the same result."""
+
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except InputError:
+            return None
+
+    rng = random.Random(109)
+    accepted = 0
+    for _ in range(20_000):
+        text = random_poly_text(rng)
+        expected = outcome(parse_poly_split, text)
+        assert outcome(parse_poly, text) == expected, text
+        accepted += expected is not None
+    assert 1_000 < accepted < 19_000  # both outcomes are reached
 
 
 def test_parse_merges_repeated_terms():

@@ -343,6 +343,9 @@ def test_star_search_input_validation():
     for ell in (1.5, Fraction(3, 2), "1/2"):
         with pytest.raises(InputError):
             verify_star_search(max_s=2, ell_values=(ell,))
+    with pytest.raises(InputError):
+        verify_star_search(max_s=2.0)
+    assert verify_star_search(max_s="2").exact_values == verify_star_search(max_s=2).exact_values
     assert verify_star_search(max_s=2, ell_values=(Fraction(2), "1")).inputs["ell_values"] == [1, 2]
 
 
@@ -448,6 +451,9 @@ def test_large_linear_part_reads_ell_exactly():
     assert large_linear_part_check(parse_poly("x1+x2"), 2, "1/2", "1") == (Fraction(1, 2), Fraction(1, 2), True)
     with pytest.raises(InputError):
         large_linear_part_check(parse_poly("x1+x2"), 2, "1/2", 1.0)
+    assert large_linear_part_check(parse_poly("x1+x2"), "2", "1/2", 1) == (Fraction(1, 2), Fraction(1, 2), True)
+    with pytest.raises(InputError):
+        large_linear_part_check(parse_poly("x1+x2"), 2.0, "1/2", 1)
 
 
 # ---------------------------------------------------------------------------
