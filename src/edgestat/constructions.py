@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .dist import SliceSpec, ValueDist, poisson_peak_lower, slice_value_dist
-from .errors import InputError, ResourceLimitError, as_integer, as_probability
+from .errors import InputError, ResourceLimitError, as_integer, as_pair, as_probability
 from .poly import MultilinearPoly
 from .report import VerificationReport, check
 
@@ -32,7 +32,8 @@ VECTOR_CAP = 2 * 10**6
 
 @dataclass(frozen=True)
 class HostGraph:
-    """A concrete simple graph on vertices 0..n-1; n is read by :func:`as_integer`."""
+    """A concrete simple graph on vertices 0..n-1; n is read by :func:`as_integer`
+    and each edge by :func:`as_pair`."""
 
     n: int
     edges: frozenset = frozenset()
@@ -41,14 +42,7 @@ class HostGraph:
         object.__setattr__(self, "n", as_integer(self.n))
         if self.n < 1:
             raise InputError("a host graph needs at least one vertex")
-        normalized = set()
-        for a, b in self.edges:
-            if a == b:
-                raise InputError(f"loop at vertex {a}")
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise InputError(f"edge ({a}, {b}) outside vertex range")
-            normalized.add((a, b) if a < b else (b, a))
-        object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "edges", frozenset(as_pair(e, self.n) for e in self.edges))
 
 
 @dataclass(frozen=True)
@@ -74,15 +68,9 @@ class PartFamily:
         clique = tuple(bool(b) for b in self.clique)
         if len(clique) != len(fractions):
             raise InputError("need one clique flag per part")
-        t = len(fractions)
-        normalized = set()
-        for a, b in self.cross:
-            if a == b or not (0 <= a <= t and 0 <= b <= t):
-                raise InputError(f"invalid cross pair ({a}, {b})")
-            normalized.add((a, b) if a < b else (b, a))
         object.__setattr__(self, "fractions", fractions)
         object.__setattr__(self, "clique", clique)
-        object.__setattr__(self, "cross", frozenset(normalized))
+        object.__setattr__(self, "cross", frozenset(as_pair(pair, len(fractions) + 1) for pair in self.cross))
 
 
 def bipartite_family(a: int, k: int, with_clique: bool = False) -> PartFamily:

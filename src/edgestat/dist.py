@@ -117,9 +117,9 @@ def point_probability(f: MultilinearPoly, p, ell: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def binomial_numerators(m: int, p: Fraction) -> list[int]:
+def binomial_numerators(m: int, p) -> list[int]:
     """P[Binomial(m, p) = k] times b^m for k = 0..m, with p = a/b."""
-    m = as_integer(m)
+    m, p = as_integer(m), as_probability(p)
     if m < 0:
         raise InputError("m must be >= 0")
     return [math.comb(m, k) * s for k, s in enumerate(weight_scale(p, m))]

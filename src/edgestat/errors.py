@@ -46,3 +46,17 @@ def as_probability(value) -> Fraction:
     if not 0 <= p <= 1:
         raise InputError(f"probability {p} outside [0, 1]")
     return p
+
+
+def as_pair(value, n: int) -> tuple[int, int]:
+    """Read an index pair: two distinct integers in 0..n-1, smaller first."""
+    try:
+        a, b = () if isinstance(value, str) else value  # a string would unpack into characters
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{value!r} is not a pair of indices") from exc
+    a, b = as_integer(a), as_integer(b)
+    if a == b:  # the pair is not quoted: a caller may count from 1
+        raise InputError("a pair needs two distinct indices")
+    if not (0 <= a < n and 0 <= b < n):
+        raise InputError(f"pair {value!r} outside 0..{n - 1}")
+    return (a, b) if a < b else (b, a)

@@ -17,16 +17,17 @@ LL inside ``L``; a skeleton is a completion without LL.  The generator emits
 only completions that pass three order cuts, and every class keeps one:
 
 * Label ``L`` so that LL degrees do not increase.  Any labelling of ``L``
-  works at this point, because nothing else has been fixed yet.
+  works at this point, because nothing else has been fixed yet; this is the
+  signature cut below with ``L`` as one run.
 * Label the quadratic-only vertices in order of their columns, so ``cols``
   does not decrease; only such sequences are generated.
 * With ``cols`` now fixed, quadratic-only vertices inside one run of equal
   columns are still interchangeable: permuting them keeps every column,
-  every ``L`` edge and LL.  Give each quadratic-only vertex the signature
-  (QQ degree, sorted run indices of its QQ neighbours).  Such a permutation
-  carries each signature to the vertex's image, so sorting every run by
-  non-increasing signature gives a copy whose signatures do not increase
-  along each run.
+  every ``L`` edge and LL.  :func:`_signature_cut` gives each vertex the
+  signature (QQ degree, sorted run indices of its QQ neighbours).  Such a
+  permutation carries each signature to the vertex's image, so sorting
+  every run by non-increasing signature gives a copy whose signatures do
+  not increase along each run.
 
 Relabelling never changes the capacities below, so that copy is one of the
 generated completions.  Two completions that pass the cuts can still be
@@ -60,6 +61,7 @@ bound scans, :attr:`GmFamily.value_rows`; both are the same for every worker cou
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,30 +137,21 @@ class GmFamily:
         return rows
 
 
-def _sorted_columns(t: int, q: int, cap_row: int) -> list[tuple[int, ...]]:
-    """Non-decreasing sequences of q nonempty L-attachment masks, row-capped."""
-    out: list[tuple[int, ...]] = []
-    counts = [0] * t
-    cols: list[int] = []
+def _sorted_columns(t: int, q: int, cap_row: int) -> Iterator[tuple[int, ...]]:
+    """Non-decreasing sequences of q nonempty L-attachment masks, row-capped,
+    in lexicographic order; ``counts[r]`` is how many columns row r is in."""
 
-    def rec(idx: int, start: int) -> None:
-        if idx == q:
-            out.append(tuple(cols))
+    def grow(cols: tuple[int, ...], counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if len(cols) == q:
+            yield cols
             return
-        for mask in range(start, 1 << t):
-            rows = [r for r in range(t) if mask >> r & 1]
-            if any(counts[r] >= cap_row for r in rows):
-                continue
-            for r in rows:
-                counts[r] += 1
-            cols.append(mask)
-            rec(idx + 1, mask)
-            cols.pop()
-            for r in rows:
-                counts[r] -= 1
+        for mask in range(cols[-1] if cols else 1, 1 << t):
+            # from a list: a tuple built from a generator is over-allocated, then shrunk
+            grown = tuple([c + (mask >> r & 1) for r, c in enumerate(counts)])
+            if max(grown) <= cap_row:
+                yield from grow(cols + (mask,), grown)
 
-    rec(0, 1)
-    return out
+    return grow((), (0,) * t)
 
 
 def _bounded_degree_graphs(q: int, max_degree: int) -> list[tuple[tuple[int, int], ...]]:
@@ -187,6 +180,25 @@ def _bounded_degree_graphs(q: int, max_degree: int) -> list[tuple[tuple[int, int
     return out
 
 
+def _signature_cut(graphs: Iterable[Sequence[tuple[int, int]]], run: list[int]) -> list[Sequence[tuple[int, int]]]:
+    """The graphs whose vertex signatures do not increase inside any run.
+
+    ``run[v]`` numbers the run of interchangeable vertices that v is in, runs
+    being contiguous; v's signature is its degree and the sorted runs of its
+    neighbours, so with one run it is the degree.
+    """
+    kept = []
+    for edges in graphs:
+        nbr_runs: list[list[int]] = [[] for _ in run]
+        for a, b in edges:
+            nbr_runs[a].append(run[b])
+            nbr_runs[b].append(run[a])
+        sig = [(len(r), sorted(r)) for r in nbr_runs]
+        if all(run[v] != run[v + 1] or sig[v] >= sig[v + 1] for v in range(len(run) - 1)):
+            kept.append(edges)
+    return kept
+
+
 def _enumerate_branch(args: tuple[int, int, int]) -> tuple[set[CanonicalKey], int]:
     """Class keys of one ``(t, q)`` branch and the number of canonical searches run.
 
@@ -197,12 +209,8 @@ def _enumerate_branch(args: tuple[int, int, int]) -> tuple[set[CanonicalKey], in
     s = t + q
     lmask = (1 << t) - 1
     ll_pairs = [(a, b) for a in range(t) for b in range(a + 1, t)]
-    ll_sets = []
-    for ll_mask in range(1 << len(ll_pairs)):
-        ll = [ll_pairs[i] for i in range(len(ll_pairs)) if ll_mask >> i & 1]
-        deg = [sum(r in pair for pair in ll) for r in range(t)]
-        if all(deg[r] >= deg[r + 1] for r in range(t - 1)):
-            ll_sets.append(ll)
+    ll_graphs = ([p for i, p in enumerate(ll_pairs) if mask >> i & 1] for mask in range(1 << len(ll_pairs)))
+    ll_sets = _signature_cut(ll_graphs, [0] * t)
     qq_graphs = _bounded_degree_graphs(q, m - 1 - t)
     codes = set()
     searches = 0
@@ -210,15 +218,7 @@ def _enumerate_branch(args: tuple[int, int, int]) -> tuple[set[CanonicalKey], in
         run = [0] * q  # run of equal columns that each quadratic-only vertex is in
         for ci in range(1, q):
             run[ci] = run[ci - 1] + (cols[ci] != cols[ci - 1])
-        qq_cut = []
-        for qq in qq_graphs:
-            nbr_runs: list[list[int]] = [[] for _ in range(q)]
-            for a, b in qq:
-                nbr_runs[a].append(run[b])
-                nbr_runs[b].append(run[a])
-            sig = [(len(r), sorted(r)) for r in nbr_runs]
-            if all(run[a] != run[a + 1] or sig[a] >= sig[a + 1] for a in range(q - 1)):
-                qq_cut.append(qq)
+        qq_cut = _signature_cut(qq_graphs, run)
         searches += len(qq_cut) * len(ll_sets)
         base = [(r, t + ci) for ci, mask in enumerate(cols) for r in range(t) if mask >> r & 1]
         for qq in qq_cut:

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InputError, ResourceLimitError, as_integer
+from .errors import InputError, ResourceLimitError, as_integer, as_pair
 
 #: Hard ceiling on the assignments one value/weight table enumerates.
 ASSIGNMENT_CAP = 1 << 24
@@ -69,13 +69,7 @@ class MultilinearPoly:
                 lin[i] = c
         quad: dict[tuple[int, int], int] = {}
         for pair, c in self.quadratic.items():
-            i, j, c = as_integer(pair[0]), as_integer(pair[1]), as_integer(c)
-            if i == j:
-                raise InputError("quadratic terms must pair two distinct variables")
-            if i > j:
-                i, j = j, i
-            if not 0 <= i < j < n:
-                raise InputError(f"quadratic pair ({i},{j}) out of range for {n} variables")
+            (i, j), c = as_pair(pair, n), as_integer(c)
             if c == 0:
                 continue
             if (i, j) in quad:

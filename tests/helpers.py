@@ -9,7 +9,7 @@ import mpmath
 
 from edgestat.constructions import HostGraph, PartFamily
 from edgestat.errors import InputError, ResourceLimitError, as_probability
-from edgestat.gm import _bounded_degree_graphs, _sorted_columns
+from edgestat.gm import _bounded_degree_graphs
 from edgestat.poly import (
     ASSIGNMENT_CAP,
     CanonicalKey,
@@ -439,11 +439,41 @@ def reduction_bound_unpruned(family, profiles, p, ell_min):
     return bound, gm_part, None, None
 
 
+def sorted_columns_undo(t, q, cap_row):
+    """Oracle for ``gm._sorted_columns``: the column sequences as first
+    generated, by a recursion that updates shared lists and undoes each
+    update."""
+    out = []
+    counts = [0] * t
+    cols = []
+
+    def rec(idx, start):
+        if idx == q:
+            out.append(tuple(cols))
+            return
+        for mask in range(start, 1 << t):
+            rows = [r for r in range(t) if mask >> r & 1]
+            if any(counts[r] >= cap_row for r in rows):
+                continue
+            for r in rows:
+                counts[r] += 1
+            cols.append(mask)
+            rec(idx + 1, mask)
+            cols.pop()
+            for r in rows:
+                counts[r] -= 1
+
+    rec(0, 1)
+    return out
+
+
 def skeletons(m, t, q):
     """Edge lists of the branch's skeletons: attachment columns plus a
-    bounded-degree graph on the quadratic-only vertices, no edge inside L."""
+    bounded-degree graph on the quadratic-only vertices, no edge inside L.
+    The columns come from the oracle, so the generator's own columns are
+    checked against it."""
     qq_graphs = _bounded_degree_graphs(q, m - 1 - t)
-    for cols in _sorted_columns(t, q, m - t):
+    for cols in sorted_columns_undo(t, q, m - t):
         base = [(r, t + ci) for ci, mask in enumerate(cols) for r in range(t) if mask >> r & 1]
         for qq in qq_graphs:
             yield base + [(t + a, t + b) for a, b in qq]

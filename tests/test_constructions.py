@@ -54,6 +54,30 @@ def test_host_graph_validation():
     assert HostGraph("3", frozenset({(2, 0)})) == HostGraph(3, frozenset({(0, 2)}))
 
 
+def test_host_graph_edge_endpoints_read_exactly():
+    # The edge (0.5, 1) used to be accepted and kept as it was.
+    with pytest.raises(InputError):
+        HostGraph(3, frozenset({(0.5, 1)}))
+    assert HostGraph(3, frozenset({("2", Fraction(0))})).edges == frozenset({(0, 2)})
+
+
+def test_host_graph_edge_must_be_a_pair():
+    # This used to raise a bare ValueError from tuple unpacking.
+    with pytest.raises(InputError):
+        HostGraph(3, frozenset({(0, 1, 2)}))
+    with pytest.raises(InputError):
+        HostGraph(3, frozenset({"01"}))
+    assert HostGraph(3, frozenset({(1, 0), (0, 1)})).edges == frozenset({(0, 1)})
+
+
+def test_part_family_cross_pairs_read_exactly():
+    # The cross pair (0.0, 1) used to be accepted and kept as it was.
+    with pytest.raises(InputError):
+        PartFamily((Fraction(1, 2),), (False,), frozenset({(0.0, 1)}))
+    family = PartFamily((Fraction(1, 2),), (False,), frozenset({(1, 0), (0, 1)}))
+    assert family.cross == frozenset({(0, 1)})
+
+
 def test_part_family_validation():
     with pytest.raises(InputError):
         PartFamily((Fraction(0),), (False,))

@@ -194,6 +194,14 @@ def test_binomial_integers_read_exactly():
             call()
 
 
+def test_binomial_numerators_reads_p_exactly():
+    # A string p used to raise AttributeError here, while binmax read it.
+    assert binomial_numerators(2, "1/2") == binomial_numerators(2, Fraction(1, 2)) == [1, 2, 1]
+    for p in (0.5, "3/2"):
+        with pytest.raises(InputError):
+            binomial_numerators(2, p)
+
+
 def test_binmaxplus():
     p = Fraction(97, 250)
     assert binmaxplus(0, p) == 0

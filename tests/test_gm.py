@@ -11,12 +11,22 @@ from edgestat.errors import InputError
 from edgestat.gm import (
     MAX_SUPPORTED_M,
     _enumerate_branch,
+    _signature_cut,
+    _sorted_columns,
     enumerate_gm,
     var_bound,
 )
 from edgestat.poly import canonical_form, gm_membership
 
-from helpers import canonical_form_unpruned, max_structure_stats, permute_variables, skeletons, uncut_codes, unit_form
+from helpers import (
+    canonical_form_unpruned,
+    max_structure_stats,
+    permute_variables,
+    skeletons,
+    sorted_columns_undo,
+    uncut_codes,
+    unit_form,
+)
 
 REFERENCE_COUNTS = {1: 1, 2: 4, 3: 16, 4: 99, 5: 1653}
 
@@ -176,6 +186,27 @@ def test_order_cuts_keep_every_class_of_every_branch(m):
         for q in range(t * (m - t) + 1):
             classes, _ = _enumerate_branch((m, t, q))
             assert {key.code for key in classes} == uncut_codes(m, t, q), (m, t, q)
+
+
+def test_sorted_columns_equal_undo_oracle_on_every_branch():
+    for m in range(1, MAX_SUPPORTED_M + 1):
+        for t in range(1, m + 1):
+            for q in range(t * (m - t) + 1):
+                assert list(_sorted_columns(t, q, m - t)) == sorted_columns_undo(t, q, m - t), (m, t, q)
+
+
+def test_signature_cut_on_one_run_is_the_degree_cut():
+    # With every vertex in one run a signature reduces to the degree, so the
+    # cut keeps exactly the edge sets whose degrees do not increase.
+    for t in range(7):
+        pairs = list(itertools.combinations(range(t), 2))
+        graphs = [[pair for i, pair in enumerate(pairs) if mask >> i & 1] for mask in range(1 << len(pairs))]
+        want = []
+        for edges in graphs:
+            deg = [sum(v in pair for pair in edges) for v in range(t)]
+            if deg == sorted(deg, reverse=True):
+                want.append(edges)
+        assert _signature_cut(iter(graphs), [0] * t) == want, t
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

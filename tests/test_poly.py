@@ -76,6 +76,18 @@ def test_non_integer_parts_rejected():
     assert MultilinearPoly("3", Fraction(3), {Fraction(1): "2"}) == MultilinearPoly(3, 3, {1: 2})
 
 
+def test_quadratic_key_of_three_indices_rejected():
+    # The third index used to be dropped, so this became x1*x2.
+    with pytest.raises(InputError):
+        MultilinearPoly(3, 0, {}, {(0, 1, 2): 1})
+
+
+def test_quadratic_key_of_one_index_rejected():
+    # This used to raise IndexError.
+    with pytest.raises(InputError):
+        MultilinearPoly(3, 0, {}, {(0,): 1})
+
+
 def test_evaluate_matches_direct_sum():
     rng = random.Random(101)
     for _ in range(200):
