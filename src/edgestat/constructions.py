@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .dist import SliceSpec, ValueDist, poisson_peak_lower, slice_value_dist
-from .errors import InputError, ResourceLimitError, as_integer, as_pair, as_probability
+from .errors import InputError, ResourceLimitError, as_flag, as_integer, as_pair, as_probability
 from .poly import MultilinearPoly
 from .report import VerificationReport, check
 
@@ -65,7 +65,7 @@ class PartFamily:
             raise InputError("part fractions must be positive")
         if sum(fractions) > 1:
             raise InputError("part fractions must sum to at most 1")
-        clique = tuple(bool(b) for b in self.clique)
+        clique = tuple(as_flag(b) for b in self.clique)
         if len(clique) != len(fractions):
             raise InputError("need one clique flag per part")
         object.__setattr__(self, "fractions", fractions)

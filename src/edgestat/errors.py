@@ -60,3 +60,10 @@ def as_pair(value, n: int) -> tuple[int, int]:
     if not (0 <= a < n and 0 <= b < n):
         raise InputError(f"pair {value!r} outside 0..{n - 1}")
     return (a, b) if a < b else (b, a)
+
+
+def as_flag(value) -> bool:
+    """Read a boolean flag: only True or False, not a string or a number."""
+    if not isinstance(value, bool):
+        raise InputError(f"{value!r} is not a boolean flag")
+    return value

@@ -23,16 +23,21 @@ only completions that pass three order cuts, and every class keeps one:
   does not decrease; only such sequences are generated.
 * With ``cols`` now fixed, quadratic-only vertices inside one run of equal
   columns are still interchangeable: permuting them keeps every column,
-  every ``L`` edge and LL.  :func:`_signature_cut` gives each vertex the
-  signature (QQ degree, sorted run indices of its QQ neighbours).  Such a
-  permutation carries each signature to the vertex's image, so sorting
-  every run by non-increasing signature gives a copy whose signatures do
-  not increase along each run.
+  every ``L`` edge and LL.  Give each vertex the signature (QQ degree,
+  sorted run indices of its QQ neighbours).  Such a permutation carries
+  each signature to the vertex's image, so sorting every run by
+  non-increasing signature gives a copy whose signatures do not increase
+  along each run.
 
 Relabelling never changes the capacities below, so that copy is one of the
 generated completions.  Two completions that pass the cuts can still be
 relabellings of each other, so the canonical search still decides the
 classes.
+
+:func:`_bounded_degree_graphs` yields the LL sets and the QQ graphs.  A branch
+lists its few column sequences with their runs, then streams its QQ graphs
+once, each checked against every sequence's runs by one predicate,
+:func:`_signatures_ordered`, which cuts the LL sets too; no QQ list is kept.
 
 The capacities are the membership test, so the generator emits members only.
 With ``t = |L|``, pinning a quadratic-only vertex ``x_i = 1`` leaves
@@ -61,7 +66,7 @@ bound scans, :attr:`GmFamily.value_rows`; both are the same for every worker cou
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -154,76 +159,63 @@ def _sorted_columns(t: int, q: int, cap_row: int) -> Iterator[tuple[int, ...]]:
     return grow((), (0,) * t)
 
 
-def _bounded_degree_graphs(q: int, max_degree: int) -> list[tuple[tuple[int, int], ...]]:
-    """All edge sets on q labelled vertices with maximum degree <= max_degree."""
+def _bounded_degree_graphs(q: int, max_degree: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Edge sets on q labelled vertices with maximum degree <= max_degree, in the
+    order of a depth-first walk that decides each pair in turn, leaving it out
+    first; a stack entry is a set still open to the pairs from ``start`` on."""
     pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
-    out: list[tuple[tuple[int, int], ...]] = []
-    deg = [0] * q
-    chosen: list[tuple[int, int]] = []
-
-    def rec(i: int) -> None:
-        if i == len(pairs):
-            out.append(tuple(chosen))
-            return
-        rec(i + 1)
-        a, b = pairs[i]
-        if deg[a] < max_degree and deg[b] < max_degree:
-            deg[a] += 1
-            deg[b] += 1
-            chosen.append(pairs[i])
-            rec(i + 1)
-            chosen.pop()
-            deg[a] -= 1
-            deg[b] -= 1
-
-    rec(0)
-    return out
+    stack = [(0, (), (0,) * q)]
+    while stack:
+        start, edges, deg = stack.pop()
+        yield edges
+        for i in range(start, len(pairs)):
+            a, b = pairs[i]
+            if deg[a] < max_degree and deg[b] < max_degree:
+                grown = list(deg)
+                grown[a] += 1
+                grown[b] += 1
+                stack.append((i + 1, edges + (pairs[i],), tuple(grown)))
 
 
-def _signature_cut(graphs: Iterable[Sequence[tuple[int, int]]], run: list[int]) -> list[Sequence[tuple[int, int]]]:
-    """The graphs whose vertex signatures do not increase inside any run.
+def _signatures_ordered(edges: Sequence[tuple[int, int]], run: list[int]) -> bool:
+    """Whether the vertex signatures of ``edges`` do not increase inside any run.
 
     ``run[v]`` numbers the run of interchangeable vertices that v is in, runs
     being contiguous; v's signature is its degree and the sorted runs of its
     neighbours, so with one run it is the degree.
     """
-    kept = []
-    for edges in graphs:
-        nbr_runs: list[list[int]] = [[] for _ in run]
-        for a, b in edges:
-            nbr_runs[a].append(run[b])
-            nbr_runs[b].append(run[a])
-        sig = [(len(r), sorted(r)) for r in nbr_runs]
-        if all(run[v] != run[v + 1] or sig[v] >= sig[v + 1] for v in range(len(run) - 1)):
-            kept.append(edges)
-    return kept
+    nbr_runs: list[list[int]] = [[] for _ in run]
+    for a, b in edges:
+        nbr_runs[a].append(run[b])
+        nbr_runs[b].append(run[a])
+    sig = [(len(r), sorted(r)) for r in nbr_runs]
+    return all(run[v] != run[v + 1] or sig[v] >= sig[v + 1] for v in range(len(run) - 1))
 
 
 def _enumerate_branch(args: tuple[int, int, int]) -> tuple[set[CanonicalKey], int]:
     """Class keys of one ``(t, q)`` branch and the number of canonical searches run.
 
-    Only the LL sets and, per column sequence, the QQ graphs that pass the
-    order cuts of the module docstring are completed.
-    """
+    Each (QQ graph, column sequence) pair that passes the order cuts of the
+    module docstring is completed by every LL set that passes them."""
     m, t, q = args
     s = t + q
     lmask = (1 << t) - 1
-    ll_pairs = [(a, b) for a in range(t) for b in range(a + 1, t)]
-    ll_graphs = ([p for i, p in enumerate(ll_pairs) if mask >> i & 1] for mask in range(1 << len(ll_pairs)))
-    ll_sets = _signature_cut(ll_graphs, [0] * t)
-    qq_graphs = _bounded_degree_graphs(q, m - 1 - t)
-    codes = set()
-    searches = 0
+    ll_sets = [list(ll) for ll in _bounded_degree_graphs(t, t - 1) if _signatures_ordered(ll, [0] * t)]
+    sequences = []
     for cols in _sorted_columns(t, q, m - t):
         run = [0] * q  # run of equal columns that each quadratic-only vertex is in
         for ci in range(1, q):
             run[ci] = run[ci - 1] + (cols[ci] != cols[ci - 1])
-        qq_cut = _signature_cut(qq_graphs, run)
-        searches += len(qq_cut) * len(ll_sets)
         base = [(r, t + ci) for ci, mask in enumerate(cols) for r in range(t) if mask >> r & 1]
-        for qq in qq_cut:
-            skeleton = base + [(t + a, t + b) for a, b in qq]
-            codes.update(canonical_code(s, lmask, skeleton + ll) for ll in ll_sets)
+        sequences.append((base, run))
+    codes = set()
+    searches = 0
+    for qq in _bounded_degree_graphs(q, m - 1 - t):
+        for base, run in sequences:
+            if _signatures_ordered(qq, run):
+                searches += len(ll_sets)
+                skeleton = base + [(t + a, t + b) for a, b in qq]
+                codes.update(canonical_code(s, lmask, skeleton + ll) for ll in ll_sets)
     return {CanonicalKey(code) for code in codes}, searches
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dist import format_rational
-from .errors import InputError, as_rational
+from .errors import InputError, as_flag, as_rational
 
 #: check operators: exact rational comparisons and string equality.
 _OPS = ("<", "<=", "==", "==s")
@@ -93,7 +93,7 @@ class VerificationReport:
 def report_from_json(data: dict) -> VerificationReport:
     try:
         checks = [
-            CheckRecord(c["name"], c["lhs"], c["op"], c["rhs"], bool(c["ok"]))
+            CheckRecord(c["name"], c["lhs"], c["op"], c["rhs"], as_flag(c["ok"]))
             for c in data["checks"]
         ]
         report = VerificationReport(
@@ -105,9 +105,10 @@ def report_from_json(data: dict) -> VerificationReport:
             checks=checks,
             wall_time=float(data.get("wall_time", 0.0)),
         )
+        passed = as_flag(data["passed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed report JSON: {exc}") from exc
-    if bool(data.get("passed")) != report.passed:
+    if passed != report.passed:
         raise InputError("stored verdict does not match stored checks")
     return report
 

@@ -9,7 +9,6 @@ import mpmath
 
 from edgestat.constructions import HostGraph, PartFamily
 from edgestat.errors import InputError, ResourceLimitError, as_probability
-from edgestat.gm import _bounded_degree_graphs
 from edgestat.poly import (
     ASSIGNMENT_CAP,
     CanonicalKey,
@@ -467,12 +466,24 @@ def sorted_columns_undo(t, q, cap_row):
     return out
 
 
+def bounded_degree_masks(q, max_degree):
+    """Oracle for ``gm._bounded_degree_graphs``: every mask of the C(q, 2)
+    pairs on q vertices, kept when no vertex degree exceeds ``max_degree``."""
+    pairs = list(combinations(range(q), 2))
+    kept = []
+    for mask in range(1 << len(pairs)):
+        edges = tuple(pair for i, pair in enumerate(pairs) if mask >> i & 1)
+        if all(sum(v in pair for pair in edges) <= max_degree for v in range(q)):
+            kept.append(edges)
+    return kept
+
+
 def skeletons(m, t, q):
     """Edge lists of the branch's skeletons: attachment columns plus a
     bounded-degree graph on the quadratic-only vertices, no edge inside L.
-    The columns come from the oracle, so the generator's own columns are
-    checked against it."""
-    qq_graphs = _bounded_degree_graphs(q, m - 1 - t)
+    The columns and the graphs come from oracles, so the generator's own
+    are checked against them."""
+    qq_graphs = bounded_degree_masks(q, m - 1 - t)
     for cols in sorted_columns_undo(t, q, m - t):
         base = [(r, t + ci) for ci, mask in enumerate(cols) for r in range(t) if mask >> r & 1]
         for qq in qq_graphs:

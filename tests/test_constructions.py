@@ -78,6 +78,16 @@ def test_part_family_cross_pairs_read_exactly():
     assert family.cross == frozenset({(0, 1)})
 
 
+def test_part_family_clique_flags_read_exactly():
+    # The flag "False" used to build a clique part, so two vertices of the
+    # half had one edge with probability 1/4; 0.5 was read as True too.
+    for flag in ("False", 0.5, 1):
+        with pytest.raises(InputError):
+            PartFamily((Fraction(1, 2),), (flag,))
+    assert limit_probability(PartFamily((Fraction(1, 2),), (False,)), 2, 1) == 0
+    assert limit_probability(PartFamily((Fraction(1, 2),), (True,)), 2, 1) == Fraction(1, 4)
+
+
 def test_part_family_validation():
     with pytest.raises(InputError):
         PartFamily((Fraction(0),), (False,))

@@ -10,8 +10,9 @@ from edgestat import gm
 from edgestat.errors import InputError
 from edgestat.gm import (
     MAX_SUPPORTED_M,
+    _bounded_degree_graphs,
     _enumerate_branch,
-    _signature_cut,
+    _signatures_ordered,
     _sorted_columns,
     enumerate_gm,
     var_bound,
@@ -19,6 +20,7 @@ from edgestat.gm import (
 from edgestat.poly import canonical_form, gm_membership
 
 from helpers import (
+    bounded_degree_masks,
     canonical_form_unpruned,
     max_structure_stats,
     permute_variables,
@@ -42,6 +44,11 @@ REFERENCE_PER_S = {
 #: Canonical searches the generator runs per m; completing every skeleton
 #: with every LL set, without the order cuts, runs 15,594 at m = 5.
 REFERENCE_SEARCHES = {1: 1, 2: 4, 3: 18, 4: 150, 5: 4026}
+
+#: The m = 6 branches cheap enough to check against the uncut oracle, as
+#: (|L|, #quadratic-only vertices), and the canonical searches they run.
+CHEAP_M6_BRANCHES = [(1, q) for q in range(6)] + [(2, q) for q in range(5)] + [(3, q) for q in range(4)]
+CHEAP_M6_SEARCHES = 3516
 
 #: sha256 of the newline-joined key texts, pinned so that a change to the
 #: canonical search cannot silently change the published keys.
@@ -180,12 +187,27 @@ def test_skeleton_capacities_equal_literal_membership(m):
             assert emitted == accepted, (m, t, q)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_order_cuts_keep_every_class_of_every_branch(m):
-    for t in range(1, m + 1):
-        for q in range(t * (m - t) + 1):
-            classes, _ = _enumerate_branch((m, t, q))
-            assert {key.code for key in classes} == uncut_codes(m, t, q), (m, t, q)
+    if m == 6:
+        branches, want_searches = CHEAP_M6_BRANCHES, CHEAP_M6_SEARCHES
+    else:
+        branches = [(t, q) for t in range(1, m + 1) for q in range(t * (m - t) + 1)]
+        want_searches = REFERENCE_SEARCHES[m]
+    searches = 0
+    for t, q in branches:
+        classes, n = _enumerate_branch((m, t, q))
+        searches += n
+        assert {key.code for key in classes} == uncut_codes(m, t, q), (m, t, q)
+    assert searches == want_searches
+
+
+def test_bounded_degree_graphs_equal_mask_oracle():
+    for q in range(7):
+        for d in range(q):
+            got = list(_bounded_degree_graphs(q, d))
+            assert len(got) == len(set(got)), (q, d)
+            assert set(got) == set(bounded_degree_masks(q, d)), (q, d)
 
 
 def test_sorted_columns_equal_undo_oracle_on_every_branch():
@@ -197,7 +219,7 @@ def test_sorted_columns_equal_undo_oracle_on_every_branch():
 
 def test_signature_cut_on_one_run_is_the_degree_cut():
     # With every vertex in one run a signature reduces to the degree, so the
-    # cut keeps exactly the edge sets whose degrees do not increase.
+    # predicate holds exactly for the edge sets whose degrees do not increase.
     for t in range(7):
         pairs = list(itertools.combinations(range(t), 2))
         graphs = [[pair for i, pair in enumerate(pairs) if mask >> i & 1] for mask in range(1 << len(pairs))]
@@ -206,7 +228,7 @@ def test_signature_cut_on_one_run_is_the_degree_cut():
             deg = [sum(v in pair for pair in edges) for v in range(t)]
             if deg == sorted(deg, reverse=True):
                 want.append(edges)
-        assert _signature_cut(iter(graphs), [0] * t) == want, t
+        assert [edges for edges in graphs if _signatures_ordered(edges, [0] * t)] == want, t
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

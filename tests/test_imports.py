@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is read somewhere in that
-module, every module-level constant, private function or class and type
-alias is read somewhere in the package, and the package namespace holds
-only its modules."""
+"""Every name a module of the package or of the test suite imports is read
+somewhere in that module, every module-level constant, private function or
+class and type alias is read somewhere in the package, every function of
+``tests/helpers.py`` is read somewhere in the test suite, and the package
+namespace holds only its modules."""
 
 import ast
 import os
@@ -13,6 +14,8 @@ import edgestat
 
 SRC = os.path.dirname(edgestat.__file__)
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+TEST_MODULES = sorted(name for name in os.listdir(TESTS) if name.endswith(".py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +44,12 @@ def test_no_unused_imports(module):
         assert unused_imports(fh.read()) == []
 
 
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_no_unused_imports_in_tests(module):
+    with open(os.path.join(TESTS, module), encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom fractions import Fraction\nos.sep\n") == ["Fraction (line 2)"]
     assert unused_imports("from x import y  # noqa: F401\n") == []
@@ -58,10 +67,10 @@ def read_names(trees) -> set[str]:
     return read
 
 
-def package_sources() -> dict[str, str]:
+def package_sources(directory=SRC, modules=MODULES) -> dict[str, str]:
     sources = {}
-    for module in MODULES:
-        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+    for module in modules:
+        with open(os.path.join(directory, module), encoding="utf-8") as fh:
             sources[module] = fh.read()
     return sources
 
@@ -137,6 +146,25 @@ def test_scan_finds_an_unread_private_helper_and_type_alias():
     assert unread_helpers({"a.py": dead}) == [
         "Maybe (a.py)", "Pair (a.py)", "Row (a.py)", "_Gone (a.py)", "_dead (a.py)",
     ]
+
+
+def unread_functions(sources: dict[str, str], module: str) -> list[str]:
+    """Module-level functions of ``module`` that no module of ``sources`` reads."""
+    read = read_names(ast.parse(source) for source in sources.values())
+    return sorted(node.name for node in ast.parse(sources[module]).body
+                  if isinstance(node, ast.FunctionDef) and node.name not in read)
+
+
+def test_every_test_helper_is_read():
+    # An oracle left behind after the last test that compared against it fails here.
+    assert unread_functions(package_sources(TESTS, TEST_MODULES), "helpers.py") == []
+
+
+def test_scan_finds_an_unread_function():
+    sources = {"helpers.py": "def oracle():\n    pass\n\n\ndef _part():\n    pass\n\n\nx = _part()\n",
+               "test_a.py": "from helpers import oracle\n\noracle()\n"}
+    assert unread_functions(sources, "helpers.py") == []
+    assert unread_functions({"helpers.py": sources["helpers.py"]}, "helpers.py") == ["oracle"]
 
 
 def test_package_binds_only_its_modules():

@@ -89,6 +89,21 @@ def test_tampered_report_is_rejected():
         report_from_json({"name": "incomplete"})
 
 
+def test_report_flags_read_exactly():
+    # A stored "passed": "false" used to load as passed, and "ok": "no" as ok.
+    data = check_better34_inequalities().to_json()
+    assert data["passed"] is True
+    passed_text = json.loads(json.dumps(data))
+    passed_text["passed"] = "false"
+    ok_text = json.loads(json.dumps(data))
+    ok_text["checks"][0]["ok"] = "no"
+    for bad in (passed_text, ok_text):
+        with pytest.raises(InputError, match="malformed report JSON"):
+            report_from_json(bad)
+        with pytest.raises(InputError, match="malformed report JSON"):
+            reverify(bad)
+
+
 # ---------------------------------------------------------------------------
 # Reduction bound
 # ---------------------------------------------------------------------------
