@@ -9,8 +9,12 @@ only on how many of its vertices fall in each part, so
 cases and changes only the term: the hypergeometric one on an n-vertex host,
 and in the n -> infinity limit the multinomial one with the part fractions.
 The walk carries the free slots and the edges so far down to each node and
-ends a part's loop at the first overshoot; one closed form for the largest
-clique under ell serves it and :func:`clique_decomposition`.
+ends a part's loop at the first overshoot.  It lists the counts of every
+explicit part but the last: given those, the edge count is a quadratic in the
+last part's count (the background takes the rest), so its integer roots are
+solved for in closed form.  The :data:`VECTOR_CAP` guard still counts the
+full product of the parts' ranges.  One closed form for the largest clique
+under ell serves the walk and :func:`clique_decomposition`.
 """
 
 from __future__ import annotations
@@ -163,17 +167,41 @@ def _largest_clique(ell: int) -> int:
     return (1 + math.isqrt(8 * ell + 1)) // 2
 
 
+def _integer_roots(a: int, b: int, d: int, top: int) -> Sequence[int]:
+    """The integers c in 0..top with a c^2 + b c + d == 0: every one when all
+    three coefficients are 0, else the at most two exact roots, found with
+    :func:`math.isqrt` and confirmed by substitution."""
+    if a == 0 == b:
+        return range(top + 1) if d == 0 else ()
+    if a == 0:
+        roots = {-d // b}
+    else:
+        disc = b * b - 4 * a * d
+        if disc < 0:
+            return ()
+        r = math.isqrt(disc)
+        roots = {(-b - r) // (2 * a), (-b + r) // (2 * a)}
+    return [c for c in roots if 0 <= c <= top and (a * c + b) * c + d == 0]
+
+
 def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None) -> Fraction:
     """Exact probability that a uniform k-subset induces ell edges: on the
     n-vertex host when n is given, else in the n -> infinity limit.
 
     The sum runs over the part-count vectors c (background last) whose
-    induced edge count is ell.  The walk carries the free slots and the edges
-    so far: c vertices of the next part add c times the counts of the earlier
-    parts joined to it, plus C(c, 2) for a clique, and no later part removes
-    an edge, so the loop ends at the first c past ell.  The background takes
-    the free slots at the leaf.  :func:`_largest_clique` bounds the clique
-    parts, which also sizes the :data:`VECTOR_CAP` guard.
+    induced edge count is ell.  The walk carries the free slots, the edges
+    so far and the term's factors so far: c vertices of the next part add c
+    times the counts of the earlier parts joined to it, plus C(c, 2) for a
+    clique, and no later part removes an edge, so the loop ends at the first
+    c past ell.  It stops one part early: with ``left`` free
+    slots, E edges so far, J of the chosen vertices joined to the last
+    explicit part P and B joined to the background, c vertices in P and the
+    rest in the background give E + cJ + q C(c, 2) + (left - c)(B + x c)
+    edges, q = 1 for a clique P and x = 1 when P is joined to the background.
+    So c solves the integer quadratic (q - 2x) c^2 + (2J - q - 2B + 2x left) c
+    + 2(E + left B - ell) = 0 (:func:`_integer_roots`).  :func:`_largest_clique`
+    bounds the clique parts, and the :data:`VECTOR_CAP` guard still counts the
+    product of every explicit part's range, P's included.
 
     With s_i the :func:`_part_sizes`, the finite term is prod C(s_i, c_i)
     over C(n, k).  For fixed k the part counts converge to a multinomial draw,
@@ -203,32 +231,37 @@ def limit_probability(family: PartFamily, k: int, ell: int, n: int | None = None
     needed = math.prod(ranges)
     if needed > VECTOR_CAP:
         raise ResourceLimitError(f"the sum would visit {needed} count vectors (cap {VECTOR_CAP})")
+    if not t:
+        return Fraction(int(ell == 0))
+    last = t - 1
+    joins = [[j for j in range(i) if (j, i) in family.cross] for i in range(t + 1)]
+    q, x = int(family.clique[last]), int(last in joins[t])
+
+    def factor(i: int, left: int, c: int) -> int:
+        """Part i's factor of the term, with c of the ``left`` free slots."""
+        return math.comb(weights[i], c) if n is not None else math.comb(left, c) * weights[i] ** c
+
     total = 0
 
-    def walk(counts: list[int], left: int, edges: int) -> None:
+    def walk(counts: list[int], left: int, edges: int, prefix: int) -> None:
         nonlocal total
         i = len(counts)
-        joined = sum(c for j, c in enumerate(counts) if (j, i) in family.cross)
-        if i == t:
-            if edges + left * joined != ell:
-                return
-            counts = counts + [left]
-            if n is not None:
-                term = math.prod(math.comb(s, c) for s, c in zip(weights, counts))
-            else:
-                term, rem = 1, k
-                for c, a in zip(counts, weights):
-                    term *= math.comb(rem, c) * a**c
-                    rem -= c
-            total += term
+        if i == last:
+            to_last = sum(counts[j] for j in joins[last])  # J
+            to_back = sum(counts[j] for j in joins[t] if j != last)  # B
+            roots = _integer_roots(q - 2 * x, 2 * to_last - q - 2 * to_back + 2 * x * left,
+                                   2 * (edges + left * to_back - ell), min(ranges[last] - 1, left))
+            for c in roots:
+                total += prefix * factor(last, left, c) * factor(t, left - c, left - c)
             return
+        joined = sum(counts[j] for j in joins[i])
         for c in range(min(ranges[i] - 1, left) + 1):
             grown = edges + c * joined + (math.comb(c, 2) if family.clique[i] else 0)
             if grown > ell:
                 break
-            walk(counts + [c], left - c, grown)
+            walk(counts + [c], left - c, grown, prefix * factor(i, left, c))
 
-    walk([], k, 0)
+    walk([], k, 0, 1)
     return Fraction(total, denominator)
 
 

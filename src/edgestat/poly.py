@@ -116,18 +116,30 @@ def substitute(f: MultilinearPoly, i: int, bit: int) -> MultilinearPoly:
     return MultilinearPoly(f.num_vars - 1, constant, linear, quadratic)
 
 
-def _slot_steps(f: MultilinearPoly) -> list[tuple[int, int, int, dict[int, int]]]:
+def _slot_steps(f: MultilinearPoly) -> list[tuple[int, int, int, dict[int, int], tuple | None]]:
     """The read slots of ``f`` in the order :func:`value_weight_counts` sets
-    them, each as ``(slot, keep, bit, pairs)``: ``keep`` is the frontier after
-    the step, so masking with it clears the bits the step releases; ``bit`` is
-    the slot's own frontier bit, or 0; ``pairs`` maps each coefficient to the
-    mask of the slot's neighbours placed before it.
+    them, each as ``(slot, keep, bit, pairs, twins)``: ``keep`` is the
+    frontier after the step, so masking with it clears the bits the step
+    releases; ``bit`` is the slot's own frontier bit, or 0; ``pairs`` maps each
+    coefficient to the mask of the slot's neighbours placed before it;
+    ``twins`` is None or ``(held, fills)``, described below.
 
     The slots with a quadratic term come first, next always the one that
     leaves the fewest frontier bits, the lowest label on ties.  Placing v adds
     v to the frontier if it has an unplaced neighbour, and drops each frontier
     neighbour whose only unplaced neighbour is v (the ``single`` mask).  The
     slots read only linearly come last; they never touch the frontier.
+
+    Two slots are twins when every quadratic term of each has the same
+    coefficient c, for both the same c, and they have the same partners apart
+    from each other: open twins share their partner mask, closed twins (joined
+    to each other by c) their partner mask plus their own bit.  Twins that are
+    both placed have the same unplaced partners, so they sit in the frontier
+    together and leave it at the same step.  Twinship is an equivalence, and
+    a slot is never both an open and a closed twin, so each slot lies in at
+    most one group.  When a step places a member of a group and leaves two or
+    more of its placed members in the frontier, ``held`` is the mask of those
+    members and ``fills[j]`` the mask of the j lowest of them.
     """
     by_coef: dict[int, dict[int, int]] = {}  # slot -> {coefficient: mask of the neighbours with it}
     for (a, b), c in f.quadratic.items():
@@ -156,8 +168,22 @@ def _slot_steps(f: MultilinearPoly) -> list[tuple[int, int, int, dict[int, int]]
             left = (nbr[u] & unplaced).bit_count()
             frontier = frontier | 1 << u if left else frontier & ~(1 << u)
             single = single | 1 << u if left == 1 else single & ~(1 << u)
-        steps.append((v, frontier, frontier & 1 << v, pairs))
-    steps += [(v, 0, 0, {}) for v in f.linear if v not in nbr]
+        twins = None
+        if frontier >> v & 1 and len(by_coef[v]) == 1:  # v's placed twins are in the frontier with it
+            held, rest = 1 << v, frontier & ~(1 << v)
+            while rest:
+                u = rest.bit_length() - 1
+                rest ^= 1 << u
+                if not (nbr[u] ^ mv) & ~(1 << u | 1 << v) and by_coef[u].keys() == by_coef[v].keys():
+                    held |= 1 << u
+            if held & held - 1:
+                fills, rest = [0], held
+                while rest:
+                    fills.append(fills[-1] | rest & -rest)
+                    rest &= rest - 1
+                twins = (held, fills)
+        steps.append((v, frontier, frontier & 1 << v, pairs, twins))
+    steps += [(v, 0, 0, {}, None) for v in f.linear if v not in nbr]
     return steps
 
 
@@ -181,25 +207,36 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
     assignment extends to; and C(u, j) <= C(n, w + j) by Vandermonde, so no
     binomial built exceeds the cap.  The cap counts assignments, so it holds
     whatever the order.
+
+    A frontier keeps only how many placed members of each twin group it
+    holds, as the group's lowest labels (``fills``), so states that differ
+    only inside a group merge.  This is exact: swapping the bits of two placed
+    twins u and w changes no later step.  A later slot z other than u and w
+    reads both with the same coefficient or neither, so its value term
+    ``c * (nbrs & mask).bit_count()`` is unchanged; u and w leave the frontier
+    at the same step, so ``keep`` clears both or neither; and a step's own
+    ``bit`` is its unplaced slot's.  A slot with two coefficients is in no
+    group, since a later slot may read it with a different one.
     """
     n = f.num_vars
     if weights is None:
         weights = range(n + 1)
     lo, hi = weights.start, weights.stop - 1
-    needed, term = 0, 1  # C(n, j) for j up to min(lo, n - lo), so C(n, lo) if the cap holds
-    for j in range(min(lo, n - lo)):
-        term = term * (n - j) // (j + 1)
-        if term > ASSIGNMENT_CAP:
-            break
-    for w in weights:  # term is C(n, w) while the sum stays within the cap
-        needed += term
-        if needed > ASSIGNMENT_CAP:
-            raise ResourceLimitError(f"{n} variables at weight {lo}..{hi} have more assignments "
-                                     f"than the cap of {ASSIGNMENT_CAP}")
-        term = term * (n - w) // (w + 1)
+    if n >= ASSIGNMENT_CAP.bit_length():  # else all 2**n assignments are within the cap
+        needed, term = 0, 1  # C(n, j) for j up to min(lo, n - lo), so C(n, lo) if the cap holds
+        for j in range(min(lo, n - lo)):
+            term = term * (n - j) // (j + 1)
+            if term > ASSIGNMENT_CAP:
+                break
+        for w in weights:  # term is C(n, w) while the sum stays within the cap
+            needed += term
+            if needed > ASSIGNMENT_CAP:
+                raise ResourceLimitError(f"{n} variables at weight {lo}..{hi} have more assignments "
+                                         f"than the cap of {ASSIGNMENT_CAP}")
+            term = term * (n - w) // (w + 1)
     steps = _slot_steps(f)
     states: dict[tuple[int, int, int], int] = {(f.constant, 0, 0): 1}
-    for i, (v, keep, bit, below) in enumerate(steps):
+    for i, (v, keep, bit, below, twins) in enumerate(steps):
         lin = f.linear.get(v, 0)
         pairs = below.items()
         floor = lo - (n - 1 - i)  # least weight that still reaches the window, unread slots included
@@ -215,13 +252,22 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
                 weight += 1
                 key = (value + lin, weight, (mask & keep) | bit if weight < hi else 0)
                 nxt[key] = nxt.get(key, 0) + count
-        states = nxt
+        if twins:
+            held, fills = twins
+            while nxt:
+                (value, weight, mask), count = nxt.popitem()
+                key = (value, weight, mask & ~held | fills[(mask & held).bit_count()])
+                states[key] = states.get(key, 0) + count
+        else:
+            states = nxt
     unread = n - len(steps)
+    least = max(0, lo - len(steps))  # fewest unread ones a state can take
+    ways = [math.comb(unread, j) for j in range(least, min(unread, hi) + 1)]
     counts: dict[int, dict[int, int]] = {}
     for (value, weight, _), count in states.items():
         per = counts.setdefault(value, {})
         for w in range(max(lo, weight), min(hi, weight + unread) + 1):
-            per[w] = per.get(w, 0) + count * math.comb(unread, w - weight)
+            per[w] = per.get(w, 0) + count * ways[w - weight - least]
     return counts
 
 

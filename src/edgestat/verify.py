@@ -342,7 +342,7 @@ def verify_star_search(
 
 def _require_antichain(n: int, sets: Sequence[frozenset[int]]) -> None:
     for a in sets:
-        if not a <= set(range(n)):
+        if not all(0 <= v < n for v in a):
             raise InputError(f"set {sorted(a)} not inside the ground set of size {n}")
     if len(set(sets)) != len(sets):
         raise InputError("duplicate sets are not allowed in an antichain")

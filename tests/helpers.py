@@ -155,6 +155,54 @@ def limit_law_by_words(family, k):
     return law
 
 
+def limit_probability_full_walk(family, k, ell, n=None):
+    """Oracle for ``constructions.limit_probability``: the walk as it was
+    before the last explicit part's count was solved for, which loops over
+    every part's count and gives the background the free slots at the leaf.
+    Inputs are taken as valid."""
+    t = len(family.fractions)
+    if n is None:
+        den = math.lcm(*(c.denominator for c in family.fractions))
+        weights = [c.numerator * (den // c.denominator) for c in family.fractions]
+        weights.append(den - sum(weights))
+        denominator = den**k
+    else:
+        weights = [math.floor(c * n) for c in family.fractions]
+        weights.append(n - sum(weights))
+        denominator = math.comb(n, k)
+    if ell < 0:
+        return Fraction(0)
+    largest = (1 + math.isqrt(8 * ell + 1)) // 2
+    ranges = [min(largest, k) + 1 if q else k + 1 for q in family.clique]
+    total = 0
+
+    def walk(counts, left, edges):
+        nonlocal total
+        i = len(counts)
+        joined = sum(c for j, c in enumerate(counts) if (j, i) in family.cross)
+        if i == t:
+            if edges + left * joined != ell:
+                return
+            counts = counts + [left]
+            if n is not None:
+                term = math.prod(math.comb(s, c) for s, c in zip(weights, counts))
+            else:
+                term, rem = 1, k
+                for c, a in zip(counts, weights):
+                    term *= math.comb(rem, c) * a**c
+                    rem -= c
+            total += term
+            return
+        for c in range(min(ranges[i] - 1, left) + 1):
+            grown = edges + c * joined + (math.comb(c, 2) if family.clique[i] else 0)
+            if grown > ell:
+                break
+            walk(counts + [c], left - c, grown)
+
+    walk([], k, 0)
+    return Fraction(total, denominator)
+
+
 def poly_from_json(data):
     """Inverse of ``poly.poly_to_json``, the oracle for its exact round trip."""
     linear = {i - 1: c for i, c in data["lin"]}

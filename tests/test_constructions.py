@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import mpmath
@@ -15,6 +16,7 @@ import pytest
 from edgestat.constructions import (
     HostGraph,
     PartFamily,
+    _integer_roots,
     bipartite_family,
     blocker_with_buffer_family,
     build_host,
@@ -30,8 +32,15 @@ from edgestat.constructions import (
     verify_poisson_emergence,
 )
 from edgestat.errors import InputError, ResourceLimitError
+from edgestat.poly import _slot_steps, value_weight_counts
 
-from helpers import complement, limit_law_by_words, random_part_family
+from helpers import (
+    complement,
+    limit_law_by_words,
+    limit_probability_full_walk,
+    random_part_family,
+    value_weight_counts_label_order,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +209,28 @@ def test_edge_count_dist_whole_graph_is_deterministic():
     assert dist.probs == {2: Fraction(1)}
 
 
+#: Hosts whose parts are twin groups: the independent part of a bipartite
+#: host (open twins), a clique part (closed twins) and the background.
+TWIN_RICH_FAMILIES = {
+    "bipartite": bipartite_family(2, 5),
+    "bipartite-plus-clique": bipartite_family(1, 4, with_clique=True),
+    "crossed": crossed_clique_family(1, 2, 5),
+    "cliques": clique_union_family((2, 3), 6),
+}
+
+
+@pytest.mark.parametrize("name", list(TWIN_RICH_FAMILIES))
+def test_twin_rich_host_tables_equal_label_order_oracle(name):
+    """On these hosts the table merges states inside twin groups; at the
+    k-slice window and at every weight up to k it must equal the label-order
+    table, which merges none."""
+    for n in (16, 24):
+        f = edge_polynomial(build_host(TWIN_RICH_FAMILIES[name], n))
+        assert any(twins for *_, twins in _slot_steps(f)), (name, n)
+        for window in (range(4, 5), range(0, 5)):
+            assert value_weight_counts(f, window) == value_weight_counts_label_order(f, window), (name, n, window)
+
+
 # ---------------------------------------------------------------------------
 # Limits
 # ---------------------------------------------------------------------------
@@ -318,6 +349,83 @@ def test_limit_probability_matches_word_sum_oracle(name):
         law = limit_law_by_words(family, k)
         ells = range(-1, math.comb(k, 2) + 2)
         assert [limit_probability(family, k, ell) for ell in ells] == [law.get(ell, 0) for ell in ells], k
+
+
+def _any_part_family(rng):
+    """0-4 parts of fractions a_i/D (D <= 8), random clique flags and random
+    cross pairs, the background's included; every part is nonempty at n >= D."""
+    parts = rng.randint(0, 4)
+    den = rng.randint(parts + 1, 8)
+    cuts = sorted(rng.sample(range(1, den + 1), parts))
+    fractions = tuple(Fraction(b - a, den) for a, b in zip([0] + cuts, cuts))
+    clique = tuple(rng.random() < 0.5 for _ in range(parts))
+    cross = frozenset(pair for pair in combinations(range(parts + 1), 2) if rng.random() < 0.5)
+    return PartFamily(fractions, clique, cross), den
+
+
+def test_limit_probability_equals_full_walk_oracle():
+    rng = random.Random(127)
+    for _ in range(24):
+        family, den = _any_part_family(rng)
+        k = rng.randint(0, min(14, 18 - 2 * len(family.fractions)))  # k <= 10 at four parts
+        for n in (None, rng.randint(max(k, den), 40)):
+            for ell in range(-1, math.comb(k, 2) + 2):
+                got = limit_probability(family, k, ell, n)
+                assert got == limit_probability_full_walk(family, k, ell, n), (family, k, ell, n)
+
+
+#: One family per branch of the last part's quadratic (q - 2x) c^2 + b c + d,
+#: with its exact limit: (family, k, ell, limit).
+SOLVE_CASES = {
+    # an edgeless part with nothing joined: every count of it qualifies
+    "every_c": (PartFamily((Fraction(1, 2),), (False,)), 4, 0, Fraction(1)),
+    # an edgeless part joined to the part before it: c0 * c = 3
+    "linear": (PartFamily((Fraction(1, 3), Fraction(1, 3)), (False, False), frozenset({(0, 1)})),
+               4, 3, Fraction(8, 81)),
+    # c (5 - c) = 4 at c = 1 and c = 4
+    "two_roots": (bipartite_family(1, 5), 5, 4, Fraction(52, 125)),
+    # c (4 - c) = 4 only at c = 2
+    "double_root": (bipartite_family(1, 2), 4, 4, Fraction(3, 8)),
+    # c (4 - c) = 5 has no real root
+    "no_real_root": (bipartite_family(1, 2), 4, 5, Fraction(0)),
+    # c (5 - c) = 5 has the irrational roots (5 +- sqrt 5) / 2
+    "irrational_roots": (bipartite_family(1, 5), 5, 5, Fraction(0)),
+    # C(c, 2) = 6 at c = 4 > k = 3 and at c = -3
+    "roots_outside": (clique_union_family((2,), 4), 3, 6, Fraction(0)),
+}
+
+
+@pytest.mark.parametrize("name", list(SOLVE_CASES))
+def test_limit_probability_solve_branches(name):
+    family, k, ell, want = SOLVE_CASES[name]
+    assert limit_probability(family, k, ell) == limit_probability_full_walk(family, k, ell) == want
+    n = 4 * k
+    assert limit_probability(family, k, ell, n) == limit_probability_full_walk(family, k, ell, n)
+
+
+def test_integer_roots():
+    assert list(_integer_roots(0, 0, 0, 3)) == [0, 1, 2, 3]
+    assert list(_integer_roots(0, 0, 1, 3)) == []
+    assert list(_integer_roots(0, 2, -6, 3)) == [3]
+    assert list(_integer_roots(0, 2, -5, 3)) == []  # c = 5/2
+    assert list(_integer_roots(0, 2, -8, 3)) == []  # c = 4 > top
+    assert sorted(_integer_roots(-2, 10, -8, 5)) == [1, 4]  # 2(c (5 - c) - 4)
+    assert list(_integer_roots(-2, 8, -8, 4)) == [2]
+    assert list(_integer_roots(-2, 8, -10, 4)) == []
+    assert list(_integer_roots(-2, 10, -10, 5)) == []
+    assert list(_integer_roots(1, -1, -12, 3)) == []  # c = 4 > top, c = -3
+
+
+def test_limit_probability_equals_full_walk_at_slice_scale():
+    """The families and k the ``slice`` workload runs, at a few ell around
+    the typical edge count."""
+    for family, k, ells in (
+        (blocker_with_buffer_family(1, 2, 6), 240, (6160, 6400, 6520)),
+        (crossed_clique_family(1, 3, 7), 150, (4575, 4725, 4800)),
+        (clique_union_family((3, 2, 4), 12), 45, (143, 188, 210)),
+    ):
+        for ell in ells:
+            assert limit_probability(family, k, ell) == limit_probability_full_walk(family, k, ell), (family, ell)
 
 
 def test_limit_probability_finite_n_reference_points():

@@ -231,8 +231,21 @@ def test_value_weight_counts_frontier_shapes_equal_label_order_oracle(shape):
         assert value_weight_counts(f, window) == value_weight_counts_label_order(f, window), (shape, n, window)
 
 
+def _twins(f, u, w):
+    """Oracle for twin slots: each has one coefficient, and swapping them
+    leaves ``f.quadratic`` unchanged."""
+    for v in (u, w):
+        if len({c for pair, c in f.quadratic.items() if v in pair}) != 1:
+            return False
+    swap = {u: w, w: u}
+    swapped = {tuple(sorted(swap.get(a, a) for a in pair)): c for pair, c in f.quadratic.items()}
+    return swapped == f.quadratic
+
+
 def _steps_from_order(f, order):
-    """``_slot_steps``' tuples recomputed from the order alone."""
+    """``_slot_steps``' tuples recomputed from the order alone, the twin data
+    from :func:`_twins`: the placed twins of the step's slot that a later slot
+    reads, the slot included, when there are two or more."""
     nbrs = {v: {} for v in order}  # slot -> {neighbour: coefficient}
     for (a, b), c in f.quadratic.items():
         nbrs[a][b] = nbrs[b][a] = c
@@ -244,7 +257,12 @@ def _steps_from_order(f, order):
         for u in order[:i]:
             if u in nbrs[v]:
                 pairs[nbrs[v][u]] = pairs.get(nbrs[v][u], 0) | 1 << u
-        steps.append((v, keep, keep & 1 << v, pairs))
+        held = [u for u in order[:i + 1] if keep >> u & 1 and keep >> v & 1 and (u == v or _twins(f, u, v))]
+        twins = None
+        if len(held) >= 2:
+            held.sort()
+            twins = (sum(1 << u for u in held), [sum(1 << u for u in held[:j]) for j in range(len(held) + 1)])
+        steps.append((v, keep, keep & 1 << v, pairs, twins))
     return steps
 
 
@@ -257,6 +275,15 @@ def test_slot_steps():
     linear_last = unit_form(5, [0, 2, 4], [(1, 3)])
     path = unit_form(10, [], [(i, i + 1) for i in range(9)])  # label order already keeps one bit open
     signed = MultilinearPoly(5, 1, {0: 2, 4: -1}, {(0, 1): 3, (0, 2): -2, (1, 2): 3, (2, 3): 3})
+    # x1, x2, x3 all read by x4 and x5 with coefficient -2: open twins, held together in the frontier.
+    open_twins = MultilinearPoly(5, 0, {0: 1}, {(a, b): -2 for a in range(3) for b in (3, 4)})
+    # x1..x4 a 4-clique with coefficient 3, every one read by x5 and x6: closed twins.
+    closed_twins = MultilinearPoly(6, 0, {}, {**{pair: 3 for pair in combinations(range(4), 2)},
+                                              **{(a, b): 3 for a in range(4) for b in (4, 5)}})
+    # Same partners, different coefficients: x1 reads x3, x4 with 1, x2 with 2.
+    unequal = MultilinearPoly(4, 0, {}, {(0, 2): 1, (0, 3): 1, (1, 2): 2, (1, 3): 2})
+    # Two coefficients each: swapping x1 and x2 leaves the form unchanged, but neither is a twin.
+    two_coefficients = MultilinearPoly(4, 0, {}, {(0, 2): 1, (0, 3): 2, (1, 2): 1, (1, 3): 2})
     orders = {
         "split": (split, [0, 2, 3, 1, 4, 5]),
         "hubs": (hubs, [w for i in range(8) for w in (i, 8 + 2 * i, 9 + 2 * i)]),
@@ -264,6 +291,10 @@ def test_slot_steps():
         "path": (path, list(range(10))),
         "no_pairs": (unit_form(8, range(8), []), list(range(8))),
         "signed": (signed, None),
+        "open_twins": (open_twins, [0, 1, 2, 3, 4]),
+        "closed_twins": (closed_twins, [0, 1, 2, 3, 4, 5]),
+        "unequal": (unequal, [0, 1, 2, 3]),
+        "two_coefficients": (two_coefficients, [0, 1, 2, 3]),
     }
     for name, (f, order) in orders.items():
         steps = _slot_steps(f)
@@ -274,7 +305,37 @@ def test_slot_steps():
         assert steps == _steps_from_order(f, got), name
         assert value_weight_counts(f) == value_weight_counts_label_order(f), name
     # x3 reads x1 with coefficient -2 and x2 with 3; x1 and x2 leave the frontier, x3 joins it.
-    assert _slot_steps(signed)[2] == (2, 1 << 2, 1 << 2, {-2: 1 << 0, 3: 1 << 1})
+    assert _slot_steps(signed)[2] == (2, 1 << 2, 1 << 2, {-2: 1 << 0, 3: 1 << 1}, None)
+    # The third open twin joins two held ones; the lowest j of the three stand for any j.
+    assert _slot_steps(open_twins)[2][4] == (0b111, [0, 0b001, 0b011, 0b111])
+    assert [step[4] is not None for step in _slot_steps(closed_twins)] == [False, True, True, True, False, False]
+    for name in ("unequal", "two_coefficients"):
+        f = orders[name][0]
+        assert not _twins(f, 0, 1) and all(step[4] is None for step in _slot_steps(f)), name
+
+
+def test_slot_steps_twins_equal_oracle_on_random_twin_forms():
+    """Forms built to have twins: every slot of a random block structure has
+    one coefficient per block pair, so the blocks' members are twins unless
+    a coefficient differs; the twin data must equal the swap oracle's."""
+    rng = random.Random(108)
+    for _ in range(150):
+        blocks = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        starts = [sum(blocks[:i]) for i in range(len(blocks))]
+        n = sum(blocks)
+        quadratic = {}
+        for i, j in combinations(range(len(blocks)), 2):
+            if rng.random() < 0.6:
+                c = rng.choice((-1, 1, 2))
+                quadratic.update({(a, b): c for a in range(starts[i], starts[i] + blocks[i])
+                                  for b in range(starts[j], starts[j] + blocks[j])})
+        for i, size in enumerate(blocks):
+            if rng.random() < 0.5:
+                quadratic.update({pair: rng.choice((1, 2)) for pair in combinations(range(starts[i], starts[i] + size), 2)})
+        f = MultilinearPoly(n, 0, {v: rng.randint(-1, 1) for v in range(n)}, quadratic)
+        steps = _slot_steps(f)
+        assert steps == _steps_from_order(f, [v for v, *_ in steps]), f
+        assert value_weight_counts(f) == _brute_force_table(f), f
 
 
 def test_value_weight_counts_guard_equals_label_order_oracle():

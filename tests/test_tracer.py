@@ -3,7 +3,7 @@
 ``perfbench/child.py`` replaces each traced function under the name its
 calling module bound it to.  A change to the package that unbinds one of
 those names fails here, not only in a traced benchmark run.  Its ``slice``
-check only bounds each limit to [0, 1], so the full digests of three seeds
+check only bounds each limit to [0, 1], so the full digests of six seeds
 are pinned here: a wrong exact law or limit changes them.
 """
 
@@ -46,6 +46,9 @@ SLICE_DIGESTS = {
     1: "e8106752afea86765a89c2adac2fce4f170978a05e772efc0fb3a516c71e099c",
     2: "ceb987450172694f384ae45c160fdcbb472a14fc87199e7f7db72eecd741c4f7",
     3: "be1e381ff289b5347616d66721240953a5b6fc6ea02d912b3d72ba516491bbb2",
+    4: "0288140c0221623c0a13a5607dc0d2e9f33a915aac47fb7e6f7d68d24d99ad23",
+    5: "28f5802ce493c09cf267ffc5a378bc6f9e50622c1639f26dfd635ba4af3aa99f",
+    6: "1655183aa7b941a091d51d51199ec811d500f4a056068c386608424ff048ef38",
 }
 
 

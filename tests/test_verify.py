@@ -384,6 +384,14 @@ def test_blym_examples():
         blym_check(3, [{0}, {0}])
 
 
+def test_blym_checks_the_ground_set_without_building_it():
+    # The check used to build set(range(n)) once per set: memory grew with n.
+    assert blym_check(10**12, [[0], [1]]) == (Fraction(2, 10**12), True)
+    for bad in (-1, 10**12):
+        with pytest.raises(InputError, match="not inside the ground set of size"):
+            blym_check(10**12, [[0], [bad]])
+
+
 def test_blym_reads_integers_exactly():
     assert blym_check("3", [["1"], [0]]) == (Fraction(2, 3), True)
     for n, antichain in ((3, [[0.5], [1]]), (3.0, [[0], [1]]), (3, [[Fraction(1, 2)], [1]])):
