@@ -52,16 +52,19 @@ def _positive(text: str) -> int:
 
 def _check_output_paths(args: argparse.Namespace) -> None:
     """Reject a ``--json``/``--csv`` path that is empty, is a directory or lies
-    in a missing one, before any work; the file itself is not opened."""
-    for path in (getattr(args, "json_path", None), getattr(args, "csv_path", None)):
-        if path is None:
-            continue
+    in a missing one, and two paths that name the same file, before any work;
+    no file is opened."""
+    paths = [path for path in (getattr(args, "json_path", None), getattr(args, "csv_path", None))
+             if path is not None]
+    for path in paths:
         if not path:
             raise InputError("cannot write an empty path")
         if os.path.isdir(path):
             raise InputError(f"cannot write {path}: is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise InputError(f"cannot write {path}: no such directory")
+    if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise InputError(f"cannot write {paths[0]} and {paths[1]}: they name the same file")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -113,14 +113,14 @@ def reduction_bound(m: int, p, ell_min: int, *, workers: int = 1) -> ReductionBo
     return ReductionBound(bound, binmax_part, gm_part, key, value)
 
 
-def optimize_p(m: int, *, workers: int = 1) -> tuple[Fraction, Fraction]:
+def optimize_p(m: int) -> tuple[Fraction, Fraction]:
     """Point of :data:`GRID` minimizing the reduction bound over values >= 2,
     with its exact bound.
 
     Exact ties are broken toward the larger p (the reference table's m=2 row
     has two exact minima, at 1/3 and 2/3, and is quoted at the larger one).
     """
-    bounds = [(p, reduction_bound(m, p, 2, workers=workers).bound) for p in GRID]
+    bounds = [(p, reduction_bound(m, p, 2).bound) for p in GRID]
     return min(bounds, key=lambda pb: (pb[1], -pb[0]))
 
 
@@ -204,7 +204,7 @@ def verify_table(workers: int = 1) -> tuple[VerificationReport, list[dict]]:
     rows: list[dict] = []
     for m, (ref_count, ref_p, ref_bound) in TABLE_REFERENCE.items():
         family = enumerate_gm(m, workers)
-        p_star, bound = optimize_p(m, workers=workers)
+        p_star, bound = optimize_p(m)
         exact[f"bound_m{m}"] = bound
         exact[f"p_star_m{m}"] = p_star
         checks.append(check(f"count_m{m}", Fraction(family.count), "==", Fraction(ref_count)))
@@ -464,20 +464,12 @@ def _blym_case(rng: random.Random) -> bool:
     return not blym_check(n, _random_antichain(rng, n))[1]
 
 
-def suite_blym(seed: int, count: int) -> int:
-    return _violations(seed, count, _blym_case)
-
-
 def _antichain_expectation_case(rng: random.Random) -> bool:
     n = rng.randint(1, 12)
     sets = _random_antichain(rng, n)
     phi = {a: Fraction(rng.randint(0, 8), 8) for a in sets}
     p = Fraction(rng.randint(1, 99), 100)
     return not antichain_expectation_check(n, phi, p)[2]
-
-
-def suite_antichain_expectation(seed: int, count: int) -> int:
-    return _violations(seed, count, _antichain_expectation_case)
 
 
 def _elo_case(rng: random.Random) -> bool:
@@ -488,10 +480,6 @@ def _elo_case(rng: random.Random) -> bool:
             num = rng.randint(-9, 9)
         coeffs.append(Fraction(num, rng.randint(1, 9)))
     return not elo_max(coeffs)[2]
-
-
-def suite_elo(seed: int, count: int) -> int:
-    return _violations(seed, count, _elo_case)
 
 
 def suite_poisson_tv(max_n: int = 50, denominators: int = 50, max_j: int = 25) -> int:
@@ -510,10 +498,6 @@ def _product_slice_case(rng: random.Random) -> bool:
     return not product_slice_tv(f, SliceSpec(n, k))[2]
 
 
-def suite_product_slice(seed: int, count: int) -> int:
-    return _violations(seed, count, _product_slice_case)
-
-
 def _random_int_poly(rng: random.Random, n: int, lo: int, hi: int) -> MultilinearPoly:
     lin = {i: rng.randint(lo, hi) for i in range(n)}
     quad = {(a, b): rng.randint(lo, hi) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4}
@@ -530,10 +514,6 @@ def _large_linear_part_case(rng: random.Random) -> bool:
     p = Fraction(rng.randint(1, 99), 100)
     ell = rng.choice(sorted(value_weight_counts(f)))
     return not large_linear_part_check(f, m, p, ell)[2]
-
-
-def suite_large_linear_part(seed: int, count: int) -> int:
-    return _violations(seed, count, _large_linear_part_case)
 
 
 def _random_unit_form(rng: random.Random) -> MultilinearPoly:
@@ -566,14 +546,14 @@ def suite_reduction_spot(seed: int, count: int) -> int:
     return _violations(seed, count, case)
 
 
-#: (suite name, callable(seed) -> violations) with acceptance-scale sizes.
+#: (suite name, callable(seed) -> violations): each binds its case and its acceptance-scale size.
 LEMMA_SUITES = {
-    "blym": lambda seed: suite_blym(seed, 1000),
-    "antichain_expectation": lambda seed: suite_antichain_expectation(seed, 1000),
-    "elo": lambda seed: suite_elo(seed, 1000),
+    "blym": lambda seed: _violations(seed, 1000, _blym_case),
+    "antichain_expectation": lambda seed: _violations(seed, 1000, _antichain_expectation_case),
+    "elo": lambda seed: _violations(seed, 1000, _elo_case),
     "poisson_tv": lambda seed: suite_poisson_tv(),
-    "product_slice_tv": lambda seed: suite_product_slice(seed, 1000),
-    "large_linear_part": lambda seed: suite_large_linear_part(seed, 1000),
+    "product_slice_tv": lambda seed: _violations(seed, 1000, _product_slice_case),
+    "large_linear_part": lambda seed: _violations(seed, 1000, _large_linear_part_case),
     "reduction_spot": lambda seed: suite_reduction_spot(seed, 250),
 }
 

@@ -578,3 +578,47 @@ def star_search_oracle(max_s, ells, p):
                     edges = tuple(pair for t, pair in enumerate(pairs) if mask >> t & 1)
                     best, witness = prob, (ell, v, edges)
     return best, witness
+
+
+def automorphism_count(key):
+    """|Aut| of the unit form a canonical key spells out, by a plain
+    backtracking search: vertex v is mapped to an unused vertex with the same
+    L membership and degree whose adjacency to the images of 0..v-1 matches
+    v's own."""
+    s, lin, edges = key.code
+    in_l = [v in lin for v in range(s)]
+    adj = [set() for _ in range(s)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    image = []
+
+    def extend(v):
+        if v == s:
+            return 1
+        total = 0
+        for w in range(s):
+            if w in image or in_l[w] != in_l[v] or len(adj[w]) != len(adj[v]):
+                continue
+            if all((u in adj[v]) == (image[u] in adj[w]) for u in range(v)):
+                image.append(w)
+                total += extend(v + 1)
+                image.pop()
+        return total
+
+    return extend(0)
+
+
+def labelled_members(m, t, q):
+    """Labelled members at threshold ``m`` with |L| = t and q quadratic-only
+    vertices: C(t + q, t) ways to place L, A attachment-column tuples, B graphs
+    on the quadratic-only vertices and 2^C(t, 2) edge sets inside L.  A counts
+    the ordered q-tuples of nonempty t-bit masks in which each row is set in
+    at most m - t masks, by brute force; B counts the labelled graphs on q
+    vertices with maximum degree at most m - 1 - t."""
+    a = sum(
+        all(sum(mask >> r & 1 for mask in cols) <= m - t for r in range(t))
+        for cols in product(range(1, 1 << t), repeat=q)
+    )
+    b = len(bounded_degree_masks(q, m - 1 - t))
+    return math.comb(t + q, t) * a * b * 2 ** math.comb(t, 2)

@@ -400,6 +400,26 @@ def test_unwritable_output_path_is_an_input_error(argv, tmp_path, capsys):
     assert kept.read_text() == "old\n"
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "--m", "3"], ["verify", "table"], ["reproduce"]])
+def test_json_and_csv_naming_one_file_is_an_input_error(argv, tmp_path, monkeypatch, capsys):
+    # The CSV used to be written first and then overwritten by the JSON.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path)
+    for json_path, csv_path in (
+        ("out.txt", "out.txt"),
+        ("out.txt", "./out.txt"),
+        (str(tmp_path / "out.txt"), "sub/../out.txt"),
+        ("link/out.txt", "out.txt"),
+    ):
+        start = time.perf_counter()
+        assert main([*argv, "--json", json_path, "--csv", csv_path]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot write {json_path} and {csv_path}: they name the same file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
+
+
 def test_output_failure_at_write_time_is_an_input_error(tmp_path, capsys):
     path = tmp_path / ("x" * 300)  # passes the early check; the name is too long to create
     assert main(["verify", "prop027", "--json", str(path)]) == 2

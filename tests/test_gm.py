@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -20,8 +21,10 @@ from edgestat.gm import (
 from edgestat.poly import canonical_form, gm_membership
 
 from helpers import (
+    automorphism_count,
     bounded_degree_masks,
     canonical_form_unpruned,
+    labelled_members,
     max_structure_stats,
     permute_variables,
     skeletons,
@@ -200,6 +203,36 @@ def test_order_cuts_keep_every_class_of_every_branch(m):
         searches += n
         assert {key.code for key in classes} == uncut_codes(m, t, q), (m, t, q)
     assert searches == want_searches
+
+
+def orbit_sum_mismatches(m, keys):
+    """Branches (|L|, #quadratic-only vertices) of threshold ``m`` where the
+    orbits s!/|Aut| of ``keys`` do not sum to the labelled member count.
+
+    Distinct keys are distinct classes, so the keys cover every labelled
+    member exactly when each branch's orbit sum equals its labelled count;
+    neither side reads the canonical search or the order cuts."""
+    sums = {}
+    for key in keys:
+        s, lin, _ = key.code
+        orbit, rest = divmod(math.factorial(s), automorphism_count(key))
+        assert rest == 0, key.text
+        branch = (len(lin), s - len(lin))
+        sums[branch] = sums.get(branch, 0) + orbit
+    want = {(t, q): labelled_members(m, t, q) for t in range(1, m + 1) for q in range(t * (m - t) + 1)}
+    return sorted(b for b in set(sums) | set(want) if sums.get(b, 0) != want.get(b, 0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_orbit_sums_equal_labelled_member_counts_on_every_branch(m):
+    assert orbit_sum_mismatches(m, enumerate_gm(m).keys) == []
+
+
+def test_orbit_sum_misses_a_dropped_key():
+    keys = enumerate_gm(4).keys
+    for i in (0, len(keys) // 2, len(keys) - 1):
+        s, lin, _ = keys[i].code
+        assert orbit_sum_mismatches(4, keys[:i] + keys[i + 1:]) == [(len(lin), s - len(lin))], keys[i].text
 
 
 def test_bounded_degree_graphs_equal_mask_oracle():

@@ -1,8 +1,9 @@
-"""Every name a module of the package or of the test suite imports is read
-somewhere in that module, every module-level constant, private function or
-class and type alias is read somewhere in the package, every function of
-``tests/helpers.py`` is read somewhere in the test suite, and the package
-namespace holds only its modules."""
+"""No module of the package holds an ``assert``, every name a module of the
+package or of the test suite imports is read somewhere in that module, every
+module-level constant, private function or class and type alias is read
+somewhere in the package, every function of ``tests/helpers.py`` is read
+somewhere in the test suite, and the package namespace holds only its
+modules."""
 
 import ast
 import os
@@ -53,6 +54,23 @@ def test_no_unused_imports_in_tests(module):
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom fractions import Fraction\nos.sep\n") == ["Fraction (line 2)"]
     assert unused_imports("from x import y  # noqa: F401\n") == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """Lines of the ``assert`` statements in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_assert_in_the_package(module):
+    # python -O strips asserts, so no verdict or guard may rest on one.
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert assert_lines(fh.read()) == []
+
+
+def test_scan_finds_an_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x > 0, 'positive'\n") == [3]
+    assert assert_lines("assertion = 'assert x'\n") == []
 
 
 def read_names(trees) -> set[str]:

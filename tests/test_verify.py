@@ -27,11 +27,6 @@ from edgestat.verify import (
     large_linear_part_check,
     optimize_p,
     reduction_bound,
-    suite_antichain_expectation,
-    suite_blym,
-    suite_elo,
-    suite_large_linear_part,
-    suite_product_slice,
     suite_reduction_spot,
     verify_counts,
     verify_prop_027,
@@ -55,6 +50,8 @@ def test_check_operators():
     assert check("a", "n1|L1|E", "==s", "n1|L1|E").ok
     with pytest.raises(InputError):
         check("a", 0.5, "<=~", 0.5)
+    with pytest.raises(InputError, match="unknown check operator '<=~'"):
+        check("a", Fraction(1, 2), "<=~", Fraction(1, 2))
     with pytest.raises(InputError):
         check("a", Fraction(1), "!=", Fraction(2))
     # 0.1 used to pass as the rounded double 3602879701896397/36028797018963968.
@@ -85,6 +82,11 @@ def test_tampered_report_is_rejected():
     forged = json.loads(json.dumps(data))
     forged["checks"][0]["lhs"] = "99/100"
     assert not reverify(forged)
+    # An operator no check applies loads, but cannot be re-applied.
+    unknown_op = json.loads(json.dumps(data))
+    unknown_op["checks"][0]["op"] = "<>"
+    with pytest.raises(InputError, match="unknown check operator '<>'"):
+        reverify(unknown_op)
     with pytest.raises(InputError):
         report_from_json({"name": "incomplete"})
 
@@ -485,11 +487,11 @@ def test_large_linear_part_reads_ell_exactly():
 
 
 def test_lemma_suites_report_no_violations_on_small_runs():
-    assert suite_blym(7, 50) == 0
-    assert suite_antichain_expectation(7, 50) == 0
-    assert suite_elo(7, 50) == 0
-    assert suite_product_slice(7, 25) == 0
-    assert suite_large_linear_part(7, 50) == 0
+    assert verify._violations(7, 50, verify._blym_case) == 0
+    assert verify._violations(7, 50, verify._antichain_expectation_case) == 0
+    assert verify._violations(7, 50, verify._elo_case) == 0
+    assert verify._violations(7, 25, verify._product_slice_case) == 0
+    assert verify._violations(7, 50, verify._large_linear_part_case) == 0
     assert suite_reduction_spot(7, 25) == 0
 
 
@@ -562,11 +564,11 @@ def test_lemma_suite_case_streams_are_pinned(monkeypatch):
             return result
 
         monkeypatch.setattr(verify, name, recorded)
-    suite_blym(7, 50)
-    suite_antichain_expectation(7, 50)
-    suite_elo(7, 50)
-    suite_product_slice(7, 25)
-    suite_large_linear_part(7, 50)
+    verify._violations(7, 50, verify._blym_case)
+    verify._violations(7, 50, verify._antichain_expectation_case)
+    verify._violations(7, 50, verify._elo_case)
+    verify._violations(7, 25, verify._product_slice_case)
+    verify._violations(7, 50, verify._large_linear_part_case)
     suite_reduction_spot(7, 25)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert calls == {
