@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,6 +33,10 @@ from .errors import InputError, ResourceLimitError, as_integer, as_pair
 
 #: Hard ceiling on the assignments one value/weight table enumerates.
 ASSIGNMENT_CAP = 1 << 24
+
+#: Bits one packed entry of a value/weight table holds at most (see
+#: :func:`value_weight_counts`); a wider value range is split into pages.
+PAGE_BITS = 1 << 12
 
 #: Canonical keys are only defined for this many variables or fewer.
 CANONICAL_VAR_CAP = 12
@@ -158,7 +163,8 @@ def _slot_steps(f: MultilinearPoly) -> list[tuple[int, int, int, dict[int, int],
             if score < best:
                 best, v, mv = score, u, m
         todo.remove((v, mv))
-        pairs = {c: m & placed for c, m in by_coef[v].items() if m & placed}
+        coefs = by_coef[v]
+        pairs = {c: m & placed for c, m in coefs.items() if m & placed} if mv & placed else {}
         placed |= 1 << v
         unplaced = ~placed
         touched = mv & frontier | 1 << v
@@ -169,12 +175,13 @@ def _slot_steps(f: MultilinearPoly) -> list[tuple[int, int, int, dict[int, int],
             frontier = frontier | 1 << u if left else frontier & ~(1 << u)
             single = single | 1 << u if left == 1 else single & ~(1 << u)
         twins = None
-        if frontier >> v & 1 and len(by_coef[v]) == 1:  # v's placed twins are in the frontier with it
-            held, rest = 1 << v, frontier & ~(1 << v)
+        rest = frontier & ~(1 << v)
+        if rest and frontier >> v & 1 and len(coefs) == 1:  # v's placed twins are in the frontier with it
+            held = 1 << v
             while rest:
                 u = rest.bit_length() - 1
                 rest ^= 1 << u
-                if not (nbr[u] ^ mv) & ~(1 << u | 1 << v) and by_coef[u].keys() == by_coef[v].keys():
+                if not (nbr[u] ^ mv) & ~(1 << u | 1 << v) and by_coef[u].keys() == coefs.keys():
                     held |= 1 << u
             if held & held - 1:
                 fills, rest = [0], held
@@ -187,26 +194,70 @@ def _slot_steps(f: MultilinearPoly) -> list[tuple[int, int, int, dict[int, int],
     return steps
 
 
+def _extreme_sums(values, count: int) -> tuple[int, int]:
+    """The least and the greatest sum of at most ``count`` of ``values``: the
+    ``count`` most negative ones and the ``count`` most positive ones.  When
+    ``count`` covers every value these are the sums of the negative and of
+    the positive values, read off the total and the absolute total unsorted."""
+    if count < len(values):
+        values = sorted(values)
+        return (sum(values[:min(count, bisect_left(values, 0))]),
+                sum(values[max(len(values) - count, bisect_right(values, 0)):]))
+    total, size = sum(values), sum(map(abs, values))
+    return (total - size) // 2, (total + size) // 2
+
+
 def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dict[int, dict[int, int]]:
     """Exact table ``value -> {weight -> count}`` over the assignments with
-    weight in ``weights``, a step-1 range within 0..num_vars (default: all).
+    weight in ``weights``, a non-empty step-1 range within 0..num_vars
+    (default: all); any other window is an :class:`InputError`.
 
     Weight is the number of ones.  The slots some term reads are set one at a
-    time; the state is ``(value, weight, frontier) -> count``, where the
-    frontier holds the set bits a later slot still reads, and a bit leaves it
-    once its last quadratic partner is placed, so assignments that agree on
-    all three merge.  The table does not depend on the order the slots are
-    set in, but the number of states does, so :func:`_slot_steps` sets it by a
-    greedy walk that keeps the frontier narrow.  A state leaves once it cannot
-    end in the window, with the u unread slots still to come, and at its top
-    weight the frontier empties.  The unread slots then come in one step:
-    weight w goes to w + j in C(u, j) ways.  The cap bounds the sum of C(n, w)
-    over the window: 2**n for all weights, and at most C(N, k) for the weights
-    a k-subset of N slots gives, ``range(max(0, k - (N - n)), min(k, n) + 1)``,
-    as each assignment in that window extends to k-subsets no other
+    time, in the order of :func:`_slot_steps`, which keeps the frontier narrow:
+    the frontier holds the set bits a later slot still reads, and a bit leaves
+    it once its last quadratic partner is placed.  A state leaves once it
+    cannot end in the window, with the u unread slots still to come, and at
+    its top weight the frontier empties.  The unread slots then come in one
+    step: weight w goes to w + j in C(u, j) ways.  The cap bounds the sum of
+    C(n, w) over the window: 2**n for all weights, and at most C(N, k) for the
+    weights a k-subset of N slots gives, ``range(max(0, k - (N - n)), min(k, n)
+    + 1)``, as each assignment in that window extends to k-subsets no other
     assignment extends to; and C(u, j) <= C(n, w + j) by Vandermonde, so no
     binomial built exceeds the cap.  The cap counts assignments, so it holds
     whatever the order.
+
+    The table is keyed by ``(weight, frontier, page)`` and each entry packs
+    the counts of all its values into one int, ``width`` bits per value, so
+    taking a slot moves every value of an entry with one shift.  Two bounds
+    make the packing exact:
+
+    * A state has at most ``hi`` ones, so its partial value lies between the
+      constant plus the ``hi`` most negative linear and the C(hi, 2) most
+      negative quadratic coefficients (``least``) and the matching sum of
+      positive ones: value - ``least`` is a digit index in 0..``span`` - 1.
+    * A digit counts partial assignments that each extend to a different
+      assignment in the window, so it never exceeds the window's assignment
+      count: the guard's ``needed``, or 2**n below the guard's size.
+      ``width`` is that count's bit length, so a count never carries into the
+      next digit.
+
+    Page p holds the digits of indices p*P .. p*P + P - 1, P = ``page`` =
+    min(span, PAGE_BITS // width), so an entry is at most PAGE_BITS bits and
+    a coefficient of 10**9 costs a few pages, not 10**9 digits.  Taking slot v
+    adds the same d to every value of an entry, as d reads the entry's mask
+    only; with d = q*P + r and 0 <= r < P, the left shift by r digits is
+    exact, since no digit carries, and the digits land on pages p + q and
+    p + q + 1: the low P digits are masked off and the right shift by P
+    digits takes the rest, both exact.  By the first bound no digit falls
+    outside 0..span - 1.  d depends only on the mask's bits among v's placed
+    neighbours, so each step computes it once per such pattern.
+
+    The table is updated in place, over a snapshot of its entries.  A state
+    that skips the slot keeps its entry; only takes, the bits the step
+    releases, twin merges and the floor rewrite entries.  Each take is taken
+    from the snapshot's count, and it lands at a weight at or above the floor
+    on a frontier already cleared and merged, never on an entry the step
+    still moves or deletes.
 
     A frontier keeps only how many placed members of each twin group it
     holds, as the group's lowest labels (``fills``), so states that differ
@@ -221,7 +272,10 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
     n = f.num_vars
     if weights is None:
         weights = range(n + 1)
+    if weights.step != 1 or not weights or weights.start < 0 or weights.stop > n + 1:
+        raise InputError(f"weights must be a non-empty step-1 range within 0..{n}, got {weights}")
     lo, hi = weights.start, weights.stop - 1
+    needed = 1 << n
     if n >= ASSIGNMENT_CAP.bit_length():  # else all 2**n assignments are within the cap
         needed, term = 0, 1  # C(n, j) for j up to min(lo, n - lo), so C(n, lo) if the cap holds
         for j in range(min(lo, n - lo)):
@@ -234,40 +288,75 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
                 raise ResourceLimitError(f"{n} variables at weight {lo}..{hi} have more assignments "
                                          f"than the cap of {ASSIGNMENT_CAP}")
             term = term * (n - w) // (w + 1)
+    (lin_low, lin_high), (quad_low, quad_high) = (_extreme_sums(f.linear.values(), hi),
+                                                  _extreme_sums(f.quadratic.values(), hi * (hi - 1) // 2))
+    least = f.constant + lin_low + quad_low
+    span = lin_high + quad_high - lin_low - quad_low + 1
+    width = needed.bit_length()
+    page = min(span, PAGE_BITS // width)
+    page_bits = page * width
+    page_mask = (1 << page_bits) - 1
     steps = _slot_steps(f)
-    states: dict[tuple[int, int, int], int] = {(f.constant, 0, 0): 1}
+    start, offset = divmod(f.constant - least, page)
+    states: dict[tuple[int, int, int], int] = {(0, 0, start): 1 << offset * width}
+    before = 0  # the frontier before the step
     for i, (v, keep, bit, below, twins) in enumerate(steps):
         lin = f.linear.get(v, 0)
         pairs = below.items()
+        read = sum(below.values())  # the placed neighbours, the only mask bits the step reads
+        shifts: dict[int, tuple[int, int]] = {}  # mask & read -> (page offset, bits to shift)
         floor = lo - (n - 1 - i)  # least weight that still reaches the window, unread slots included
-        nxt: dict[tuple[int, int, int], int] = {}
-        while states:  # popping frees each entry for nxt to reuse
-            (value, weight, mask), count = states.popitem()
-            if weight >= floor:
-                key = (value, weight, mask & keep)
-                nxt[key] = nxt.get(key, 0) + count
+        held, fills = twins or (0, None)
+        moving = before & ~keep or held  # a released bit or a twin merge moves a skipping entry
+        before = keep
+        for (weight, mask, p), packed in list(states.items()):
             if weight < hi:
-                for c, nbrs in pairs:
-                    value += c * (nbrs & mask).bit_count()
-                weight += 1
-                key = (value + lin, weight, (mask & keep) | bit if weight < hi else 0)
-                nxt[key] = nxt.get(key, 0) + count
-        if twins:
-            held, fills = twins
-            while nxt:
-                (value, weight, mask), count = nxt.popitem()
-                key = (value, weight, mask & ~held | fills[(mask & held).bit_count()])
-                states[key] = states.get(key, 0) + count
-        else:
-            states = nxt
+                pattern = mask & read
+                shift = shifts.get(pattern)
+                if shift is None:
+                    d = lin
+                    for c, nbrs in pairs:
+                        d += c * (nbrs & mask).bit_count()
+                    q, r = divmod(d, page)
+                    shift = shifts[pattern] = (q, r * width)
+                q, bits = shift
+                to = (mask & keep) | bit if weight + 1 < hi else 0
+                if held:
+                    to = to & ~held | fills[(to & held).bit_count()]
+                packed <<= bits
+                high = packed >> page_bits
+                if high:
+                    key = (weight + 1, to, p + q + 1)
+                    states[key] = states.get(key, 0) + high
+                    packed &= page_mask
+                if packed:
+                    key = (weight + 1, to, p + q)
+                    states[key] = states.get(key, 0) + packed
+            if weight < floor:
+                del states[weight, mask, p]
+            elif moving:
+                to = mask & keep
+                if held:
+                    to = to & ~held | fills[(to & held).bit_count()]
+                if to != mask:
+                    key = (weight, to, p)
+                    states[key] = states.get(key, 0) + states.pop((weight, mask, p))
     unread = n - len(steps)
-    least = max(0, lo - len(steps))  # fewest unread ones a state can take
-    ways = [math.comb(unread, j) for j in range(least, min(unread, hi) + 1)]
+    least_ones = max(0, lo - len(steps))  # fewest unread ones a state can take
+    ways = [math.comb(unread, j) for j in range(least_ones, min(unread, hi) + 1)]
+    digit_mask = (1 << width) - 1
     counts: dict[int, dict[int, int]] = {}
-    for (value, weight, _), count in states.items():
-        per = counts.setdefault(value, {})
-        for w in range(max(lo, weight), min(hi, weight + unread) + 1):
-            per[w] = per.get(w, 0) + count * ways[w - weight - least]
+    for (weight, _, p), packed in states.items():
+        value = least + p * page
+        first, last = max(lo, weight), min(hi, weight + unread) + 1
+        while packed:
+            count = packed & digit_mask
+            if count:
+                per = counts.setdefault(value, {})
+                for w in range(first, last):
+                    per[w] = per.get(w, 0) + count * ways[w - weight - least_ones]
+            packed >>= width
+            value += 1
     return counts
 
 

@@ -63,6 +63,15 @@ def test_dist_full_table(capsys):
     assert out == ["value,probability", "0,1/4", "1,1/2", "2,1/4"]
 
 
+def test_dist_large_coefficient_table(capsys):
+    """A coefficient of 10**9 widens the value range, not the table."""
+    assert main(["dist", "--poly", "1000000000*x1*x2+x3-7*x4", "--p", "1/2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "value,probability", "-7,3/16", "-6,3/16", "0,3/16", "1,3/16",
+        "999999993,1/16", "999999994,1/16", "1000000000,1/16", "1000000001,1/16",
+    ]
+
+
 def test_dist_slice_table(capsys):
     # Two marked slots among n=4, k=2: both marked with prob 1/C(4,2) * C(2,2).
     assert main(["dist", "--poly", "x1*x2", "--slice", "4,2"]) == 0

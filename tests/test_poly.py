@@ -1,7 +1,9 @@
 """Polynomial core: normalization, evaluation, substitution, canonical forms."""
 
+import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -11,6 +13,7 @@ from edgestat.errors import InputError, ResourceLimitError
 from edgestat.poly import (
     CanonicalKey,
     MultilinearPoly,
+    _extreme_sums,
     _slot_steps,
     canonical_form,
     format_poly,
@@ -190,6 +193,76 @@ def test_value_weight_counts_frontier_shapes(shape):
             quadratic = {e: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for e in _FRONTIER_SHAPES[shape](n)}
             f = MultilinearPoly(n, rng.randint(-4, 4), linear, quadratic)
             assert value_weight_counts(f) == _brute_force_table(f), (shape, n)
+
+
+def test_value_weight_counts_rejects_windows_outside_its_domain():
+    f = parse_poly("x1+x2-2*x1*x2+x3")
+    for window in (range(0, 4, 2), range(5, 9), range(-1, 2), range(2, 2), range(0, 5)):
+        with pytest.raises(InputError, match="step-1 range within 0..3"):
+            value_weight_counts(f, window)
+    assert value_weight_counts(f, range(3, 4)) == {1: {3: 1}}
+    assert value_weight_counts(f, range(0, 4)) == _brute_force_table(f)
+
+
+#: Coefficients whose value range is far wider than the values a form takes.
+_WIDE_COEFFICIENTS = (1, -1, 97, -97, 10**9, -10**9)
+
+
+def _wide_form(rng, n):
+    linear = {i: rng.choice(_WIDE_COEFFICIENTS) for i in range(n) if rng.random() < 0.8}
+    quadratic = {e: rng.choice(_WIDE_COEFFICIENTS) for e in combinations(range(n), 2) if rng.random() < 0.3}
+    return MultilinearPoly(n, rng.choice((0, 5, -10**9)), linear, quadratic)
+
+
+def test_value_weight_counts_large_coefficients_equal_brute_force_and_oracle():
+    """Forms whose coefficients mix +-1 with +-97 and +-10**9 span many pages."""
+    rng = random.Random(109)
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        f = _wide_form(rng, n)
+        lo = rng.randint(0, n)
+        window = range(lo, rng.randint(lo, n) + 1)
+        full = _brute_force_table(f)
+        assert value_weight_counts(f) == full, f
+        want = {v: {w: c for w, c in per.items() if w in window} for v, per in full.items()}
+        assert value_weight_counts(f, window) == {v: per for v, per in want.items() if per}, (f, window)
+    for _ in range(30):
+        n = rng.randint(10, 20)
+        f = _wide_form(rng, n)
+        window = _small_window(rng, n) if rng.random() < 0.7 else None
+        assert value_weight_counts(f, window) == value_weight_counts_label_order(f, window), (f, window)
+
+
+def test_value_weight_counts_memory_follows_the_values_not_the_coefficients():
+    """One digit per value of 0..10**9 would take hundreds of megabytes; the
+    pages keep the peak the same for a coefficient of 10**9 and of 10**18."""
+    peaks = []
+    for big in (10**9, 10**18):
+        f = parse_poly(f"{big}*x1*x2+x3-7*x4")
+        tracemalloc.start()
+        try:
+            table = value_weight_counts(f)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert table == _brute_force_table(f)
+    assert max(peaks) < 100_000, peaks
+
+
+def test_value_weight_counts_digit_holds_the_window_count():
+    """All C(25, 12) assignments of the window {12} land on one digit, the
+    window's whole assignment count: a digit one bit narrower overflows."""
+    f = MultilinearPoly(25, 0, dict.fromkeys(range(25), 1))
+    assert value_weight_counts(f, range(12, 13)) == {12: {12: math.comb(25, 12)}}
+
+
+def test_extreme_sums_equal_brute_force():
+    rng = random.Random(110)
+    for _ in range(300):
+        values = [rng.choice((-10**9, -97, -2, -1, 1, 2, 97, 10**9)) for _ in range(rng.randint(0, 7))]
+        count = rng.randint(0, 8)
+        sums = [sum(c) for k in range(min(count, len(values)) + 1) for c in combinations(values, k)]
+        assert _extreme_sums(values, count) == (min(sums), max(sums)), (values, count)
 
 
 def test_value_weight_counts_respects_cap():

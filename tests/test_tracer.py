@@ -60,11 +60,15 @@ def test_slice_workload_digest(child, seed):
 
 def test_slice_law_tables_equal_label_order_oracle(child):
     """The host and signed statistics of seeds 1-3 have 40 and 44 slots, out
-    of brute force's reach; at the k-slice window their tables must equal
-    the label-order oracle's, whatever order the kernel picks."""
-    window = range(child.SLICE_K + 1)
+    of brute force's reach; their tables must equal the label-order oracle's,
+    whatever order the kernel picks.  The windows are the weights 0..k and
+    the one ``slice_value_dist`` reads when the statistic reads all n slots,
+    {k}, where the floor drops every state that can no longer reach k."""
+    k = child.SLICE_K
     for seed in (1, 2, 3):
         for family, n, signed in child.make_slice_inputs(constructions, poly, seed)["laws"]:
             host = constructions.edge_polynomial(constructions.build_host(family, n))
             for f in (host, signed):
-                assert poly.value_weight_counts(f, window) == value_weight_counts_label_order(f, window)
+                assert f.num_vars == n
+                for window in (range(k + 1), range(k, k + 1)):
+                    assert poly.value_weight_counts(f, window) == value_weight_counts_label_order(f, window)
