@@ -48,8 +48,10 @@ terms and a constant 1, so that form always leaves the unit family.  Edges
 inside ``L`` change neither count.  Keeping at most ``m - 1`` linear terms
 is therefore exactly: nonempty attachment columns, at most ``m - t``
 quadratic-only neighbours per ``L`` vertex (the row cap) and at most
-``m - 1 - t`` per quadratic-only vertex.  The literal substitution test
-:func:`~edgestat.poly.gm_membership` is kept as a test oracle for this.
+``m - 1 - t`` per quadratic-only vertex.  The literal test
+:func:`~edgestat.poly.gm_membership`, which computes each pinned form's
+coefficients from the form's own and checks the two conditions on them, is
+kept as a test oracle for this.
 
 Every completion that passes the cuts gets one integer canonical search,
 :func:`~edgestat.poly.canonical_code`; the distinct codes are the classes.

@@ -7,8 +7,8 @@ with ``i < j`` for quadratic terms.  All coefficients are integers and zero
 coefficients are never stored, so structural equality of the dataclass is
 semantic equality of polynomials.
 
-Besides 0/1-substitution and exact value/weight tables this module owns the
-two notions the enumeration engine is built on:
+Besides exact value/weight tables this module owns the two notions the
+enumeration engine is built on:
 
 * membership of a 0/1 quadratic form in the reduced family ``G(m)`` — the
   forms for which substituting 1 into any single variable both leaves the
@@ -90,35 +90,6 @@ class MultilinearPoly:
             used.add(i)
             used.add(j)
         return used
-
-
-def substitute(f: MultilinearPoly, i: int, bit: int) -> MultilinearPoly:
-    """Pin ``x_i = bit`` and drop slot ``i``; higher slots shift down by one."""
-    if not 0 <= i < f.num_vars:
-        raise InputError(f"variable index {i} out of range")
-    if bit not in (0, 1):
-        raise InputError("substituted value must be 0 or 1")
-
-    def shift(v: int) -> int:
-        return v - 1 if v > i else v
-
-    constant = f.constant
-    linear: dict[int, int] = {}
-    quadratic: dict[tuple[int, int], int] = {}
-    for v, c in f.linear.items():
-        if v == i:
-            if bit:
-                constant += c
-        else:
-            linear[shift(v)] = linear.get(shift(v), 0) + c
-    for (a, b), c in f.quadratic.items():
-        if i in (a, b):
-            if bit:
-                other = shift(b if a == i else a)
-                linear[other] = linear.get(other, 0) + c
-        else:
-            quadratic[(shift(a), shift(b))] = c
-    return MultilinearPoly(f.num_vars - 1, constant, linear, quadratic)
 
 
 def _slot_steps(f: MultilinearPoly) -> list[tuple[int, int, int, dict[int, int], tuple | None]]:
@@ -272,7 +243,8 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
     n = f.num_vars
     if weights is None:
         weights = range(n + 1)
-    if weights.step != 1 or not weights or weights.start < 0 or weights.stop > n + 1:
+    if (not isinstance(weights, range) or weights.step != 1 or not weights
+            or weights.start < 0 or weights.stop > n + 1):
         raise InputError(f"weights must be a non-empty step-1 range within 0..{n}, got {weights}")
     lo, hi = weights.start, weights.stop - 1
     needed = 1 << n
@@ -365,20 +337,10 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
 # ---------------------------------------------------------------------------
 
 
-def _is_unit_form(f: MultilinearPoly) -> bool:
-    """Constant 0 and every stored coefficient equal to 1.
-
-    Unused variables are allowed here; the zero polynomial qualifies.
-    """
-    if f.constant != 0:
-        return False
-    if any(c != 1 for c in f.linear.values()):
-        return False
-    return all(c == 1 for c in f.quadratic.values())
-
-
 def _require_unit_form(f: MultilinearPoly) -> None:
-    if not _is_unit_form(f):
+    """Constant 0 and every stored coefficient equal to 1; unused variables
+    are allowed here, so the zero polynomial qualifies."""
+    if f.constant or any(c != 1 for c in (*f.linear.values(), *f.quadratic.values())):
         raise InputError("polynomial must have zero constant and all coefficients equal to 1")
 
 
@@ -388,16 +350,23 @@ def gm_membership(f: MultilinearPoly, m: int) -> bool:
     For every variable slot ``i``, the polynomial obtained by pinning
     ``x_i = 1`` must (a) leave the 0/1 family — i.e. acquire a nonzero
     constant or some coefficient >= 2 — and (b) keep at most ``m - 1``
-    nonzero linear terms.
+    nonzero linear terms.  The pinned form's coefficients are read off
+    ``f``: its constant is f's coefficient of ``x_i``, each ``x_j`` keeps
+    its own linear coefficient plus that of ``x_i x_j``, and the quadratic
+    terms away from ``i`` keep their coefficient 1.
     """
     if m < 1:
         raise InputError("m must be >= 1")
     _require_unit_form(f)
-    for i in range(f.num_vars):
-        h = substitute(f, i, 1)
-        if _is_unit_form(h):
+    pinned: list[dict[int, int]] = [dict(f.linear) for _ in range(f.num_vars)]  # slot i -> pinned linear part
+    for (a, b), c in f.quadratic.items():
+        pinned[a][b] = pinned[a].get(b, 0) + c
+        pinned[b][a] = pinned[b].get(a, 0) + c
+    for i, linear in enumerate(pinned):
+        constant = linear.pop(i, 0)
+        if not constant and all(c == 1 for c in linear.values()):
             return False
-        if len(h.linear) > m - 1:
+        if len(linear) > m - 1:
             return False
     return True
 

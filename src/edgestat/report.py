@@ -90,12 +90,17 @@ def report_from_json(data: dict) -> VerificationReport:
             CheckRecord(c["name"], c["lhs"], c["op"], c["rhs"], as_flag(c["ok"]))
             for c in data["checks"]
         ]
+        name, inputs, exact, witness = (data["name"], data.get("inputs", {}), data.get("exact_values", {}),
+                                        data.get("witness"))
+        if not (isinstance(name, str) and isinstance(inputs, dict) and isinstance(exact, dict)
+                and (witness is None or isinstance(witness, dict))):
+            raise TypeError("name must be a string, inputs and exact_values objects, witness null or an object")
         report = VerificationReport(
-            name=data["name"],
-            inputs=data.get("inputs", {}),
-            exact_values={k: as_rational(v) for k, v in data.get("exact_values", {}).items()},
+            name=name,
+            inputs=inputs,
+            exact_values={k: as_rational(v) for k, v in exact.items()},
             threshold=None if data.get("threshold") is None else as_rational(data["threshold"]),
-            witness=data.get("witness"),
+            witness=witness,
             checks=checks,
             wall_time=float(data.get("wall_time", 0.0)),
         )

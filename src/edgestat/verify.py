@@ -77,11 +77,11 @@ class ReductionBound:
     witness_ell: int | None
 
 
-def reduction_bound(m: int, p, ell_min: int, *, workers: int = 1) -> ReductionBound:
+def reduction_bound(m: int, p, ell_min: int) -> ReductionBound:
     """max(binmax(m, p), family point-mass max over values >= ell_min).
 
     The family part is maximized over the rows of the cached
-    ``enumerate_gm(m, workers).value_rows`` at values at least ``ell_min``,
+    ``enumerate_gm(m).value_rows`` at values at least ``ell_min``,
     that is over every member and every achievable value that large; ties
     are broken toward the lexicographically smallest canonical key, then the
     smallest value.  Every row counts assignments on the same N =
@@ -96,7 +96,7 @@ def reduction_bound(m: int, p, ell_min: int, *, workers: int = 1) -> ReductionBo
     ell_min = as_integer(ell_min)
     if ell_min < 1:
         raise InputError("ell_min must be >= 1")
-    family, width = enumerate_gm(m, workers), var_bound(m)
+    family, width = enumerate_gm(m), var_bound(m)
     scale = weight_scale(p, width)
     best: tuple[int, CanonicalKey, int] | None = None
     for value, rows in family.value_rows.items():
@@ -135,7 +135,8 @@ def verify_prop_033(workers: int = 1) -> VerificationReport:
     """m=5 reduction bound at p=1/3 stays strictly below 0.3293."""
     p = Fraction(1, 3)
     threshold = Fraction(3293, 10000)
-    rb = reduction_bound(5, p, 2, workers=workers)
+    enumerate_gm(5, workers)  # cached by m, so reduction_bound reads this family
+    rb = reduction_bound(5, p, 2)
     expected_key = canonical_form(parse_poly(_WITNESS_POLY_TEXT))
     witness = None
     if rb.witness_key is not None:

@@ -14,7 +14,6 @@ from edgestat.poly import (
     CanonicalKey,
     MultilinearPoly,
     canonical_code,
-    substitute,
     value_weight_counts,
 )
 
@@ -34,6 +33,35 @@ def evaluate(f, assignment):
         if assignment[i] and assignment[j]:
             value += c
     return value
+
+
+def substitute(f, i, bit):
+    """Pin ``x_i = bit`` and drop slot ``i``; higher slots shift down by one."""
+    if not 0 <= i < f.num_vars:
+        raise InputError(f"variable index {i} out of range")
+    if bit not in (0, 1):
+        raise InputError("substituted value must be 0 or 1")
+
+    def shift(v):
+        return v - 1 if v > i else v
+
+    constant = f.constant
+    linear = {}
+    quadratic = {}
+    for v, c in f.linear.items():
+        if v == i:
+            if bit:
+                constant += c
+        else:
+            linear[shift(v)] = linear.get(shift(v), 0) + c
+    for (a, b), c in f.quadratic.items():
+        if i in (a, b):
+            if bit:
+                other = shift(b if a == i else a)
+                linear[other] = linear.get(other, 0) + c
+        else:
+            quadratic[(shift(a), shift(b))] = c
+    return MultilinearPoly(f.num_vars - 1, constant, linear, quadratic)
 
 
 def unit_form(num_vars, linear, edges):

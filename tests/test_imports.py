@@ -2,11 +2,14 @@
 package or of the test suite imports is read somewhere in that module, every
 module-level constant, private function or class and type alias is read
 somewhere in the package, every function of ``tests/helpers.py`` is read
-somewhere in the test suite, and the package namespace holds only its
+somewhere in the test suite, every top-level function and class of the
+package is named outside the tests, and the package namespace holds only its
 modules."""
 
 import ast
+import glob
 import os
+import re
 import types
 
 import pytest
@@ -17,6 +20,7 @@ SRC = os.path.dirname(edgestat.__file__)
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 TESTS = os.path.dirname(os.path.abspath(__file__))
 TEST_MODULES = sorted(name for name in os.listdir(TESTS) if name.endswith(".py"))
+ROOT = os.path.dirname(TESTS)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -183,6 +187,39 @@ def test_scan_finds_an_unread_function():
                "test_a.py": "from helpers import oracle\n\noracle()\n"}
     assert unread_functions(sources, "helpers.py") == []
     assert unread_functions({"helpers.py": sources["helpers.py"]}, "helpers.py") == ["oracle"]
+
+
+def names_only_tests_read(package: dict[str, str], others: list[str]) -> list[str]:
+    """Top-level functions and classes of ``package`` (module -> source) that
+    no text names as a whole word: neither a line of the package other than
+    their own definition line, nor any of the texts ``others``."""
+    texts, defined = list(others), []
+    for module, source in package.items():
+        lines = {node.lineno: node.name for node in ast.parse(source).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        defined += [(name, module) for name in lines.values()]
+        texts += [line for number, line in enumerate(source.splitlines(), 1) if number not in lines]
+    text = "\n".join(texts)
+    return sorted(f"{name} ({module})" for name, module in defined if not re.search(rf"\b{name}\b", text))
+
+
+def test_every_package_name_is_read_outside_the_tests():
+    # A function the package keeps only for the tests to call fails here: it belongs in tests/helpers.py.
+    others = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))) + [os.path.join(ROOT, "README.md")]:
+        with open(path, encoding="utf-8") as fh:
+            others.append(fh.read())
+    assert names_only_tests_read(package_sources(), others) == []
+
+
+def test_scan_finds_a_name_only_tests_read():
+    package = {
+        "a.py": "def used():\n    pass\n\n\ndef oracle():\n    pass\n\n\nclass Shown:\n    pass\n\n\n"
+                "class Hidden:\n    pass\n",
+        "b.py": "from a import used\n\nused()\noracles = []\n",
+    }
+    assert names_only_tests_read(package, ["`Shown` is documented"]) == ["Hidden (a.py)", "oracle (a.py)"]
+    assert names_only_tests_read(package, ["Shown", "oracle() and Hidden()"]) == []
 
 
 def test_package_binds_only_its_modules():

@@ -20,7 +20,6 @@ from edgestat.poly import (
     gm_membership,
     parse_poly,
     poly_to_json,
-    substitute,
     value_weight_counts,
 )
 
@@ -36,6 +35,7 @@ from helpers import (
     poly_from_json,
     random_poly,
     random_poly_text,
+    substitute,
     unit_form,
     value_weight_counts_label_order,
     zero_poly,
@@ -197,7 +197,8 @@ def test_value_weight_counts_frontier_shapes(shape):
 
 def test_value_weight_counts_rejects_windows_outside_its_domain():
     f = parse_poly("x1+x2-2*x1*x2+x3")
-    for window in (range(0, 4, 2), range(5, 9), range(-1, 2), range(2, 2), range(0, 5)):
+    # A list, a tuple, an int or a str used to raise AttributeError on .step.
+    for window in (range(0, 4, 2), range(5, 9), range(-1, 2), range(2, 2), range(0, 5), [0, 1], (0, 1), 1, "01"):
         with pytest.raises(InputError, match="step-1 range within 0..3"):
             value_weight_counts(f, window)
     assert value_weight_counts(f, range(3, 4)) == {1: {3: 1}}

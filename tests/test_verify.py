@@ -89,6 +89,16 @@ def test_tampered_report_is_rejected():
         reverify(unknown_op)
     with pytest.raises(InputError):
         report_from_json({"name": "incomplete"})
+    # A list or string exact_values used to raise AttributeError; a number
+    # as inputs, witness or name used to load.
+    for field, bad in (("exact_values", ["1/2"]), ("exact_values", "1/2"), ("inputs", 5), ("witness", 3),
+                       ("name", 7)):
+        wrong = json.loads(json.dumps(data))
+        wrong[field] = bad
+        with pytest.raises(InputError, match="malformed report JSON"):
+            report_from_json(wrong)
+        with pytest.raises(InputError, match="malformed report JSON"):
+            reverify(wrong)
 
 
 def test_report_flags_read_exactly():
