@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .dist import SliceSpec, ValueDist, poisson_peak_lower, slice_value_dist
-from .errors import InputError, ResourceLimitError, as_flag, as_integer, as_pair, as_probability
+from .errors import InputError, ResourceLimitError, as_flag, as_integer, as_integers, as_pair, as_probability
 from .poly import MultilinearPoly
 from .report import VerificationReport, check
 
@@ -89,7 +89,7 @@ def bipartite_family(a: int, k: int, with_clique: bool = False) -> PartFamily:
 
 def clique_union_family(sizes: Sequence[int], k: int) -> PartFamily:
     """Disjoint cliques of fractions m_i/k plus isolated background."""
-    sizes, k = tuple(as_integer(m) for m in sizes), as_integer(k)
+    sizes, k = tuple(as_integers(sizes)), as_integer(k)
     if not sizes or any(m < 2 for m in sizes):
         raise InputError("clique sizes must all be >= 2")
     if sum(sizes) > k:

@@ -41,6 +41,18 @@ def as_integer(value) -> int:
     return x.numerator
 
 
+def as_integers(value) -> list[int]:
+    """Read a collection of integers, each by :func:`as_integer`; a string,
+    which would iterate into characters, and a non-iterable are rejected."""
+    if isinstance(value, (str, bytes)):
+        raise InputError(f"{value!r} is text, not a collection of integers")
+    try:
+        items = iter(value)
+    except TypeError as exc:
+        raise InputError(f"{value!r} is not a collection of integers") from exc
+    return [as_integer(v) for v in items]
+
+
 def as_probability(value) -> Fraction:
     p = as_rational(value)
     if not 0 <= p <= 1:

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from operator import le
@@ -233,7 +232,8 @@ def enumerate_gm(m: int, workers: int = 1) -> GmFamily:
     branches = [(m, t, q) for t in range(1, m + 1) for q in range(t * (m - t) + 1)]
     if workers == 1:
         parts = [_enumerate_branch(branch) for branch in branches]
-    else:
+    else:  # only a pool run imports multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(branches))) as pool:
             parts = list(pool.map(_enumerate_branch, branches))
     keys = sorted(set().union(*(classes for classes, _ in parts)))

@@ -187,15 +187,15 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
     time, in the order of :func:`_slot_steps`, which keeps the frontier narrow:
     the frontier holds the set bits a later slot still reads, and a bit leaves
     it once its last quadratic partner is placed.  A state leaves once it
-    cannot end in the window, with the u unread slots still to come, and at
-    its top weight the frontier empties.  The unread slots then come in one
-    step: weight w goes to w + j in C(u, j) ways.  The cap bounds the sum of
-    C(n, w) over the window: 2**n for all weights, and at most C(N, k) for the
-    weights a k-subset of N slots gives, ``range(max(0, k - (N - n)), min(k, n)
-    + 1)``, as each assignment in that window extends to k-subsets no other
-    assignment extends to; and C(u, j) <= C(n, w + j) by Vandermonde, so no
-    binomial built exceeds the cap.  The cap counts assignments, so it holds
-    whatever the order.
+    cannot end in the window, with the u unread slots still to come, and at its
+    top weight the frontier empties.  The unread slots then come in one step:
+    an entry at weight w adds C(u, j) times its packed int to its page's total
+    at w + j.  The cap bounds the sum of C(n, w) over the window: 2**n for all
+    weights, and at most C(N, k) for the weights a k-subset of N slots gives,
+    ``range(max(0, k - (N - n)), min(k, n) + 1)``, as each assignment in that
+    window extends to k-subsets no other assignment extends to; and C(u, j) <=
+    C(n, w + j) by Vandermonde, so no binomial built exceeds the cap.  The cap
+    counts assignments, so it holds whatever the order.
 
     The table is keyed by ``(weight, frontier, page)`` and each entry packs
     the counts of all its values into one int, ``width`` bits per value, so
@@ -207,10 +207,10 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
       negative quadratic coefficients (``least``) and the matching sum of
       positive ones: value - ``least`` is a digit index in 0..``span`` - 1.
     * A digit counts partial assignments that each extend to a different
-      assignment in the window, so it never exceeds the window's assignment
-      count: the guard's ``needed``, or 2**n below the guard's size.
-      ``width`` is that count's bit length, so a count never carries into the
-      next digit.
+      assignment in the window, or, once the unread slots are added, distinct
+      full assignments of one weight in it, so it never exceeds the window's
+      assignment count: the guard's ``needed``, or 2**n below the guard's
+      size.  ``width`` is that count's bit length, so no digit carries.
 
     Page p holds the digits of indices p*P .. p*P + P - 1, P = ``page`` =
     min(span, PAGE_BITS // width), so an entry is at most PAGE_BITS bits and
@@ -314,19 +314,18 @@ def value_weight_counts(f: MultilinearPoly, weights: range | None = None) -> dic
                     key = (weight, to, p)
                     states[key] = states.get(key, 0) + states.pop((weight, mask, p))
     unread = n - len(steps)
-    least_ones = max(0, lo - len(steps))  # fewest unread ones a state can take
-    ways = [math.comb(unread, j) for j in range(least_ones, min(unread, hi) + 1)]
+    totals: dict[tuple[int, int], int] = {}  # (full weight, page) -> packed counts
+    for (weight, _, p), packed in states.items():
+        for w in range(max(lo, weight), min(hi, weight + unread) + 1):
+            totals[w, p] = totals.get((w, p), 0) + packed * math.comb(unread, w - weight)
     digit_mask = (1 << width) - 1
     counts: dict[int, dict[int, int]] = {}
-    for (weight, _, p), packed in states.items():
+    for (w, p), packed in totals.items():
         value = least + p * page
-        first, last = max(lo, weight), min(hi, weight + unread) + 1
         while packed:
             count = packed & digit_mask
             if count:
-                per = counts.setdefault(value, {})
-                for w in range(first, last):
-                    per[w] = per.get(w, 0) + count * ways[w - weight - least_ones]
+                counts.setdefault(value, {})[w] = count
             packed >>= width
             value += 1
     return counts
@@ -355,6 +354,7 @@ def gm_membership(f: MultilinearPoly, m: int) -> bool:
     its own linear coefficient plus that of ``x_i x_j``, and the quadratic
     terms away from ``i`` keep their coefficient 1.
     """
+    m = as_integer(m)
     if m < 1:
         raise InputError("m must be >= 1")
     _require_unit_form(f)

@@ -2,13 +2,14 @@
 and the supporting finite oracles.
 
 Every verdict is decided in exact rational arithmetic.  :func:`reduction_bound`
-is the one computation of the reduction bound: it weighs the family's value
-rows, all on one width, by one scale, so the masses compare as integers, and
-:func:`optimize_p` and the ``reduction_spot`` suite read their bounds from
-it.  A witness is a canonical key, and its polynomial is the key's ``member``.
-Floats appear only in decimal annotations.  Where a side is transcendental
-(antichain expectation, Poisson TV), e^x is enclosed in integers by
-:func:`dist.exp_enclosure` and a check passes only if the whole enclosure clears its bound.
+is the one computation of the reduction bound: it weighs the value rows of the
+family it is given, all on one width, by one scale, so the masses compare as
+integers.  :func:`optimize_p` and the ``reduction_spot`` suite read their
+bounds from it, each on a G(m) its caller enumerated once.  A witness is a
+canonical key, and its polynomial is the key's ``member``.  Floats appear only
+in decimal annotations.  Where a side is transcendental (antichain expectation,
+Poisson TV), e^x is enclosed in integers by :func:`dist.exp_enclosure` and a
+check passes only if the whole enclosure clears its bound.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .dist import (
     product_slice_tv,
     weight_scale,
 )
-from .errors import InputError, as_integer, as_probability, as_rational
-from .gm import enumerate_gm, var_bound
+from .errors import InputError, as_integer, as_integers, as_probability, as_rational
+from .gm import GmFamily, enumerate_gm, var_bound
 from .poly import (
     CanonicalKey,
     MultilinearPoly,
@@ -77,18 +78,18 @@ class ReductionBound:
     witness_ell: int | None
 
 
-def reduction_bound(m: int, p, ell_min: int) -> ReductionBound:
-    """max(binmax(m, p), family point-mass max over values >= ell_min).
+def reduction_bound(family: GmFamily, p, ell_min: int) -> ReductionBound:
+    """max(binmax(m, p), family point-mass max over values >= ell_min), m = ``family.m``.
 
-    The family part is maximized over the rows of the cached
-    ``enumerate_gm(m).value_rows`` at values at least ``ell_min``,
-    that is over every member and every achievable value that large; ties
-    are broken toward the lexicographically smallest canonical key, then the
-    smallest value.  Every row counts assignments on the same N =
-    ``var_bound(m)`` slots, so with p = a/b one scale ``weight_scale(p, N)``
-    turns each row into its mass times b^N, and rows compare as integers.
-    The witness is reported whenever the family part attains the overall
-    bound; with no rows the family part is 0.
+    The family part is maximized over the rows ``family.value_rows`` of the
+    family given, at values at least ``ell_min``, that is over every member
+    and every achievable value that large; ties are broken toward the
+    lexicographically smallest canonical key, then the smallest value.  Every
+    row counts assignments on the same N = ``var_bound(m)`` slots, so with
+    p = a/b one scale ``weight_scale(p, N)`` turns each row into its mass
+    times b^N, and rows compare as integers.  The witness is reported
+    whenever the family part attains the overall bound; with no rows the
+    family part is 0.  p and ``ell_min`` are read before the rows are built.
     """
     p = as_probability(p)
     if not 0 < p < 1:
@@ -96,7 +97,7 @@ def reduction_bound(m: int, p, ell_min: int) -> ReductionBound:
     ell_min = as_integer(ell_min)
     if ell_min < 1:
         raise InputError("ell_min must be >= 1")
-    family, width = enumerate_gm(m), var_bound(m)
+    width = var_bound(family.m)
     scale = weight_scale(p, width)
     best: tuple[int, CanonicalKey, int] | None = None
     for value, rows in family.value_rows.items():
@@ -106,21 +107,21 @@ def reduction_bound(m: int, p, ell_min: int) -> ReductionBound:
                 best = (num, key, value)
     num, key, value = best or (0, None, None)
     gm_part = Fraction(num, p.denominator**width)
-    binmax_part = binmax(m, p)
+    binmax_part = binmax(family.m, p)
     bound = max(binmax_part, gm_part)
     if gm_part < bound:
         key = value = None
     return ReductionBound(bound, binmax_part, gm_part, key, value)
 
 
-def optimize_p(m: int) -> tuple[Fraction, Fraction]:
+def optimize_p(family: GmFamily) -> tuple[Fraction, Fraction]:
     """Point of :data:`GRID` minimizing the reduction bound over values >= 2,
     with its exact bound.
 
     Exact ties are broken toward the larger p (the reference table's m=2 row
     has two exact minima, at 1/3 and 2/3, and is quoted at the larger one).
     """
-    bounds = [(p, reduction_bound(m, p, 2).bound) for p in GRID]
+    bounds = [(p, reduction_bound(family, p, 2).bound) for p in GRID]
     return min(bounds, key=lambda pb: (pb[1], -pb[0]))
 
 
@@ -135,8 +136,7 @@ def verify_prop_033(workers: int = 1) -> VerificationReport:
     """m=5 reduction bound at p=1/3 stays strictly below 0.3293."""
     p = Fraction(1, 3)
     threshold = Fraction(3293, 10000)
-    enumerate_gm(5, workers)  # cached by m, so reduction_bound reads this family
-    rb = reduction_bound(5, p, 2)
+    rb = reduction_bound(enumerate_gm(5, workers), p, 2)
     expected_key = canonical_form(parse_poly(_WITNESS_POLY_TEXT))
     witness = None
     if rb.witness_key is not None:
@@ -205,7 +205,7 @@ def verify_table(workers: int = 1) -> tuple[VerificationReport, list[dict]]:
     rows: list[dict] = []
     for m, (ref_count, ref_p, ref_bound) in TABLE_REFERENCE.items():
         family = enumerate_gm(m, workers)
-        p_star, bound = optimize_p(m)
+        p_star, bound = optimize_p(family)
         exact[f"bound_m{m}"] = bound
         exact[f"p_star_m{m}"] = p_star
         checks.append(check(f"count_m{m}", Fraction(family.count), "==", Fraction(ref_count)))
@@ -304,7 +304,7 @@ def verify_star_search(
     if not 1 <= max_s <= 5:
         raise InputError("max_s must be in 1..5")
     p = as_probability(p)
-    ells = sorted({as_integer(e) for e in ell_values})
+    ells = sorted(set(as_integers(ell_values)))
     if not ells:
         raise InputError("need at least one ell value")
     if any(e == 0 or abs(e) > 4 for e in ells):
@@ -357,7 +357,7 @@ def blym_check(n: int, antichain: Iterable[Iterable[int]]) -> tuple[Fraction, bo
     n = as_integer(n)
     if n < 0:
         raise InputError("n must be >= 0")
-    sets = [frozenset(as_integer(v) for v in a) for a in antichain]
+    sets = [frozenset(as_integers(a)) for a in antichain]
     _require_antichain(n, sets)
     total = sum((Fraction(1, math.comb(n, len(a))) for a in sets), Fraction(0))
     return total, total <= 1
@@ -383,7 +383,7 @@ def antichain_expectation_check(
         if not 0 <= w <= 1:
             raise InputError(f"weight {w} outside [0, 1]")
         if w:
-            support.append((frozenset(as_integer(v) for v in a), w))
+            support.append((frozenset(as_integers(a)), w))
     _require_antichain(ground_size, [a for a, _ in support])
     lhs = sum(
         (w * p ** len(a) * (1 - p) ** (ground_size - len(a)) for a, w in support),
@@ -533,7 +533,7 @@ def suite_reduction_spot(seed: int, count: int) -> int:
     """Random members of the unrestricted 0/1 family against reduction bounds;
     a case counts every bound its point mass exceeds."""
     ps = (Fraction(1, 3), Fraction(1, 2))
-    bounds = {(m, p): reduction_bound(m, p, 1).bound for m in (2, 3, 4, 5) for p in ps}
+    bounds = [(p, reduction_bound(family, p, 1).bound) for family in map(enumerate_gm, (2, 3, 4, 5)) for p in ps]
 
     def case(rng: random.Random) -> int:
         f = _random_unit_form(rng)
@@ -542,7 +542,7 @@ def suite_reduction_spot(seed: int, count: int) -> int:
         if not positive:
             return 0
         ell = rng.choice(positive)
-        return sum(laws[p].prob(ell) > bound for (m, p), bound in bounds.items())
+        return sum(laws[p].prob(ell) > bound for p, bound in bounds)
 
     return _violations(seed, count, case)
 

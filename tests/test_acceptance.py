@@ -68,7 +68,7 @@ def test_criterion_01_family_counts_and_runtime(capsys, monkeypatch):
 
 def test_criterion_02_point_mass_bound_certificate(capsys):
     failures: list[str] = []
-    rb = reduction_bound(5, F(1, 3), 2)
+    rb = reduction_bound(enumerate_gm(5), F(1, 3), 2)
     _check(failures, "bound_exact", rb.bound == F(80, 243))
     _check(failures, "bound_below_threshold", rb.bound < F(3293, 10000))
     _check(failures, "witness_ell", rb.witness_ell == 2)

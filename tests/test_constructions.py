@@ -295,6 +295,14 @@ def test_construction_inputs_are_exact_integers():
     assert edge_count_dist(build_host(bipartite, 12), "4") == edge_count_dist(build_host(bipartite, 12), 4)
 
 
+def test_clique_sizes_reject_text_and_scalars():
+    # "23" used to build cliques of sizes 2 and 3, and a bare 5 raised TypeError.
+    for sizes in ("23", 5):
+        with pytest.raises(InputError):
+            clique_union_family(sizes, 6)
+    assert clique_union_family(["2", 3], 6) == clique_union_family((2, 3), 6)
+
+
 def test_clique_decomposition_rejects_fractional_ell_within_bounds():
     # A fractional ell that reached the greedy loop would never end (rem 4.5,
     # 1.5, 0.5, -0.5, ...), so a child with capped time and address space runs

@@ -307,7 +307,7 @@ def test_pool_has_at_most_one_worker_per_branch(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(gm, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(gm, "_CACHE", {})
     assert enumerate_gm(3, workers=1000).count == REFERENCE_COUNTS[3]
     assert asked == [7]

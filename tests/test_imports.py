@@ -3,13 +3,15 @@ package or of the test suite imports is read somewhere in that module, every
 module-level constant, private function or class and type alias is read
 somewhere in the package, every function of ``tests/helpers.py`` is read
 somewhere in the test suite, every top-level function and class of the
-package is named outside the tests, and the package namespace holds only its
-modules."""
+package is named outside the tests, the package namespace holds only its
+modules, and importing the command line leaves the process pool unimported."""
 
 import ast
 import glob
 import os
 import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -230,3 +232,11 @@ def test_package_binds_only_its_modules():
         and not (isinstance(value, types.ModuleType) and value.__name__.startswith("edgestat."))
     ]
     assert stray == []
+
+
+def test_command_line_import_leaves_out_the_process_pool():
+    # Only enumerate_gm with workers > 1 makes a pool, so only it imports one.
+    probe = "import sys, edgestat.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

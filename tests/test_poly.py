@@ -443,6 +443,15 @@ def test_unit_form_gate():
             gm_membership(parse_poly(text), 2)
 
 
+def test_membership_reads_m_exactly():
+    # 2.5 used to get a verdict, and "3" raised TypeError.
+    f = parse_poly("x1+x2+x1*x2")
+    for m in (2.5, 2.0, Fraction(5, 2)):
+        with pytest.raises(InputError):
+            gm_membership(f, m)
+    assert gm_membership(f, "3") == gm_membership(f, 3)
+
+
 def test_unit_form_requires_every_slot_used():
     lonely = MultilinearPoly(3, 0, {0: 1}, {})  # x2, x3 unused
     with pytest.raises(InputError):

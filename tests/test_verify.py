@@ -125,7 +125,7 @@ def test_reduction_bound_m2_by_hand():
     # G(2) holds x1, x1+x2, x1+x2+x1*x2 and x1+x1*x2; at p=1/2 the first
     # three all hit 1/2 at value 1, as does the binomial part.  The witness
     # tie-break lands on the smallest canonical key.
-    rb = reduction_bound(2, Fraction(1, 2), 1)
+    rb = reduction_bound(enumerate_gm(2), Fraction(1, 2), 1)
     assert rb.bound == Fraction(1, 2)
     assert rb.binmax_part == Fraction(1, 2)
     assert rb.gm_part == Fraction(1, 2)
@@ -135,8 +135,8 @@ def test_reduction_bound_m2_by_hand():
 
 
 def test_reduction_bound_reference_points():
-    assert reduction_bound(2, Fraction(2, 3), 2).bound == Fraction(4, 9)
-    assert reduction_bound(3, Fraction(1, 2), 2).bound == Fraction(3, 8)
+    assert reduction_bound(enumerate_gm(2), Fraction(2, 3), 2).bound == Fraction(4, 9)
+    assert reduction_bound(enumerate_gm(3), Fraction(1, 2), 2).bound == Fraction(3, 8)
 
 
 def test_reduction_bound_matches_direct_distribution_scan():
@@ -150,37 +150,36 @@ def test_reduction_bound_matches_direct_distribution_scan():
         for value, prob in dist.probs.items():
             if value >= 1:
                 best = max(best, prob)
-    rb = reduction_bound(3, p, 1)
+    rb = reduction_bound(family, p, 1)
     assert rb.gm_part == best
     assert rb.bound == max(binmax(3, p), best)
 
 
-def test_reduction_bound_input_validation(monkeypatch):
+def test_reduction_bound_input_validation():
     with pytest.raises(InputError):
-        reduction_bound(3, Fraction(0), 1)
+        reduction_bound(enumerate_gm(3), Fraction(0), 1)
     with pytest.raises(InputError):
-        reduction_bound(3, Fraction(1), 1)
+        reduction_bound(enumerate_gm(3), Fraction(1), 1)
     with pytest.raises(InputError):
-        reduction_bound(3, Fraction(1, 2), 0)
+        reduction_bound(enumerate_gm(3), Fraction(1, 2), 0)
     for ell_min in (1.5, Fraction(3, 2)):
         with pytest.raises(InputError):
-            reduction_bound(2, Fraction(1, 2), ell_min)
+            reduction_bound(enumerate_gm(2), Fraction(1, 2), ell_min)
 
-    # ell_min is checked before G(m) is enumerated.
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerate_gm ran before ell_min was checked")
-
-    monkeypatch.setattr("edgestat.verify.enumerate_gm", no_enumeration)
+    # ell_min is checked before the family's rows are built.
+    fresh = GmFamily(5, enumerate_gm(5).keys)
     with pytest.raises(InputError):
-        reduction_bound(5, Fraction(1, 3), 0)
+        reduction_bound(fresh, Fraction(1, 3), 0)
+    assert "value_rows" not in vars(fresh)
 
 
 def test_optimize_p_tie_breaks_to_larger_p():
     # m=2 has two exact minimizers of the bound; the reference table quotes
     # the larger one.
-    assert reduction_bound(2, Fraction(1, 3), 2).bound == Fraction(4, 9)
-    assert reduction_bound(2, Fraction(2, 3), 2).bound == Fraction(4, 9)
-    p_star, bound = optimize_p(2)
+    family = enumerate_gm(2)
+    assert reduction_bound(family, Fraction(1, 3), 2).bound == Fraction(4, 9)
+    assert reduction_bound(family, Fraction(2, 3), 2).bound == Fraction(4, 9)
+    p_star, bound = optimize_p(family)
     assert (p_star, bound) == (Fraction(2, 3), Fraction(4, 9))
 
 
@@ -193,7 +192,7 @@ def test_reduction_bound_equals_unpruned_oracle():
         profiles = member_profiles(family)
         for ell_min in (1, 2):
             for p in ps:
-                rb = reduction_bound(m, p, ell_min)
+                rb = reduction_bound(family, p, ell_min)
                 got = (rb.bound, rb.gm_part, rb.witness_key, rb.witness_ell)
                 assert got == reduction_bound_unpruned(family, profiles, p, ell_min), (m, p, ell_min)
 
@@ -205,7 +204,19 @@ def test_optimize_p_equals_unpruned_argmin():
         bounds = {p: reduction_bound_unpruned(family, profiles, p, 2)[0] for p in GRID}
         least = min(bounds.values())
         p_star = max(p for p, bound in bounds.items() if bound == least)
-        assert optimize_p(m) == (p_star, least)
+        assert optimize_p(family) == (p_star, least)
+
+
+def test_reduction_bound_reads_only_the_family_given():
+    # A sub-family of G(5) has its own, lower family part: a bound read from
+    # the cached G(5) instead would not equal the oracle on the sub-family.
+    sub = GmFamily(5, enumerate_gm(5).keys[::50])
+    profiles = member_profiles(sub)
+    for p in (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)):
+        for ell_min in (1, 2):
+            rb = reduction_bound(sub, p, ell_min)
+            got = (rb.bound, rb.gm_part, rb.witness_key, rb.witness_ell)
+            assert got == reduction_bound_unpruned(sub, profiles, p, ell_min), (p, ell_min)
 
 
 def test_value_rows_are_built_once_per_family():
@@ -411,6 +422,19 @@ def test_blym_reads_integers_exactly():
             blym_check(n, antichain)
 
 
+def test_collections_of_integers_reject_text_and_scalars():
+    # "12" used to be read as the set {1, 2}, and a bare 5 raised TypeError.
+    for antichain in (["12"], [5], "12"):
+        with pytest.raises(InputError):
+            blym_check(3, antichain)
+    for key in ("12", 5):
+        with pytest.raises(InputError):
+            antichain_expectation_check(3, {key: Fraction(1)}, "1/3")
+    for ells in ("12", 2):
+        with pytest.raises(InputError):
+            verify_star_search(max_s=2, ell_values=ells)
+
+
 def test_antichain_expectation_examples():
     lhs, _, ok = antichain_expectation_check(5, {}, Fraction(1, 5))
     assert lhs == 0 and ok
@@ -518,7 +542,7 @@ def test_lemma_suites_count_failing_cases(monkeypatch):
 def test_reduction_spot_counts_every_bound_a_case_exceeds(monkeypatch):
     # A unit form always has a positive value, and every value has mass > 0 at
     # p = 1/3 and 1/2, so each case exceeds all eight zero bounds (m = 2..5 at both p).
-    monkeypatch.setattr(verify, "reduction_bound", lambda m, p, ell_min: SimpleNamespace(bound=Fraction(0)))
+    monkeypatch.setattr(verify, "reduction_bound", lambda family, p, ell_min: SimpleNamespace(bound=Fraction(0)))
     assert suite_reduction_spot(7, 25) == 25 * 8
 
 
