@@ -41,16 +41,20 @@ def as_integer(value) -> int:
     return x.numerator
 
 
-def as_integers(value) -> list[int]:
-    """Read a collection of integers, each by :func:`as_integer`; a string,
-    which would iterate into characters, and a non-iterable are rejected."""
+def as_collection(value, what: str):
+    """An iterator over the items of a collection; a string, which would
+    iterate into characters, and a non-iterable are rejected."""
     if isinstance(value, (str, bytes)):
-        raise InputError(f"{value!r} is text, not a collection of integers")
+        raise InputError(f"{value!r} is text, not {what}")
     try:
-        items = iter(value)
+        return iter(value)
     except TypeError as exc:
-        raise InputError(f"{value!r} is not a collection of integers") from exc
-    return [as_integer(v) for v in items]
+        raise InputError(f"{value!r} is not {what}") from exc
+
+
+def as_integers(value) -> list[int]:
+    """Read a collection of integers, each by :func:`as_integer`."""
+    return [as_integer(v) for v in as_collection(value, "a collection of integers")]
 
 
 def as_probability(value) -> Fraction:

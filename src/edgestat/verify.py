@@ -35,7 +35,7 @@ from .dist import (
     product_slice_tv,
     weight_scale,
 )
-from .errors import InputError, as_integer, as_integers, as_probability, as_rational
+from .errors import InputError, as_collection, as_integer, as_integers, as_probability, as_rational
 from .gm import GmFamily, enumerate_gm, var_bound
 from .poly import (
     CanonicalKey,
@@ -357,7 +357,7 @@ def blym_check(n: int, antichain: Iterable[Iterable[int]]) -> tuple[Fraction, bo
     n = as_integer(n)
     if n < 0:
         raise InputError("n must be >= 0")
-    sets = [frozenset(as_integers(a)) for a in antichain]
+    sets = [frozenset(as_integers(a)) for a in as_collection(antichain, "an antichain of sets")]
     _require_antichain(n, sets)
     total = sum((Fraction(1, math.comb(n, len(a))) for a in sets), Fraction(0))
     return total, total <= 1
@@ -377,6 +377,8 @@ def antichain_expectation_check(
     if not 0 <= ground_size <= 20:
         raise InputError("ground_size must be in 0..20")
     p = as_probability(p)
+    if not isinstance(phi, Mapping):
+        raise InputError(f"phi must map sets to weights, got {phi!r}")
     support = []
     for a, w in phi.items():
         w = as_rational(w)
@@ -400,7 +402,7 @@ def elo_max(coeffs: Sequence) -> tuple[Fraction, Fraction, bool]:
     The subset sums run on integers: scaling every coefficient by the LCM of
     the denominators is a bijection on the sums, so the counts are unchanged.
     """
-    values = [as_rational(c) for c in coeffs]
+    values = [as_rational(c) for c in as_collection(coeffs, "a collection of coefficients")]
     n = len(values)
     if n < 1:
         raise InputError("need at least one coefficient")

@@ -349,8 +349,12 @@ def test_slot_steps():
     linear_last = unit_form(5, [0, 2, 4], [(1, 3)])
     path = unit_form(10, [], [(i, i + 1) for i in range(9)])  # label order already keeps one bit open
     signed = MultilinearPoly(5, 1, {0: 2, 4: -1}, {(0, 1): 3, (0, 2): -2, (1, 2): 3, (2, 3): 3})
-    # x1, x2, x3 all read by x4 and x5 with coefficient -2: open twins, held together in the frontier.
+    # A triangle whose last slot reads the other two with different coefficients.
+    triangle = MultilinearPoly(3, 0, {}, {(0, 1): 3, (0, 2): -2, (1, 2): 5})
+    # x1, x2, x3 all read by x4 and x5 with coefficient -2: two groups of open twins.
     open_twins = MultilinearPoly(5, 0, {0: 1}, {(a, b): -2 for a in range(3) for b in (3, 4)})
+    # x1, x2, x3 all read by x4, x5 and x6 with coefficient -2: after x1 and x4, x2 and x3 join x1 as held twins.
+    open_triple = MultilinearPoly(6, 0, {0: 1}, {(a, b): -2 for a in range(3) for b in (3, 4, 5)})
     # x1..x4 a 4-clique with coefficient 3, every one read by x5 and x6: closed twins.
     closed_twins = MultilinearPoly(6, 0, {}, {**{pair: 3 for pair in combinations(range(4), 2)},
                                               **{(a, b): 3 for a in range(4) for b in (4, 5)}})
@@ -358,34 +362,62 @@ def test_slot_steps():
     unequal = MultilinearPoly(4, 0, {}, {(0, 2): 1, (0, 3): 1, (1, 2): 2, (1, 3): 2})
     # Two coefficients each: swapping x1 and x2 leaves the form unchanged, but neither is a twin.
     two_coefficients = MultilinearPoly(4, 0, {}, {(0, 2): 1, (0, 3): 2, (1, 2): 1, (1, 3): 2})
-    orders = {
-        "split": (split, [0, 2, 3, 1, 4, 5]),
-        "hubs": (hubs, [w for i in range(8) for w in (i, 8 + 2 * i, 9 + 2 * i)]),
-        "linear_last": (linear_last, [1, 3, 0, 2, 4]),
-        "path": (path, list(range(10))),
-        "no_pairs": (unit_form(8, range(8), []), list(range(8))),
-        "signed": (signed, None),
-        "open_twins": (open_twins, [0, 1, 2, 3, 4]),
-        "closed_twins": (closed_twins, [0, 1, 2, 3, 4, 5]),
-        "unequal": (unequal, [0, 1, 2, 3]),
-        "two_coefficients": (two_coefficients, [0, 1, 2, 3]),
+    orders = {  # name -> (form, order or None, peak frontier width)
+        "split": (split, [2, 0, 3, 4, 1, 5], 1),
+        "hubs": (hubs, [8, 0, 9] + [w for i in range(1, 8) for w in (8 + 2 * i, i, 9 + 2 * i)], 1),
+        "linear_last": (linear_last, [1, 3, 0, 2, 4], 1),
+        "path": (path, list(range(10)), 1),
+        "no_pairs": (unit_form(8, range(8), []), list(range(8)), 0),
+        "signed": (signed, None, 2),
+        "triangle": (triangle, [0, 1, 2], 2),
+        "open_twins": (open_twins, [0, 3, 4, 1, 2], 2),
+        "open_triple": (open_triple, [0, 3, 1, 2, 4, 5], 3),
+        "closed_twins": (closed_twins, [4, 0, 1, 2, 3, 5], 4),
+        "unequal": (unequal, [0, 2, 1, 3], 2),
+        "two_coefficients": (two_coefficients, [0, 2, 1, 3], 2),
     }
-    for name, (f, order) in orders.items():
+    for name, (f, order, peak) in orders.items():
         steps = _slot_steps(f)
         got = [v for v, *_ in steps]
         assert sorted(got) == sorted(f.used_variables()), name
         if order is not None:
             assert got == order, name
+        assert max((keep.bit_count() for _, keep, *_ in steps), default=0) == peak, name
         assert steps == _steps_from_order(f, got), name
         assert value_weight_counts(f) == value_weight_counts_label_order(f), name
-    # x3 reads x1 with coefficient -2 and x2 with 3; x1 and x2 leave the frontier, x3 joins it.
-    assert _slot_steps(signed)[2] == (2, 1 << 2, 1 << 2, {-2: 1 << 0, 3: 1 << 1}, None)
+    # x3 reads x4 with coefficient 3: x4 leaves the frontier, x3 joins it.  x1
+    # reads x3 with -2 and joins too; x2 reads both with 3, and both leave.
+    assert _slot_steps(signed)[1:4] == [(2, 1 << 2, 1 << 2, {3: 1 << 3}, None),
+                                        (0, 0b101, 1 << 0, {-2: 1 << 2}, None),
+                                        (1, 0, 0, {3: 0b101}, None)]
+    # x3 reads x1 with coefficient -2 and x2 with 5; x1 and x2 leave the frontier.
+    assert _slot_steps(triangle)[2] == (2, 0, 0, {-2: 1 << 0, 5: 1 << 1}, None)
+    # x5 joins x4: two held open twins, the lowest j of them standing for any j.
+    assert _slot_steps(open_twins)[2][4] == (0b11000, [0, 0b01000, 0b11000])
     # The third open twin joins two held ones; the lowest j of the three stand for any j.
-    assert _slot_steps(open_twins)[2][4] == (0b111, [0, 0b001, 0b011, 0b111])
-    assert [step[4] is not None for step in _slot_steps(closed_twins)] == [False, True, True, True, False, False]
+    assert _slot_steps(open_triple)[3][4] == (0b111, [0, 0b001, 0b011, 0b111])
+    assert [step[4] is not None for step in _slot_steps(closed_twins)] == [False, False, True, True, True, False]
+    # The fourth closed twin joins three held ones.
+    assert _slot_steps(closed_twins)[4][4] == (0b1111, [0, 0b0001, 0b0011, 0b0111, 0b1111])
     for name in ("unequal", "two_coefficients"):
         f = orders[name][0]
         assert not _twins(f, 0, 1) and all(step[4] is None for step in _slot_steps(f)), name
+
+
+def test_slot_steps_order_cost_on_seeded_signed_forms():
+    """Signed forms on 44 slots with 88 pairs: the sum over the walk's steps
+    of C(F, <= 3), F the frontier width after the step, stays at most what
+    ties broken toward placed neighbours give.  Ties broken by label alone
+    cost 15,066 / 10,812 / 10,210 / 7,335 / 10,871 on the same forms."""
+    costs = []
+    for seed in range(5):
+        rng = random.Random(seed)
+        n = 44
+        pairs = rng.sample([(a, b) for a in range(n) for b in range(a + 1, n)], 2 * n)
+        linear = {i: rng.randint(-2, 2) for i in range(n)}
+        f = MultilinearPoly(n, 0, linear, {pair: rng.choice((-2, -1, 1, 2)) for pair in pairs})
+        costs.append(sum(math.comb(keep.bit_count(), j) for _, keep, *_ in _slot_steps(f) for j in range(4)))
+    assert all(cost <= bound for cost, bound in zip(costs, [3750, 4269, 5028, 4846, 3621])), costs
 
 
 def test_slot_steps_twins_equal_oracle_on_random_twin_forms():

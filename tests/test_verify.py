@@ -424,7 +424,7 @@ def test_blym_reads_integers_exactly():
 
 def test_collections_of_integers_reject_text_and_scalars():
     # "12" used to be read as the set {1, 2}, and a bare 5 raised TypeError.
-    for antichain in (["12"], [5], "12"):
+    for antichain in (["12"], [5], "12", 5):
         with pytest.raises(InputError):
             blym_check(3, antichain)
     for key in ("12", 5):
@@ -455,6 +455,9 @@ def test_antichain_expectation_validation():
         antichain_expectation_check(4, {frozenset([0]): Fraction(2)}, Fraction(1, 4))
     with pytest.raises(InputError):
         antichain_expectation_check(21, {}, Fraction(1, 4))
+    for phi in ([1], "ab"):  # not a mapping: these raised AttributeError on .items()
+        with pytest.raises(InputError, match="phi"):
+            antichain_expectation_check(3, phi, "1/3")
 
 
 def test_antichain_expectation_rejects_float_weights():
@@ -485,6 +488,14 @@ def test_elo_examples():
 def test_elo_rejects_float_coefficients():
     with pytest.raises(InputError):
         elo_max([0.1, 0.2])
+
+
+def test_elo_reads_its_coefficients_as_a_collection():
+    # "12" used to be read as the coefficients 1 and 2, and a bare 5 raised TypeError.
+    for coeffs in ("12", b"12", 5):
+        with pytest.raises(InputError, match="coefficients"):
+            elo_max(coeffs)
+    assert elo_max(iter(["1", Fraction(1, 2)])) == (Fraction(1, 4), Fraction(1, 2), True)
 
 
 def test_large_linear_part_examples():
