@@ -24,11 +24,12 @@ from .constructions import (
     verify_poisson_emergence,
 )
 from .dist import SliceSpec, bernoulli_value_dist, format_rational, slice_value_dist
-from .errors import InputError, ResourceLimitError, as_rational
+from .errors import InputError, ResourceLimitError, as_integer, as_rational
 from .gm import enumerate_gm
 from .poly import format_poly, parse_poly
 from .report import VerificationReport
 from .verify import (
+    TABLE_REFERENCE,
     check_better34_inequalities,
     verify_counts,
     verify_lemmas,
@@ -73,6 +74,10 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_json(path: str, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _print_report(report: VerificationReport) -> None:
@@ -122,25 +127,24 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _run_table(args) -> VerificationReport:
-    """The table certificate; with ``--csv`` it also writes the table rows."""
-    report, rows = verify_table(args.workers)
-    if args.csv_path:
-        lines = ["m,count,p_star,bound_exact,bound_decimal"]
-        lines += [
-            f"{r['m']},{r['count']},{r['p_star']},{r['bound_exact']},{r['bound_decimal']}"
-            for r in rows
-        ]
-        _write_text(args.csv_path, "\n".join(lines) + "\n")
-    return report
+def table_csv(report: VerificationReport) -> str:
+    """The table certificate's rows, rendered from its report alone."""
+    counts = {c.name: c.lhs for c in report.checks}
+    lines = ["m,count,p_star,bound_exact,bound_decimal"]
+    for m in TABLE_REFERENCE:
+        p_star, bound = report.exact_values[f"p_star_m{m}"], report.exact_values[f"bound_m{m}"]
+        count = as_integer(counts[f"count_m{m}"])
+        lines.append(f"{m},{count},{format_rational(p_star)},{format_rational(bound)},{float(bound):.10f}")
+    return "\n".join(lines) + "\n"
 
 
 #: Every certificate, in the order ``reproduce`` runs them, with the flags its
-#: runner reads; ``verify NAME`` takes those flags and ``--json``.
+#: runner reads (``--csv`` is read from the ``table`` report once the run ends);
+#: ``verify NAME`` takes those flags and ``--json``.
 CERTIFICATES: dict[str, tuple[Callable[[argparse.Namespace], VerificationReport], tuple[str, ...]]] = {
     "counts": (lambda args: verify_counts(args.workers), ("--workers",)),
     "prop033": (lambda args: verify_prop_033(args.workers), ("--workers",)),
-    "table": (_run_table, ("--workers", "--csv")),
+    "table": (lambda args: verify_table(args.workers), ("--workers", "--csv")),
     "prop027": (lambda args: verify_prop_027(), ()),
     "better34": (lambda args: check_better34_inequalities(), ()),
     "star_search": (lambda args: verify_star_search(), ()),
@@ -164,10 +168,18 @@ def _run_certificates(
     return reports
 
 
+def _write_outputs(args: argparse.Namespace, reports: list[VerificationReport], payload) -> None:
+    """Write ``--csv`` (the table, from its report) and ``--json`` once every certificate has returned."""
+    if getattr(args, "csv_path", None):
+        (table,) = (r for r in reports if r.name == "table")
+        _write_text(args.csv_path, table_csv(table))
+    if args.json_path:
+        _write_json(args.json_path, payload)
+
+
 def _cmd_verify(args) -> int:
     (report,) = _run_certificates((args.target,), args, _print_report)
-    if args.json_path:
-        _write_text(args.json_path, report.to_json_str() + "\n")
+    _write_outputs(args, [report], report.to_json())
     return 0 if report.passed else 1
 
 
@@ -188,7 +200,7 @@ def _cmd_dist(args) -> int:
         for v in dist.support():
             print(f"{v},{format_rational(dist.prob(v))}")
     if args.json_path:
-        _write_text(args.json_path, json.dumps(dist.to_json(), indent=2, sort_keys=True) + "\n")
+        _write_json(args.json_path, dist.to_json())
     return 0
 
 
@@ -224,7 +236,7 @@ def _cmd_construct(args) -> int:
         payload.update(finite_n=args.n, finite=format_rational(finite))
     print("\n".join(lines + [f"limit: {format_rational(prob)} = {float(prob):.10f}", reference_line]))
     if args.json_path:
-        _write_text(args.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(args.json_path, payload)
     return 0
 
 
@@ -232,9 +244,7 @@ def _cmd_reproduce(args) -> int:
     reports = _run_certificates(CERTIFICATES, args, _print_status)
     passed = all(r.passed for r in reports)
     print(f"{'all certificates pass' if passed else 'CERTIFICATE FAILURE'}")
-    if args.json_path:
-        payload = {"passed": passed, "reports": [r.to_json() for r in reports]}
-        _write_text(args.json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_outputs(args, reports, {"passed": passed, "reports": [r.to_json() for r in reports]})
     return 0 if passed else 1
 
 

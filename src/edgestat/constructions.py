@@ -307,9 +307,10 @@ def poisson_reference(a: int) -> float:
 def verify_goodman() -> VerificationReport:
     """Two disjoint half cliques: exact values at n = 12, 24, 48 and the
     exact 3/4 limit for one induced edge among three chosen vertices."""
+    k, ell, n_list = 3, 1, [12, 24, 48]
     family = clique_union_family((3, 3), 6)
-    n12, n24, n48 = (limit_probability(family, 3, 1, n) for n in (12, 24, 48))
-    limit = limit_probability(family, 3, 1)
+    n12, n24, n48 = (limit_probability(family, k, ell, n) for n in n_list)
+    limit = limit_probability(family, k, ell)
     checks = [
         check("n12_value", n12, "==", Fraction(9, 11)),
         check("n24_below_n12", n24, "<", n12),
@@ -320,7 +321,7 @@ def verify_goodman() -> VerificationReport:
     ]
     return VerificationReport(
         name="goodman",
-        inputs={"family": family.tag, "k": 3, "ell": 1, "n_list": [12, 24, 48]},
+        inputs={"family": family.tag, "k": k, "ell": ell, "n_list": n_list},
         exact_values={"n12": n12, "n24": n24, "n48": n48, "limit": limit},
         checks=checks,
     )
@@ -329,10 +330,10 @@ def verify_goodman() -> VerificationReport:
 def verify_poisson_emergence() -> VerificationReport:
     """Complete bipartite families at k = 200 against the a^a/(e^a a!)
     constants: a = 1 within 0.01 of 1/e, a = 2 within 0.02 of 2/e^2."""
-    k = 200
+    k, tolerances = 200, ((1, 100), (2, 50))  # (a, denominator of the tolerance)
     checks = []
     exact = {}
-    for a, tol_denom in ((1, 100), (2, 50)):
+    for a, tol_denom in tolerances:
         family = bipartite_family(a, k)
         ell = a * (k - a)
         prob = limit_probability(family, k, ell)
@@ -341,7 +342,7 @@ def verify_poisson_emergence() -> VerificationReport:
         checks.append(check(f"a{a}_within_tolerance", abs(prob - ref), "<=", Fraction(1, tol_denom)))
     return VerificationReport(
         name="poisson_emergence",
-        inputs={"k": k, "a_values": [1, 2], "reference": "a^a/(e^a a!)"},
+        inputs={"k": k, "a_values": [a for a, _ in tolerances], "reference": "a^a/(e^a a!)"},
         exact_values=exact,
         checks=checks,
     )

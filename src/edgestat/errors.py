@@ -4,8 +4,8 @@ Two failure modes are distinguished everywhere in the package: bad input
 (caller error, maps to CLI exit code 2) and a blown resource cap (the
 computation would be exact but too large; also exit code 2, with the exact
 size that tripped the guard in the message).  The readers of exact
-numbers live here too, below every other module: they turn a float or a
-non-integral value into an :class:`InputError`, not a silent truncation.
+numbers live here too, below every other module: they turn a float, a bool
+or a non-integral value into an :class:`InputError`, not a silent truncation.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and exact decimal/ratio strings to Fraction."""
     if isinstance(value, float):
         raise InputError("floats are not accepted where exact rationals are required")
+    if isinstance(value, bool):  # the mirror of as_flag: a flag is not a number
+        raise InputError(f"{value!r} is a boolean, not a number")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -593,6 +593,8 @@ def parse_poly(text: str) -> MultilinearPoly:
             raise InputError(f"term {chunk!r} has degree > 2")
         if key and key[0] < 0:
             raise InputError("variable indices are 1-based")
+        if len(key) == 2 and key[0] == key[1]:
+            raise InputError(f"term {chunk!r} repeats x{key[0] + 1}")
         terms[key] = terms.get(key, 0) + int(sign + (coeff or "1"))
     constant = terms.pop((), 0)
     linear = {key[0]: c for key, c in terms.items() if len(key) == 1}

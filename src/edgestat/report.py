@@ -10,7 +10,6 @@ determinism comparisons.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -79,9 +78,6 @@ class VerificationReport:
             "passed": self.passed,
             "wall_time": self.wall_time,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
 def report_from_json(data: dict) -> VerificationReport:

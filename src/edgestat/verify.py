@@ -55,6 +55,9 @@ TABLE_REFERENCE: dict[int, tuple[int, Fraction, Fraction]] = {
     5: (1653, Fraction(1, 3), Fraction(3292, 10000)),
 }
 
+#: The thresholds m the ``counts`` and ``table`` certificates run, as their reports record them.
+TABLE_M_RANGE = f"{min(TABLE_REFERENCE)}..{max(TABLE_REFERENCE)}"
+
 #: |computed bound - reference| tolerance for "matches to 4 decimal places".
 TABLE_TOLERANCE = Fraction(1, 20000)
 
@@ -134,9 +137,9 @@ _WITNESS_POLY_TEXT = "x2+x3+x4+x5+x1*x2+x1*x3+x1*x4+x1*x5"
 
 def verify_prop_033(workers: int = 1) -> VerificationReport:
     """m=5 reduction bound at p=1/3 stays strictly below 0.3293."""
-    p = Fraction(1, 3)
+    m, p, ell_min = 5, Fraction(1, 3), 2
     threshold = Fraction(3293, 10000)
-    rb = reduction_bound(enumerate_gm(5, workers), p, 2)
+    rb = reduction_bound(enumerate_gm(m, workers), p, ell_min)
     expected_key = canonical_form(parse_poly(_WITNESS_POLY_TEXT))
     witness = None
     if rb.witness_key is not None:
@@ -153,7 +156,7 @@ def verify_prop_033(workers: int = 1) -> VerificationReport:
     ]
     return VerificationReport(
         name="prop033",
-        inputs={"m": 5, "p": "1/3", "ell_min": 2},
+        inputs={"m": m, "p": format_rational(p), "ell_min": ell_min},
         exact_values={"bound": rb.bound, "binmax_part": rb.binmax_part, "family_part": rb.gm_part},
         threshold=threshold,
         witness=witness,
@@ -171,7 +174,7 @@ def verify_counts(workers: int = 1) -> VerificationReport:
         checks.append(check(f"count_m{m}", Fraction(family.count), "==", Fraction(ref_count)))
     return VerificationReport(
         name="counts",
-        inputs={"m_range": "2..5"},
+        inputs={"m_range": TABLE_M_RANGE},
         exact_values=exact,
         checks=checks,
     )
@@ -179,11 +182,11 @@ def verify_counts(workers: int = 1) -> VerificationReport:
 
 def verify_prop_027() -> VerificationReport:
     """m=8 bound at p=0.426: binomial part, expectation, and Markov step."""
-    p = Fraction(213, 500)
+    m, p, tail_from = 8, Fraction(213, 500), 60
     threshold = Fraction(27, 100)
-    bm = binmax(8, p)
+    bm = binmax(m, p)
     expectation = 70 * p * p + 8 * p
-    markov = expectation / 60
+    markov = expectation / tail_from
     checks = [
         check("binmax_below_threshold", bm, "<", threshold),
         check("expectation_bound", expectation, "<", Fraction(16112, 1000)),
@@ -191,18 +194,18 @@ def verify_prop_027() -> VerificationReport:
     ]
     return VerificationReport(
         name="prop027",
-        inputs={"m": 8, "p": "213/500", "tail_from": 60},
+        inputs={"m": m, "p": format_rational(p), "tail_from": tail_from},
         exact_values={"binmax8": bm, "expectation": expectation, "markov": markov},
         threshold=threshold,
         checks=checks,
     )
 
 
-def verify_table(workers: int = 1) -> tuple[VerificationReport, list[dict]]:
-    """Reproduce the m=2..5 reference table (counts, optimal p, bounds)."""
+def verify_table(workers: int = 1) -> VerificationReport:
+    """Reproduce the m=2..5 reference table (counts, optimal p, bounds); the
+    report is the table, each count the lhs of its ``count_m{m}`` check."""
     checks = []
     exact: dict[str, Fraction] = {}
-    rows: list[dict] = []
     for m, (ref_count, ref_p, ref_bound) in TABLE_REFERENCE.items():
         family = enumerate_gm(m, workers)
         p_star, bound = optimize_p(family)
@@ -211,22 +214,12 @@ def verify_table(workers: int = 1) -> tuple[VerificationReport, list[dict]]:
         checks.append(check(f"count_m{m}", Fraction(family.count), "==", Fraction(ref_count)))
         checks.append(check(f"p_star_m{m}", p_star, "==", ref_p))
         checks.append(check(f"bound_m{m}_to_4dp", abs(bound - ref_bound), "<=", TABLE_TOLERANCE))
-        rows.append(
-            {
-                "m": m,
-                "count": family.count,
-                "p_star": format_rational(p_star),
-                "bound_exact": format_rational(bound),
-                "bound_decimal": f"{float(bound):.10f}",
-            }
-        )
-    report = VerificationReport(
+    return VerificationReport(
         name="table",
-        inputs={"m_range": "2..5", "grid": "i/300, i=1..299", "ell_min": 2},
+        inputs={"m_range": TABLE_M_RANGE, "grid": "i/300, i=1..299", "ell_min": 2},
         exact_values=exact,
         checks=checks,
     )
-    return report, rows
 
 
 def _two_layer_max(s: int, p: Fraction) -> Fraction:

@@ -1,5 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
+import csv
+import io
 import math
 import re
 from fractions import Fraction
@@ -7,6 +9,7 @@ from itertools import combinations, permutations, product
 
 import mpmath
 
+from edgestat.cli import table_csv
 from edgestat.constructions import HostGraph, PartFamily
 from edgestat.errors import InputError, ResourceLimitError, as_probability
 from edgestat.poly import (
@@ -650,3 +653,11 @@ def labelled_members(m, t, q):
     )
     b = len(bounded_degree_masks(q, m - 1 - t))
     return math.comb(t + q, t) * a * b * 2 ** math.comb(t, 2)
+
+
+def table_rows(report) -> list[dict]:
+    """The table certificate's rows as the CLI's CSV renders them; m and count as ints."""
+    rows = list(csv.DictReader(io.StringIO(table_csv(report))))
+    for row in rows:
+        row["m"], row["count"] = int(row["m"]), int(row["count"])
+    return rows

@@ -34,7 +34,7 @@ from edgestat.verify import (
     verify_table,
 )
 
-from helpers import star_search_oracle, unit_form
+from helpers import star_search_oracle, table_rows, unit_form
 
 F = Fraction
 
@@ -81,7 +81,8 @@ def test_criterion_02_point_mass_bound_certificate(capsys):
 
 def test_criterion_03_optimized_bound_table(capsys):
     failures: list[str] = []
-    report, rows = verify_table(workers=1)
+    report = verify_table(workers=1)
+    rows = table_rows(report)
     _check(failures, "report", report.passed)
     reference = [
         (2, "2/3", 0.4444),

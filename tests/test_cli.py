@@ -23,6 +23,7 @@ from edgestat.constructions import (
     edge_count_dist,
     limit_probability,
 )
+from edgestat.errors import ResourceLimitError
 from edgestat.report import report_from_json, reverify
 
 #: The reports ``reproduce --json`` must give, apart from ``wall_time``; read only.
@@ -621,6 +622,19 @@ def test_reproduce_all_certificates(tmp_path, capsys):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     assert _strip_wall_time(payload["reports"]) == golden
+
+
+def test_reproduce_writes_nothing_when_a_later_certificate_raises(tmp_path, monkeypatch, capsys):
+    # The table CSV used to be written as soon as ``table`` returned.
+    def blown(args):
+        raise ResourceLimitError("cap exceeded")
+
+    monkeypatch.setitem(CERTIFICATES, "lemmas", (blown, ()))
+    table, reports = tmp_path / "table.csv", tmp_path / "reports.json"
+    assert main(["reproduce", "--csv", str(table), "--json", str(reports)]) == 2
+    out, err = capsys.readouterr()
+    assert "[PASS] table" in out and "error: cap exceeded" in err
+    assert not table.exists() and not reports.exists()
 
 
 def test_cli_import_does_not_load_numpy():

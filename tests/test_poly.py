@@ -600,6 +600,11 @@ def test_parse_rejects_malformed_text():
     for text in ("", "x1+", "x1++x2", "x1*", "*x1", "x1x2", "x1*x1", "x1*x2*x3", "x0", "y1", "2*", "x1\n+x2", "2\n*x1"):
         with pytest.raises(InputError):
             parse_poly(text)
+    # A squared variable used to fail in MultilinearPoly, naming no term.
+    with pytest.raises(InputError, match=r"term 'x1\*x1' repeats x1"):
+        parse_poly("x1*x1")
+    with pytest.raises(InputError, match=r"term '-2\*x3\*x3' repeats x3"):
+        parse_poly("x1+x2-2*x3*x3")
 
 
 def test_parse_matches_split_parser():

@@ -10,9 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from edgestat import verify
-from edgestat.dist import SliceSpec, ValueDist, bernoulli_value_dist, binmax
-from edgestat.errors import InputError
+from edgestat import constructions, verify
+from edgestat.dist import SliceSpec, ValueDist, bernoulli_value_dist, binmax, format_rational
+from edgestat.errors import InputError, as_integer, as_probability, as_rational
 from edgestat.gm import GmFamily, enumerate_gm, var_bound
 from edgestat.poly import MultilinearPoly, parse_poly
 from edgestat.report import check, report_from_json, reverify
@@ -35,7 +35,7 @@ from edgestat.verify import (
     verify_table,
 )
 
-from helpers import member_profiles, reduction_bound_unpruned, star_search_oracle
+from helpers import member_profiles, reduction_bound_unpruned, star_search_oracle, table_rows
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_check_operators():
 
 def test_report_round_trip_and_reverify():
     report = verify_prop_027()
-    data = json.loads(report.to_json_str())
+    data = json.loads(json.dumps(report.to_json(), sort_keys=True, indent=2))
     loaded = report_from_json(data)
     assert loaded.passed
     assert loaded.checks == report.checks
@@ -114,6 +114,28 @@ def test_report_flags_read_exactly():
             report_from_json(bad)
         with pytest.raises(InputError, match="malformed report JSON"):
             reverify(bad)
+
+
+def test_exact_readers_reject_bool():
+    # True used to read as 1 and False as 0 wherever a number was expected:
+    # the mirror of a number read as a flag.
+    cases = (
+        lambda: as_rational(True),
+        lambda: as_integer(True),
+        lambda: as_probability(True),
+        lambda: SliceSpec(True, False),
+        lambda: SliceSpec(4, True),
+        lambda: MultilinearPoly(2, True, {}, {}),
+        lambda: MultilinearPoly(2, 0, {0: True}, {}),
+        lambda: MultilinearPoly(2, 0, {}, {(0, 1): True}),
+        lambda: MultilinearPoly(2, 0, {}, {(False, True): 1}),
+        lambda: elo_max([True, True]),
+        lambda: bernoulli_value_dist(parse_poly("x1"), True),
+    )
+    for case in cases:
+        with pytest.raises(InputError, match="is a boolean, not a number"):
+            case()
+    assert as_integer(1) == 1 and SliceSpec(4, 1) == SliceSpec(Fraction(4), "1")
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +296,45 @@ def test_prop027_certificate():
     assert report.threshold == Fraction(27, 100)
 
 
+def _recording(monkeypatch, owner, name: str) -> list[tuple]:
+    """Replace ``owner.name`` by a pass-through that records each call's arguments."""
+    calls, inner = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_reports_record_the_inputs_they_ran_with(monkeypatch):
+    rb = _recording(monkeypatch, verify, "reduction_bound")
+    inputs = verify_prop_033().inputs
+    ((family, p, ell_min),) = rb
+    assert inputs == {"m": family.m, "p": format_rational(p), "ell_min": ell_min}
+
+    bm = _recording(monkeypatch, verify, "binmax")
+    report = verify_prop_027()
+    ((m, p),) = bm
+    assert (report.inputs["m"], report.inputs["p"]) == (m, format_rational(p))
+    assert report.exact_values["markov"] == report.exact_values["expectation"] / report.inputs["tail_from"]
+
+    limits = _recording(monkeypatch, constructions, "limit_probability")
+    inputs = constructions.verify_goodman().inputs
+    assert {(k, ell) for _, k, ell, *_ in limits} == {(inputs["k"], inputs["ell"])}
+    assert [args[3:] for args in limits] == [(n,) for n in inputs["n_list"]] + [()]
+
+    families = _recording(monkeypatch, constructions, "bipartite_family")
+    inputs = constructions.verify_poisson_emergence().inputs
+    assert families == [(a, inputs["k"]) for a in inputs["a_values"]]
+
+    for certificate in (verify_counts, verify_table):
+        ms = _recording(monkeypatch, verify, "enumerate_gm")
+        lo, hi = map(int, certificate().inputs["m_range"].split(".."))
+        assert [m for m, _ in ms] == list(range(lo, hi + 1))
+
+
 def test_counts_certificate():
     report = verify_counts()
     assert report.passed
@@ -281,7 +342,8 @@ def test_counts_certificate():
 
 
 def test_table_certificate_rows():
-    report, rows = verify_table()
+    report = verify_table()
+    rows = table_rows(report)
     assert report.passed
     assert [row["m"] for row in rows] == [2, 3, 4, 5]
     by_m = {row["m"]: row for row in rows}
